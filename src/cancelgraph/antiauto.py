@@ -256,45 +256,52 @@ def _duplicate_classes(n: int, rows: tuple[int, ...]) -> list[list[int]]:
     return [vs for vs in classes.values() if len(vs) > 1]
 
 
+def _orbit_labels(n: int, rows: tuple[int, ...], ant: list[tuple[int, ...]]):
+    """Aut^TF(G) orbit label of each image of ant (all of Ant(G), ascending),
+    orbits numbered by their least member, plus every generator image that
+    fell outside ant, which correct generators never produce."""
+    gens = []
+    for lam, mu in _tf_generators(n, rows):
+        mu_inv = [0] * n
+        for v, w in enumerate(mu):
+            mu_inv[w] = v
+        gens.append((lam, mu_inv))
+    index = {img: i for i, img in enumerate(ant)}
+    labels = [-1] * len(ant)
+    escaped = []
+    norbits = 0
+    for i, img in enumerate(ant):
+        if labels[i] >= 0:
+            continue
+        labels[i] = norbits
+        frontier = [img]
+        while frontier:
+            cur = frontier.pop()
+            for lam, mu_inv in gens:
+                moved = tuple(lam[cur[u]] for u in mu_inv)
+                j = index.get(moved)
+                if j is None:
+                    escaped.append(moved)
+                elif labels[j] < 0:
+                    labels[j] = norbits
+                    frontier.append(moved)
+        norbits += 1
+    return labels, escaped
+
+
 def ant_orbits(g: Graph, *, force: bool = False) -> AntOrbitPartition:
     if g.n > TF_MAX and not force:
         raise CapacityError(
             f"orbit computation uses the two-fold machinery, guarded at n<={TF_MAX}"
         )
-    n = g.n
     ant = enumerate_ant(g, force=force)
-    index = {p.image: p for p in ant}
-    gens = _tf_generators(n, g.adj)
-    inv_of = {}
-    for lam, mu in gens:
-        inv = [0] * n
-        for v, w in enumerate(mu):
-            inv[w] = v
-        inv_of[(lam, mu)] = tuple(inv)
-    unvisited = dict(index)
-    orbits = []
-    for p in ant:
-        if p.image not in unvisited:
-            continue
-        frontier = [p.image]
-        orbit = {p.image}
-        del unvisited[p.image]
-        while frontier:
-            cur = frontier.pop()
-            for lam, mu in gens:
-                mu_inv = inv_of[(lam, mu)]
-                moved = tuple(lam[cur[mu_inv[v]]] for v in range(n))
-                if moved not in orbit:
-                    if moved not in index:
-                        raise InvariantViolationError(
-                            "orbit closure left Ant(G); generators are wrong"
-                        )
-                    orbit.add(moved)
-                    del unvisited[moved]
-                    frontier.append(moved)
-        orbits.append(tuple(index[i] for i in sorted(orbit)))
-    orbits.sort(key=lambda o: o[0].image)
-    part = AntOrbitPartition(tuple(ant), tuple(orbits))
+    labels, escaped = _orbit_labels(g.n, g.adj, [p.image for p in ant])
+    if escaped:
+        raise InvariantViolationError("orbit closure left Ant(G); generators are wrong")
+    orbits: list[list[Permutation]] = [[] for _ in range(max(labels) + 1)]
+    for p, label in zip(ant, labels):
+        orbits[label].append(p)
+    part = AntOrbitPartition(tuple(ant), tuple(map(tuple, orbits)))
     _cross_check_orbits(g, part)
     return part
 

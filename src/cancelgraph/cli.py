@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .antiauto import apply_anti, enumerate_ant, enumerate_aut_tf

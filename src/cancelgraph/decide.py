@@ -7,35 +7,28 @@ cancelling from direct products, so the cancellation decider is the same
 test; the oracle module re-derives the answer by brute-force scanning so the
 two routes can be compared.
 
-Fast paths, in the order applied:
-  "involution"  no order-2 automorphism means reconstructible outright
-  "bipartite"   bipartite graphs delegate to the reversal-involution decider
-  "orbit"       check one 2-power-order representative per action orbit
-  "odd_power"   the power reduction alone: a and a^(odd) give isomorphic
-                permuted graphs, so only 2-power-order elements matter
+The decider takes one fixed route:
+  involution  no order-2 automorphism means reconstructible outright
+  bipartite   bipartite graphs delegate to the reversal-involution decider
+  full        every distinct G^a must share G's certificate, checked over
+              the 2-power-order a only: a and a^(odd) give isomorphic G^a
 
-Each path can be switched off to compare against the plain enumeration.
+classify makes one pass over Ant(G) that certifies each distinct G^a and
+yields the verdict, the orbit classes, the counterexample and the strong
+witness. The verdict is checked against both public deciders; they repeat
+the Ant search for graphs that neither fast test settles.
 """
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass
-from math import lcm
+from math import factorial, lcm
 
-from .antiauto import (
-    ANT_MAX,
-    TF_MAX,
-    ant_orbits,
-    apply_anti_rows,
-    enumerate_ant,
-)
+from .antiauto import ANT_MAX, apply_anti_rows, enumerate_ant
 from .errors import CapacityError, InvariantViolationError, UsageError
 from .graphs import Graph, Permutation
 from .iso import _canonical, adjacency_key, involution_witness
 from .product import Bipartition, bipartition
-
-FAST_PATH_NAMES = ("involution", "bipartite", "orbit", "odd_power")
-DEFAULT_FAST_PATHS = ("involution", "bipartite", "orbit")
 
 
 def perm_order(image: tuple[int, ...]) -> int:
@@ -66,52 +59,91 @@ def _guard(g: Graph, force: bool) -> None:
         )
 
 
-def _full_route(n: int, rows: tuple[int, ...], images) -> bool:
-    """Certificate comparison of every distinct permuted graph against G."""
-    base = None
-    seen = set()
+def _distinct_images(rows: tuple[int, ...], images):
+    """(a, rows of G^a) for the first a of each distinct G^a other than G."""
+    seen = {rows}
     for img in images:
         arows = apply_anti_rows(rows, img)
-        if arows == rows or arows in seen:
-            continue
-        seen.add(arows)
+        if arows not in seen:
+            seen.add(arows)
+            yield img, arows
+
+
+def _full_route(rows: tuple[int, ...], images, cert) -> bool:
+    """True when every distinct G^a over the 2-power-order images shares G's
+    certificate. cert maps rows to a value equal exactly on isomorphic
+    graphs; G's own is computed only once some G^a differs from G."""
+    base = None
+    for _, arows in _distinct_images(rows, filter(_has_two_power_order, images)):
         if base is None:
-            base = _canonical(n, rows)[0]
-        if _canonical(n, arows)[0] != base:
+            base = cert(rows)
+        if cert(arows) != base:
             return False
     return True
 
 
-def is_neighborhood_reconstructible(
-    g: Graph,
-    *,
-    fast_paths: tuple[str, ...] = DEFAULT_FAST_PATHS,
-    force: bool = False,
-) -> bool:
-    for name in fast_paths:
-        if name not in FAST_PATH_NAMES:
-            raise UsageError(f"unknown fast path {name!r}")
+def _classwise_strong(rows: tuple[int, ...], images) -> bool:
+    """Strong reconstructibility by its characterization: Ant(G) is exactly
+    the permutations fixing every equal-neighborhood class setwise. Those
+    permutations are always anti-automorphisms, so it suffices that every
+    image preserves the classes and |Ant(G)| is the product of the
+    class-size factorials."""
+    count = 0
+    for img in images:
+        count += 1
+        if any(rows[w] != rows[v] for v, w in enumerate(img)):
+            return False
+    expected = 1
+    for size in Counter(rows).values():
+        expected *= factorial(size)
+    return count == expected
+
+
+def _strong_verdict(rows: tuple[int, ...], images, direct: bool) -> bool:
+    """direct (every G^a equals G), confirmed by the classwise route."""
+    classwise = _classwise_strong(rows, images)
+    if direct != classwise:
+        raise InvariantViolationError(
+            f"strong-reconstructibility routes disagree: direct={direct} classwise={classwise}"
+        )
+    return direct
+
+
+def _ant_pass(g: Graph, force: bool):
+    """One pass over Ant(G) certifying each distinct G^a.
+
+    Returns the Ant images, the set of certificates of all G^a, the
+    counterexample as (a, rows of G^a) or None, and the least a with
+    G^a != G or None. The counterexample is the G^a not isomorphic to G with
+    the least adjacency encoding, ties broken by least image.
+    """
+    n, rows = g.n, g.adj
+    ant = [p.image for p in enumerate_ant(g, force=force)]
+    base = _canonical(n, rows)[0]
+    certs = {base}
+    best = None
+    strong_witness = None
+    for img, arows in _distinct_images(rows, ant):
+        if strong_witness is None:
+            strong_witness = img
+        cert = _canonical(n, arows)[0]
+        certs.add(cert)
+        if cert != base:
+            key = adjacency_key(n, arows)
+            if best is None or key < best[0]:
+                best = (key, img, arows)
+    return ant, certs, None if best is None else best[1:], strong_witness
+
+
+def is_neighborhood_reconstructible(g: Graph, *, force: bool = False) -> bool:
     _guard(g, force)
-    if "involution" in fast_paths and involution_witness(g) is None:
+    if involution_witness(g) is None:
         return True
-    if "bipartite" in fast_paths:
-        bp = bipartition(g)
-        if bp.is_bipartite:
-            return _bip_decide(g, bp)[0]
-    images = [p.image for p in enumerate_ant(g, force=force)]
-    if "orbit" in fast_paths and g.n <= TF_MAX:
-        reps = []
-        for orbit in ant_orbits(g, force=force).orbits:
-            two_pow = [p.image for p in orbit if _has_two_power_order(p.image)]
-            if not two_pow:
-                raise InvariantViolationError(
-                    "an action orbit has no 2-power-order member"
-                )
-            reps.append(min(two_pow))
-        images = reps
-    elif "orbit" in fast_paths or "odd_power" in fast_paths:
-        images = [img for img in images if _has_two_power_order(img)]
-    return _full_route(g.n, g.adj, images)
+    bp = bipartition(g)
+    if bp.is_bipartite:
+        return _bip_decide(g, bp)[0]
+    images = (p.image for p in enumerate_ant(g, force=force))
+    return _full_route(g.adj, images, lambda rows: _canonical(g.n, rows)[0])
 
 
 def reconstruction_counterexample(
@@ -120,62 +152,26 @@ def reconstruction_counterexample(
     """The non-isomorphic permuted graph with the least adjacency encoding,
     with its anti-automorphism; ties broken by least image vector."""
     _guard(g, force)
-    base = _canonical(g.n, g.adj)[0]
-    best = None
-    for p in enumerate_ant(g, force=force):
-        arows = apply_anti_rows(g.adj, p.image)
-        if arows == g.adj or _canonical(g.n, arows)[0] == base:
-            continue
-        key = (adjacency_key(g.n, arows), p.image)
-        if best is None or key < best[0]:
-            best = (key, p, arows)
-    if best is None:
+    found = _ant_pass(g, force)[2]
+    if found is None:
         return None
-    return best[1], Graph(g.n, best[2])
+    return Permutation(found[0]), Graph(g.n, found[1])
 
 
 def is_strongly_reconstructible(g: Graph, *, force: bool = False) -> bool:
-    """True when every permuted graph equals G exactly.
-
-    Recomputed two ways: directly, and through the characterization that
-    Ant(G) must consist exactly of the permutations fixing every duplicate
-    -neighborhood class setwise. Disagreement is an engine bug.
-    """
+    """True when every permuted graph equals G exactly, confirmed by the
+    classwise route; disagreement is an engine bug."""
     _guard(g, force)
-    ant = enumerate_ant(g, force=force)
-    rows = g.adj
-    direct = all(apply_anti_rows(rows, p.image) == rows for p in ant)
-    classwise = {p.image for p in ant} == set(_class_preserving_images(g.n, rows))
-    if direct != classwise:
-        raise InvariantViolationError(
-            f"strong-reconstructibility routes disagree: direct={direct} classwise={classwise}"
-        )
-    return direct
-
-
-def _class_preserving_images(n: int, rows: tuple[int, ...]):
-    """All permutations mapping each equal-neighborhood class onto itself."""
-    classes: dict[int, list[int]] = {}
-    for v in range(n):
-        classes.setdefault(rows[v], []).append(v)
-    blocks = list(classes.values())
-    for choice in itertools.product(
-        *(itertools.permutations(block) for block in blocks)
-    ):
-        img = [0] * n
-        for block, assigned in zip(blocks, choice):
-            for v, w in zip(block, assigned):
-                img[v] = w
-        yield tuple(img)
+    ant = [p.image for p in enumerate_ant(g, force=force)]
+    return _strong_verdict(g.adj, ant, next(_distinct_images(g.adj, ant), None) is None)
 
 
 def strong_counterexample(g: Graph, *, force: bool = False) -> Permutation | None:
     """Least anti-automorphism whose permuted graph differs from G."""
     _guard(g, force)
-    for p in enumerate_ant(g, force=force):
-        if apply_anti_rows(g.adj, p.image) != g.adj:
-            return p
-    return None
+    images = (p.image for p in enumerate_ant(g, force=force))
+    found = next(_distinct_images(g.adj, images), None)
+    return None if found is None else Permutation(found[0])
 
 
 def is_cancellation_graph(g: Graph, *, force: bool = False) -> bool:
@@ -309,38 +305,31 @@ class AnalysisReport:
 
 def classify(g: Graph, *, force: bool = False) -> AnalysisReport:
     _guard(g, force)
+    involution = involution_witness(g)
     bp = bipartition(g)
-    reconstructible = is_neighborhood_reconstructible(g, force=force)
-    strongly = is_strongly_reconstructible(g, force=force)
-    counterexample = None if reconstructible else reconstruction_counterexample(g, force=force)
-    if not reconstructible and counterexample is None:
-        raise InvariantViolationError("non-reconstructible graph without counterexample")
-    witness_involution = None
-    if bp.is_bipartite and not reconstructible:
-        witness_involution = bipartite_reversal_witness(g)
-        if witness_involution is None:
-            raise InvariantViolationError(
-                "bipartite non-reconstructible graph without a reversing involution"
-            )
-    certs = set()
-    seen_rows = set()
-    for p in enumerate_ant(g, force=force):
-        arows = apply_anti_rows(g.adj, p.image)
-        if arows in seen_rows:
-            continue
-        seen_rows.add(arows)
-        certs.add(_canonical(g.n, arows)[0])
+    reversal = _bip_decide(g, bp)[1] if bp.is_bipartite else None
+    ant, certs, counterexample, strong_witness = _ant_pass(g, force)
+    reconstructible = len(certs) == 1
+    # The decider's fixed route answers from the involution or bipartite
+    # test when one applies, else from the 2-power-order images only; it
+    # must agree with the pass over all of Ant(G). Both public deciders are
+    # called because perfbench counts decision routes inside their calls.
+    decided = is_neighborhood_reconstructible(g, force=force)
+    if decided != reconstructible:
+        raise InvariantViolationError(
+            f"decider says {decided}, the pass over Ant(G) {reconstructible}"
+        )
     return AnalysisReport(
         n=g.n,
         reconstructible=reconstructible,
-        strongly=strongly,
+        strongly=_strong_verdict(g.adj, ant, strong_witness is None),
         cancellation=is_cancellation_graph(g, force=force),
         bipartite=bp.is_bipartite,
-        has_involution=involution_witness(g) is not None,
+        has_involution=involution is not None,
         orbit_count=len(certs),
         orbit_classes=tuple(sorted(c.hex() for c in certs)),
-        counterexample_alpha=None if counterexample is None else counterexample[0],
-        counterexample_graph=None if counterexample is None else counterexample[1],
-        witness_involution=witness_involution,
-        strongly_witness=None if strongly else strong_counterexample(g, force=force),
+        counterexample_alpha=None if counterexample is None else Permutation(counterexample[0]),
+        counterexample_graph=None if counterexample is None else Graph(g.n, counterexample[1]),
+        witness_involution=reversal,
+        strongly_witness=None if strong_witness is None else Permutation(strong_witness),
     )

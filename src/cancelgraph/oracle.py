@@ -19,15 +19,16 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .antiauto import (
-    _tf_generators,
+    _orbit_labels,
     apply_anti_rows,
     is_anti_automorphism,
     iter_ant_images,
 )
-from .decide import _bip_decide, _has_two_power_order, perm_order
+from .decide import _bip_decide, _classwise_strong, _full_route, perm_order
 from .errors import CapacityError, InvariantViolationError, UsageError
 from .graphs import (
     Graph,
@@ -45,6 +46,7 @@ from .iso import (
     canon_rows,
     cert_bytes,
     compact_rows,
+    involution_witness,
     iter_automorphism_images,
 )
 from .product import bipartition, direct_product
@@ -307,19 +309,28 @@ class _Violations:
         self.items: list[dict] = []
         self.total = 0
 
-    def add(self, suite: str, n: int, **detail) -> None:
-        self.total += 1
+    def _keep(self, item: dict) -> None:
         if len(self.items) < MAX_RECORDED_VIOLATIONS:
-            self.items.append({"suite": suite, "n": n, **detail})
+            self.items.append(item)
         elif len(self.items) == MAX_RECORDED_VIOLATIONS:
             self.items.append({"suite": "truncated", "n": 0, "note": "further violations omitted"})
+
+    def add(self, suite: str, n: int, **detail) -> None:
+        self.total += 1
+        self._keep({"suite": suite, "n": n, **detail})
+
+    def absorb(self, items: list[dict], total: int) -> None:
+        """Fold in another collector's items and count, with the same cap and
+        marker as if its violations had been added here in order."""
+        for item in items:
+            self._keep(item)
+        self.total += total
 
 
 def _edges_of_rows(n: int, rows) -> list[list[int]]:
     out = []
     for x in range(n):
         row = rows[x] >> x
-        y = x
         while row:
             b = row & -row
             out.append([x, x + b.bit_length() - 1])
@@ -449,72 +460,35 @@ class _UniverseIndex:
         return not self.product[self.class_product[self.canon_of(rows)]] & 1
 
 
-def _iter_mode_rows(n: int, loops_allowed: bool, start: int = 0, stop: int | None = None):
-    return iter_adj_rows(n, loops_allowed, start=start, stop=stop)
-
-
-def _decider_slow(n: int, rows: tuple[int, ...], ant_images, index: _UniverseIndex) -> bool:
-    """The anti-automorphism route with only the power reduction applied,
-    certificates served from the prebuilt index."""
-    base = index.canon_of(rows)
-    seen = set()
-    for img in ant_images:
-        if not _has_two_power_order(img):
-            continue
-        arows = apply_anti_rows(rows, img)
-        if arows == rows or arows in seen:
-            continue
-        seen.add(arows)
-        if index.canon_of(arows) != base:
-            return False
-    return True
-
-
-def _strong_routes(n: int, rows: tuple[int, ...], ant_images) -> tuple[bool, bool]:
-    direct = True
-    preserve = True
-    count = 0
-    for img in ant_images:
-        count += 1
-        if direct and apply_anti_rows(rows, img) != rows:
-            direct = False
-        if preserve and any(rows[img[v]] != rows[v] for v in range(n)):
-            preserve = False
-    expected = 1
-    classes: dict[int, int] = {}
-    for row in rows:
-        classes[row] = classes.get(row, 0) + 1
-    for size in classes.values():
-        for i in range(2, size + 1):
-            expected *= i
-    classwise = preserve and count == expected
-    return direct, classwise
-
-
 def _main_pass_for_n(
     n: int,
     loops_allowed: bool,
-    index: _UniverseIndex,
     violations: _Violations,
     start: int = 0,
     stop: int | None = None,
 ) -> tuple[int, int, int, int]:
+    """The decider's routes against both scan oracles, graph by graph. The
+    universe index comes from _FORK_STATE, where verify_theorems puts it."""
+    index: _UniverseIndex = _FORK_STATE["index"]
     graphs = 0
     non_rec = 0
     non_strong = 0
     bip_failures = 0
-    for rows in _iter_mode_rows(n, loops_allowed, start=start, stop=stop):
+    for rows in iter_adj_rows(n, loops_allowed, start=start, stop=stop):
         frozen = tuple(rows)
         graphs += 1
         ant = list(iter_ant_images(n, frozen))
         mkey = tuple(sorted(frozen))
+        direct = True
         for img in ant:
-            if tuple(sorted(apply_anti_rows(frozen, img))) != mkey:
+            arows = apply_anti_rows(frozen, img)
+            direct = direct and arows == frozen
+            if tuple(sorted(arows)) != mkey:
                 violations.add(
                     "eq1_multiset", n,
                     edges=_edges_of_rows(n, frozen), alpha=list(img),
                 )
-        slow = _decider_slow(n, frozen, ant, index)
+        slow = _full_route(frozen, ant, index.canon_of)
         if not slow:
             non_rec += 1
         g = Graph(n, frozen)
@@ -522,11 +496,7 @@ def _main_pass_for_n(
         bip_verdict = _bip_decide(g, bip)[0] if bip.is_bipartite else None
         if bip_verdict is False:
             bip_failures += 1
-        has_inv = any(
-            any(img[v] != v for v in range(n)) and all(img[img[v]] == v for v in range(n))
-            for img in iter_automorphism_images(n, frozen)
-        )
-        if not has_inv:
+        if involution_witness(g) is None:
             fast = True
         elif bip_verdict is not None:
             fast = bip_verdict
@@ -549,7 +519,7 @@ def _main_pass_for_n(
                 "theorem_vs_cancellation_oracle", n,
                 edges=_edges_of_rows(n, frozen), decider=slow, oracle=oracle_p,
             )
-        direct, classwise = _strong_routes(n, frozen, ant)
+        classwise = _classwise_strong(frozen, ant)
         if direct != classwise:
             violations.add(
                 "strong_routes", n,
@@ -586,41 +556,18 @@ def _simeqiso_pass(
     start: int = 0, stop: int | None = None,
 ) -> None:
     """Orbit mates give isomorphic permuted graphs and vice versa."""
-    for rows in _iter_mode_rows(n, loops_allowed, start=start, stop=stop):
+    for rows in iter_adj_rows(n, loops_allowed, start=start, stop=stop):
         frozen = tuple(rows)
         ant = list(iter_ant_images(n, frozen))
         if len(ant) == 1:
             continue
-        gens = _tf_generators(n, frozen)
-        gen_data = []
-        for lam, mu in gens:
-            inv = [0] * n
-            for v, w in enumerate(mu):
-                inv[w] = v
-            gen_data.append((lam, tuple(inv)))
-        index = {img: i for i, img in enumerate(ant)}
-        orbit_of = [-1] * len(ant)
-        norbits = 0
-        for i, img in enumerate(ant):
-            if orbit_of[i] >= 0:
-                continue
-            orbit_of[i] = norbits
-            frontier = [img]
-            while frontier:
-                cur = frontier.pop()
-                for lam, mu_inv in gen_data:
-                    moved = tuple(lam[cur[mu_inv[v]]] for v in range(n))
-                    j = index.get(moved)
-                    if j is None:
-                        violations.add(
-                            "simeqiso_closure", n,
-                            edges=_edges_of_rows(n, frozen), alpha=list(moved),
-                        )
-                        continue
-                    if orbit_of[j] < 0:
-                        orbit_of[j] = norbits
-                        frontier.append(moved)
-            norbits += 1
+        orbit_of, escaped = _orbit_labels(n, frozen, ant)
+        for moved in escaped:
+            violations.add(
+                "simeqiso_closure", n,
+                edges=_edges_of_rows(n, frozen), alpha=list(moved),
+            )
+        norbits = max(orbit_of) + 1
         cert_of = {}
         orbit_cert: list[bytes | None] = [None] * norbits
         distinct = set()
@@ -652,7 +599,7 @@ def _simplus2_pass(
     start: int = 0, stop: int | None = None,
 ) -> None:
     """G^a is isomorphic to G^(a^e) for every odd exponent e."""
-    for rows in _iter_mode_rows(n, loops_allowed, start=start, stop=stop):
+    for rows in iter_adj_rows(n, loops_allowed, start=start, stop=stop):
         frozen = tuple(rows)
         for img in iter_ant_images(n, frozen):
             order = perm_order(img)
@@ -872,6 +819,10 @@ def _bip_sweep_for_n(
     the anti-automorphism route, and G x K2 must equal G + G up to iso."""
     checked = 0
     failures = 0
+
+    def cert(rows: tuple[int, ...]) -> tuple[int, ...]:
+        return canon_rows(n, rows)[0]
+
     for rows in iter_adj_rows(n, False, start=start, stop=stop):
         frozen = tuple(rows)
         g = Graph(n, frozen)
@@ -882,21 +833,7 @@ def _bip_sweep_for_n(
         bip_verdict, _ = _bip_decide(g, bip)
         if not bip_verdict:
             failures += 1
-        base = None
-        slow = True
-        seen = set()
-        for img in iter_ant_images(n, frozen):
-            if not _has_two_power_order(img):
-                continue
-            arows = apply_anti_rows(frozen, img)
-            if arows == frozen or arows in seen:
-                continue
-            seen.add(arows)
-            if base is None:
-                base = cert_bytes(n, canon_rows(n, frozen)[0])
-            if cert_bytes(n, canon_rows(n, arows)[0]) != base:
-                slow = False
-                break
+        slow = _full_route(frozen, iter_ant_images(n, frozen), cert)
         if bip_verdict != slow:
             violations.add(
                 "biprevinv", n,
@@ -952,35 +889,17 @@ def _worker_universe(args: tuple[int, int, int]) -> "_UniverseIndex":
     return index
 
 
-def _worker_main(args: tuple[int, bool, int, int]):
-    n, loops_allowed, start, stop = args
-    index: _UniverseIndex = _FORK_STATE["index"]
+def _pass_worker(pass_fn, args: tuple) -> tuple:
+    """pass_fn(*head, violations, start=lo, stop=hi) for args = (*head, lo, hi),
+    as (*counts, violation items, violation total)."""
+    *head, start, stop = args
     violations = _Violations()
-    counts = _main_pass_for_n(
-        n, loops_allowed, index, violations, start=start, stop=stop
-    )
-    return counts, violations.items, violations.total
-
-
-def _worker_simeqiso(args: tuple[int, bool, int, int]):
-    n, loops_allowed, start, stop = args
-    violations = _Violations()
-    _simeqiso_pass(n, loops_allowed, violations, start=start, stop=stop)
-    return violations.items, violations.total
-
-
-def _worker_simplus2(args: tuple[int, bool, int, int]):
-    n, loops_allowed, start, stop = args
-    violations = _Violations()
-    _simplus2_pass(n, loops_allowed, violations, start=start, stop=stop)
-    return violations.items, violations.total
+    counts = pass_fn(*head, violations, start=start, stop=stop) or ()
+    return (*counts, violations.items, violations.total)
 
 
 def _worker_bip_sweep(args: tuple[int, int, int]):
-    n, start, stop = args
-    violations = _Violations()
-    checked, failures = _bip_sweep_for_n(n, violations, start=start, stop=stop)
-    return checked, failures, violations.items, violations.total
+    return _pass_worker(_bip_sweep_for_n, args)
 
 
 def _shards(total: int, jobs: int) -> list[tuple[int, int]]:
@@ -988,11 +907,15 @@ def _shards(total: int, jobs: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
 
 
-def _absorb(violations: _Violations, items: list[dict], total: int) -> None:
-    for item in items:
-        if len(violations.items) < MAX_RECORDED_VIOLATIONS:
-            violations.items.append(item)
-    violations.total += total
+def _run_shards(worker, n: int, total: int, args: tuple, jobs: int) -> list:
+    """worker((n, *args, lo, hi)) for each shard of range(total): in a fresh
+    fork pool when jobs > 1 and the range is large, else once in-process
+    over the whole range."""
+    if jobs > 1 and total >= _POOL_THRESHOLD:
+        return _run_pool(
+            worker, [(n, *args, lo, hi) for lo, hi in _shards(total, jobs)], jobs
+        )
+    return [worker((n, *args, 0, total))]
 
 
 def verify_theorems(
@@ -1021,8 +944,12 @@ def verify_theorems(
         raise CapacityError(f"bipartite sweep guarded at n<={BIP_SWEEP_MAX}")
     if nmax < 1:
         raise UsageError("nmax must be at least 1")
+    cpus = os.cpu_count() or 1
     if jobs is None:
-        jobs = os.cpu_count() or 1
+        jobs = cpus
+    elif jobs < 1:
+        raise UsageError(f"jobs must be at least 1, got {jobs}")
+    jobs = min(jobs, cpus)
     if jobs > 1 and not _fork_available():
         jobs = 1
 
@@ -1036,46 +963,32 @@ def verify_theorems(
         fn()
         seconds.append((name, round(time.perf_counter() - t0, 3)))
 
+    def sharded(pass_fn, n: int, loops: bool, *args) -> list[int]:
+        """pass_fn's summed counts over the universe at n; its violations
+        are folded into the report's."""
+        results = _run_shards(
+            partial(_pass_worker, pass_fn), n, enumerate_count(n, loops), args, jobs
+        )
+        sums = [0] * (len(results[0]) - 2)
+        for *counts, items, total in results:
+            violations.absorb(items, total)
+            sums = [a + b for a, b in zip(sums, counts)]
+        return sums
+
     def run_main() -> None:
         for n in range(1, nmax + 1):
-            total = enumerate_count(n, True)
-            if jobs > 1 and total >= _POOL_THRESHOLD:
-                parts = _run_pool(
-                    _worker_universe,
-                    [(n, lo, hi) for lo, hi in _shards(total, jobs)],
-                    jobs,
+            parts = _run_shards(_worker_universe, n, enumerate_count(n, True), (), jobs)
+            index = parts[0]
+            for part in parts[1:]:
+                index.merge(part)
+            _FORK_STATE["index"] = index
+            try:
+                graphs, non_rec, non_strong, bipf = sharded(
+                    _main_pass_for_n, n, loops_allowed, loops_allowed
                 )
-                index = parts[0]
-                for part in parts[1:]:
-                    index.merge(part)
-            else:
-                index = _UniverseIndex(n)
-                index.build()
+            finally:
+                _FORK_STATE.clear()
             mode_total = enumerate_count(n, loops_allowed)
-            if jobs > 1 and mode_total >= _POOL_THRESHOLD:
-                _FORK_STATE["index"] = index
-                try:
-                    results = _run_pool(
-                        _worker_main,
-                        [
-                            (n, loops_allowed, lo, hi)
-                            for lo, hi in _shards(mode_total, jobs)
-                        ],
-                        jobs,
-                    )
-                finally:
-                    _FORK_STATE.clear()
-                graphs = non_rec = non_strong = bipf = 0
-                for counts, items, vtotal in results:
-                    graphs += counts[0]
-                    non_rec += counts[1]
-                    non_strong += counts[2]
-                    bipf += counts[3]
-                    _absorb(violations, items, vtotal)
-            else:
-                graphs, non_rec, non_strong, bipf = _main_pass_for_n(
-                    n, loops_allowed, index, violations
-                )
             if graphs != mode_total:
                 raise InvariantViolationError(
                     f"census covered {graphs} graphs, expected {mode_total}"
@@ -1090,36 +1003,20 @@ def verify_theorems(
             for n in range(1, min(4, nmax) + 1)
         ],
     )
-
-    def run_simeqiso() -> None:
-        for n in range(1, min(5, nmax) + 1):
-            total = enumerate_count(n, loops_allowed)
-            if jobs > 1 and total >= _POOL_THRESHOLD:
-                for items, vtotal in _run_pool(
-                    _worker_simeqiso,
-                    [(n, loops_allowed, lo, hi) for lo, hi in _shards(total, jobs)],
-                    jobs,
-                ):
-                    _absorb(violations, items, vtotal)
-            else:
-                _simeqiso_pass(n, loops_allowed, violations)
-
-    timed("simeqiso", run_simeqiso)
-
-    def run_simplus2() -> None:
-        for n in range(1, min(5, nmax) + 1):
-            total = enumerate_count(n, loops_allowed)
-            if jobs > 1 and total >= _POOL_THRESHOLD:
-                for items, vtotal in _run_pool(
-                    _worker_simplus2,
-                    [(n, loops_allowed, lo, hi) for lo, hi in _shards(total, jobs)],
-                    jobs,
-                ):
-                    _absorb(violations, items, vtotal)
-            else:
-                _simplus2_pass(n, loops_allowed, violations)
-
-    timed("simplus2", run_simplus2)
+    timed(
+        "simeqiso",
+        lambda: [
+            sharded(_simeqiso_pass, n, loops_allowed, loops_allowed)
+            for n in range(1, min(5, nmax) + 1)
+        ],
+    )
+    timed(
+        "simplus2",
+        lambda: [
+            sharded(_simplus2_pass, n, loops_allowed, loops_allowed)
+            for n in range(1, min(5, nmax) + 1)
+        ],
+    )
     timed(
         "pair_membership",
         lambda: [
@@ -1145,19 +1042,7 @@ def verify_theorems(
 
     def run_sweep() -> None:
         for n in range(1, bip_max + 1):
-            total = enumerate_count(n, False)
-            if jobs > 1 and total >= _POOL_THRESHOLD:
-                checked = failures = 0
-                for c, f, items, vtotal in _run_pool(
-                    _worker_bip_sweep,
-                    [(n, lo, hi) for lo, hi in _shards(total, jobs)],
-                    jobs,
-                ):
-                    checked += c
-                    failures += f
-                    _absorb(violations, items, vtotal)
-            else:
-                checked, failures = _bip_sweep_for_n(n, violations)
+            checked, failures = sharded(_bip_sweep_for_n, n, False)
             bip_census.append(BipSweepRow(n, checked, failures))
 
     timed("bipartite_sweep", run_sweep)

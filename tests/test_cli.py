@@ -135,6 +135,7 @@ def test_verify_command(capsys):
 
 def test_verify_guard_exits_usage(capsys):
     assert run(["verify", "--max-n", "9"]) == EXIT_USAGE
+    assert run(["verify", "--max-n", "1", "--jobs", "0"]) == EXIT_USAGE
 
 
 def test_verify_reports_violations_with_exit_3(capsys, monkeypatch):

@@ -34,11 +34,12 @@ from cancelgraph import (
     reconstruction_counterexample,
     strong_counterexample,
 )
-from cancelgraph.decide import DEFAULT_FAST_PATHS, FAST_PATH_NAMES, perm_order
+from cancelgraph import decide
+from cancelgraph.decide import perm_order
 from cancelgraph.graphs import iter_adj_rows, multiset_key
 from cancelgraph.iso import adjacency_key
 
-from conftest import graph_strategy
+from conftest import graph_and_permutation, graph_strategy
 
 
 def scan_reconstructible(g: Graph) -> bool:
@@ -71,22 +72,23 @@ def test_decider_matches_scan_sampled(g):
     assert is_neighborhood_reconstructible(g) == scan_reconstructible(g)
 
 
-@pytest.mark.parametrize(
-    "paths",
-    [(), ("involution",), ("bipartite",), ("orbit",), ("odd_power",), FAST_PATH_NAMES],
-)
-def test_fast_paths_agree(paths):
-    for n in (1, 2, 3):
-        for rows in iter_adj_rows(n, True):
-            g = Graph(n, tuple(rows))
-            assert is_neighborhood_reconstructible(
-                g, fast_paths=paths
-            ) == is_neighborhood_reconstructible(g, fast_paths=DEFAULT_FAST_PATHS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_classify_agrees_with_the_deciders_exhaustively(n):
+    # classify checks the decider's verdict (involution, bipartite or the
+    # 2-power-order route) against its pass over all of Ant(G)
+    for rows in iter_adj_rows(n, True):
+        g = Graph(n, tuple(rows))
+        rep = classify(g)
+        assert rep.reconstructible == is_neighborhood_reconstructible(g)
+        assert rep.strongly == is_strongly_reconstructible(g)
 
 
-def test_unknown_fast_path_rejected(c6):
-    with pytest.raises(UsageError):
-        is_neighborhood_reconstructible(c6, fast_paths=("involutions",))
+def test_classify_raises_when_the_decider_disagrees(q3, monkeypatch):
+    # a decider whose involution test always reports none answers
+    # "reconstructible", which the pass over Ant(Q3) contradicts
+    monkeypatch.setattr(decide, "involution_witness", lambda g: None)
+    with pytest.raises(InvariantViolationError, match="decider says True"):
+        classify(q3)
 
 
 def test_capacity_guard():
@@ -323,6 +325,30 @@ def test_report_invariants_are_enforced():
         AnalysisReport(**{**base, "strongly_witness": Permutation((1, 0))})
     with pytest.raises(InvariantViolationError):
         AnalysisReport(**{**base, "witness_involution": Permutation((1, 0))})
+
+
+@settings(max_examples=25, deadline=None)
+@given(graph_and_permutation(max_n=8, loops=True))
+def test_classify_witnesses_are_valid_and_label_free(gp):
+    g, p = gp
+    rep = classify(g)
+    if rep.counterexample_alpha is not None:
+        alpha = rep.counterexample_alpha
+        assert is_anti_automorphism(g, alpha)
+        assert apply_anti(g, alpha) == rep.counterexample_graph
+        assert not is_isomorphic(rep.counterexample_graph, g)
+    if rep.strongly_witness is not None:
+        assert is_anti_automorphism(g, rep.strongly_witness)
+        assert apply_anti(g, rep.strongly_witness) != g
+    if rep.witness_involution is not None:
+        w = rep.witness_involution
+        assert w.is_involution() and w != Permutation.identity(g.n)
+        assert g.relabel(w) == g
+    moved = classify(g.relabel(p))
+    assert (moved.reconstructible, moved.strongly, moved.has_involution) == (
+        rep.reconstructible, rep.strongly, rep.has_involution
+    )
+    assert moved.orbit_classes == rep.orbit_classes
 
 
 @settings(max_examples=100)

@@ -259,14 +259,55 @@ def test_verify_report_json_shape():
     assert set(data["suite_seconds"]) == SUITE_NAMES
 
 
+def without_timings(report):
+    data = report.to_json_dict()
+    del data["suite_seconds"], data["jobs"]
+    return data
+
+
 def test_verify_sharded_run_matches_serial(monkeypatch):
+    monkeypatch.setattr(oracle_mod.os, "cpu_count", lambda: 2)
     serial = verify_theorems(2, True, bip_max=3, jobs=1)
     monkeypatch.setattr(oracle_mod, "_POOL_THRESHOLD", 1)
     sharded = verify_theorems(2, True, bip_max=3, jobs=2)
     assert sharded.ok
-    assert census_tuples(sharded) == census_tuples(serial)
-    assert sweep_tuples(sharded) == sweep_tuples(serial)
+    assert without_timings(sharded) == without_timings(serial)
     assert sharded.jobs == 2
+
+
+def test_verify_clamps_jobs_to_the_cpu_count(monkeypatch):
+    pools = []
+
+    def in_process_pool(worker, argslist, jobs):
+        pools.append((len(argslist), jobs))
+        return [worker(args) for args in argslist]
+
+    monkeypatch.setattr(oracle_mod.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(oracle_mod, "_fork_available", lambda: True)
+    monkeypatch.setattr(oracle_mod, "_run_pool", in_process_pool)
+    monkeypatch.setattr(oracle_mod, "_POOL_THRESHOLD", 1)
+    report = verify_theorems(2, True, bip_max=2, jobs=10000)
+    assert report.jobs == 3
+    assert pools and all(shards <= 3 and jobs == 3 for shards, jobs in pools)
+    assert without_timings(report) == without_timings(
+        verify_theorems(2, True, bip_max=2, jobs=1)
+    )
+
+
+@pytest.mark.parametrize("split", [0, 150, 200, 250])
+def test_violation_fold_matches_one_collector(split):
+    serial = oracle_mod._Violations()
+    shards = [oracle_mod._Violations(), oracle_mod._Violations()]
+    for i in range(300):
+        serial.add("main", 1, i=i)
+        shards[i >= split].add("main", 1, i=i)
+    merged = oracle_mod._Violations()
+    for shard in shards:
+        merged.absorb(shard.items, shard.total)
+    assert len(serial.items) == oracle_mod.MAX_RECORDED_VIOLATIONS + 1
+    assert serial.items[-1]["suite"] == "truncated"
+    assert merged.items == serial.items
+    assert merged.total == serial.total == 300
 
 
 def test_verify_guards():
@@ -278,3 +319,6 @@ def test_verify_guards():
         verify_theorems(2, True, bip_max=8)
     with pytest.raises(UsageError):
         verify_theorems(0, True)
+    for jobs in (0, -3):
+        with pytest.raises(UsageError):
+            verify_theorems(1, True, jobs=jobs)
