@@ -59,22 +59,30 @@ def _guard(g: Graph, force: bool) -> None:
         )
 
 
-def _distinct_images(rows: tuple[int, ...], images):
-    """(a, rows of G^a) for the first a of each distinct G^a other than G."""
-    seen = {rows}
+def _permuted(rows: tuple[int, ...], images):
+    """(a, rows of G^a) for each image a, lazily."""
     for img in images:
-        arows = apply_anti_rows(rows, img)
+        yield img, apply_anti_rows(rows, img)
+
+
+def _distinct_images(rows: tuple[int, ...], permuted):
+    """The (a, rows of G^a) pairs of permuted for the first a of each
+    distinct G^a other than G."""
+    seen = {rows}
+    for img, arows in permuted:
         if arows not in seen:
             seen.add(arows)
             yield img, arows
 
 
-def _full_route(rows: tuple[int, ...], images, cert) -> bool:
-    """True when every distinct G^a over the 2-power-order images shares G's
-    certificate. cert maps rows to a value equal exactly on isomorphic
-    graphs; G's own is computed only once some G^a differs from G."""
+def _full_route(rows: tuple[int, ...], permuted, cert) -> bool:
+    """True when every distinct G^a over the 2-power-order a among the
+    (a, rows of G^a) pairs of permuted shares G's certificate. cert maps
+    rows to a value equal exactly on isomorphic graphs; G's own is computed
+    only once some G^a differs from G."""
     base = None
-    for _, arows in _distinct_images(rows, filter(_has_two_power_order, images)):
+    two_power = (pair for pair in permuted if _has_two_power_order(pair[0]))
+    for _, arows in _distinct_images(rows, two_power):
         if base is None:
             base = cert(rows)
         if cert(arows) != base:
@@ -123,7 +131,7 @@ def _ant_pass(g: Graph, force: bool):
     certs = {base}
     best = None
     strong_witness = None
-    for img, arows in _distinct_images(rows, ant):
+    for img, arows in _distinct_images(rows, _permuted(rows, ant)):
         if strong_witness is None:
             strong_witness = img
         cert = _canonical(n, arows)[0]
@@ -143,7 +151,9 @@ def is_neighborhood_reconstructible(g: Graph, *, force: bool = False) -> bool:
     if bp.is_bipartite:
         return _bip_decide(g, bp)[0]
     images = (p.image for p in enumerate_ant(g, force=force))
-    return _full_route(g.adj, images, lambda rows: _canonical(g.n, rows)[0])
+    return _full_route(
+        g.adj, _permuted(g.adj, images), lambda rows: _canonical(g.n, rows)[0]
+    )
 
 
 def reconstruction_counterexample(
@@ -163,14 +173,15 @@ def is_strongly_reconstructible(g: Graph, *, force: bool = False) -> bool:
     classwise route; disagreement is an engine bug."""
     _guard(g, force)
     ant = [p.image for p in enumerate_ant(g, force=force)]
-    return _strong_verdict(g.adj, ant, next(_distinct_images(g.adj, ant), None) is None)
+    found = next(_distinct_images(g.adj, _permuted(g.adj, ant)), None)
+    return _strong_verdict(g.adj, ant, found is None)
 
 
 def strong_counterexample(g: Graph, *, force: bool = False) -> Permutation | None:
     """Least anti-automorphism whose permuted graph differs from G."""
     _guard(g, force)
     images = (p.image for p in enumerate_ant(g, force=force))
-    found = next(_distinct_images(g.adj, images), None)
+    found = next(_distinct_images(g.adj, _permuted(g.adj, images)), None)
     return None if found is None else Permutation(found[0])
 
 

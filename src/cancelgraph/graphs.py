@@ -40,6 +40,7 @@ def mask_of(vertices: Iterable[int]) -> int:
 def permute_mask(mask: int, image: tuple[int, ...]) -> int:
     """Relocate bit v to bit image[v] for every set bit."""
     out = 0
+    # inline bit loop, not bits_of: a generator's setup dominates this hottest loop
     while mask:
         b = mask & -mask
         out |= 1 << image[b.bit_length() - 1]
@@ -275,6 +276,7 @@ def component_masks(n: int, rows) -> list[int]:
             comp |= frontier
             nxt = 0
             m = frontier
+            # inline bit loop, not bits_of: runs for every graph of the sweeps
             while m:
                 b = m & -m
                 nxt |= rows[b.bit_length() - 1]
@@ -355,6 +357,7 @@ def iter_adj_rows(
     yield rows
     for k in range(start + 1, stop):
         changed = k ^ (k - 1)
+        # inline bit loop, not bits_of: runs once per enumerated graph
         while changed:
             b = changed & -changed
             bpos = b.bit_length() - 1

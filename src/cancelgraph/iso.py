@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import CapacityError, InvariantViolationError
-from .graphs import Graph, Permutation, component_masks, permute_mask
+from .graphs import Graph, Permutation, bits_of, component_masks, permute_mask
 
 AUT_MAX = 8
 
@@ -36,6 +36,7 @@ def refine(n: int, rows: tuple[int, ...], colors: list[int]) -> list[int]:
         for v in range(n):
             m = rows[v]
             nb = []
+            # inline bit loop, not bits_of: this is the canonical form's inner loop
             while m:
                 b = m & -m
                 nb.append(colors[b.bit_length() - 1])
@@ -57,6 +58,7 @@ def _leaf_key(n: int, rows: tuple[int, ...], perm: list[int]) -> tuple[int, ...]
     for v in range(n):
         m = rows[v]
         acc = 0
+        # inline bit loop, not bits_of: one call per search leaf
         while m:
             b = m & -m
             acc |= 1 << (top - perm[b.bit_length() - 1])
@@ -72,6 +74,7 @@ def adjacency_key(n: int, rows) -> tuple[int, ...]:
     for row in rows:
         acc = 0
         m = row
+        # inline bit loop, not bits_of: runs once per non-isomorphic G^a in classify
         while m:
             b = m & -m
             acc |= 1 << (top - (b.bit_length() - 1))
@@ -138,17 +141,13 @@ def canon_connected(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], tup
 
 def compact_rows(rows, mask: int) -> tuple[int, ...]:
     """Rows of the induced subgraph on the set bits of mask, renumbered 0.."""
-    verts = []
-    m = mask
-    while m:
-        b = m & -m
-        verts.append(b.bit_length() - 1)
-        m ^= b
+    verts = list(bits_of(mask))
     pos = {v: i for i, v in enumerate(verts)}
     out = []
     for v in verts:
         acc = 0
         m = rows[v] & mask
+        # inline bit loop, not bits_of: one pass per row of every component
         while m:
             b = m & -m
             acc |= 1 << pos[b.bit_length() - 1]
@@ -164,12 +163,7 @@ def canon_rows(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[in
         return canon_connected(n, tuple(rows))
     pieces = []
     for mask in comps:
-        verts = []
-        m = mask
-        while m:
-            b = m & -m
-            verts.append(b.bit_length() - 1)
-            m ^= b
+        verts = list(bits_of(mask))
         local = compact_rows(rows, mask)
         crows, cperm = canon_connected(len(verts), local)
         pieces.append((len(verts), crows, verts, cperm))

@@ -25,14 +25,17 @@ from typing import Callable
 from .antiauto import (
     _orbit_labels,
     apply_anti_rows,
+    enumerate_aut_tf,
     is_anti_automorphism,
     iter_ant_images,
 )
-from .decide import _bip_decide, _classwise_strong, _full_route, perm_order
+from .decide import _bip_decide, _classwise_strong, _full_route, _permuted, perm_order
 from .errors import CapacityError, InvariantViolationError, UsageError
 from .graphs import (
     Graph,
     Permutation,
+    all_permutations,
+    bits_of,
     component_masks,
     enumerate_count,
     iter_adj_rows,
@@ -55,6 +58,7 @@ ORACLE_MAX = 6
 VERIFY_MAX_LOOPS = 5
 VERIFY_MAX_SIMPLE = 6
 BIP_SWEEP_MAX = 7
+ORBIT_CHECK_MAX = 5
 
 K2 = Graph(2, (2, 1))
 K3 = Graph(3, (6, 5, 3))
@@ -328,14 +332,7 @@ class _Violations:
 
 
 def _edges_of_rows(n: int, rows) -> list[list[int]]:
-    out = []
-    for x in range(n):
-        row = rows[x] >> x
-        while row:
-            b = row & -row
-            out.append([x, x + b.bit_length() - 1])
-            row ^= b
-    return out
+    return [[x, y] for x in range(n) for y in bits_of(rows[x]) if y >= x]
 
 
 def _pack(n: int, rows) -> int:
@@ -355,33 +352,35 @@ def _rows_to_index(n: int, rows, cells) -> int:
     return k
 
 
-def _canon_pack(n: int, rows: tuple[int, ...]) -> int:
-    return _pack(n, canon_rows(n, rows)[0])
+def _mark(buckets: dict, key, canon: int) -> None:
+    """File a graph with packed canonical rows canon under key. A bucket
+    holds its first member's canon << 1, plus 1 once a non-isomorphic
+    member joins."""
+    prev = buckets.get(key)
+    if prev is None:
+        buckets[key] = canon << 1
+    elif prev >> 1 != canon:
+        buckets[key] = prev | 1
 
 
-def _product_class_key(n: int, canon: tuple[int, ...]) -> bytes:
-    """Certificate of (the iso class of) G x K2, keyed per component.
-
-    Computed from canonical rows only: relabeling G relabels the product, so
-    the product's isomorphism class depends only on G's class.
-    """
-    prod = _product_with_k2_rows(n, canon)
-    pn = 2 * n
-    parts = []
-    for mask in component_masks(pn, prod):
-        local = compact_rows(prod, mask)
-        crows, _ = canon_connected(len(local), local)
-        parts.append(cert_bytes(len(local), crows))
-    parts.sort()
-    return b"".join(parts)
+def _fold(buckets: dict, other: dict) -> None:
+    """Merge another shard's buckets, of the shape _mark writes, into buckets."""
+    for key, packed in other.items():
+        prev = buckets.get(key)
+        if prev is None:
+            buckets[key] = packed
+        elif (prev | packed) & 1 or prev >> 1 != packed >> 1:
+            buckets[key] = prev | 1
 
 
 class _UniverseIndex:
     """Single-pass bucketing of the loops-allowed universe at one n.
 
     canon_packs[k] is the packed canonical rows of enumeration index k.
-    nbhd maps a packed sorted-rows key to (rep_canon << 1 | mixed).
-    product maps a product-class id to the same packed shape.
+    nbhd maps a packed sorted-rows key to a _mark bucket; product does the
+    same for a product-class id. A product class is keyed by the sorted
+    component certificates of G x K2, computed once per iso class of G:
+    relabeling G relabels the product.
     """
 
     def __init__(self, n: int) -> None:
@@ -391,7 +390,7 @@ class _UniverseIndex:
         self.nbhd: dict[int, int] = {}
         self.product: dict[int, int] = {}
         self.class_product: dict[int, int] = {}
-        self._product_ids: dict[bytes, int] = {}
+        self._product_ids: dict[tuple[bytes, ...], int] = {}
 
     def build(self, start: int = 0, stop: int | None = None) -> None:
         n = self.n
@@ -410,45 +409,25 @@ class _UniverseIndex:
             cp = _pack(n, canon)
             canon_packs[pos] = cp
             pos += 1
-            mkey = _pack(n, sorted(frozen))
-            prev = nbhd.get(mkey)
-            if prev is None:
-                nbhd[mkey] = cp << 1
-            elif prev >> 1 != cp:
-                nbhd[mkey] = prev | 1
+            _mark(nbhd, _pack(n, sorted(frozen)), cp)
             pid = class_product.get(cp)
             if pid is None:
-                key = _product_class_key(n, canon)
+                key = _component_class_multiset(2 * n, _product_with_k2_rows(n, canon))
                 pid = product_ids.setdefault(key, len(product_ids))
                 class_product[cp] = pid
-            prev = product.get(pid)
-            if prev is None:
-                product[pid] = cp << 1
-            elif prev >> 1 != cp:
-                product[pid] = prev | 1
+            _mark(product, pid, cp)
 
         self.canon_packs = canon_packs
 
     def merge(self, other: "_UniverseIndex") -> None:
         self.canon_packs.extend(other.canon_packs)
-        for mkey, packed in other.nbhd.items():
-            prev = self.nbhd.get(mkey)
-            if prev is None:
-                self.nbhd[mkey] = packed
-            elif (prev | packed) & 1 or prev >> 1 != packed >> 1:
-                self.nbhd[mkey] = prev | packed | 1
+        _fold(self.nbhd, other.nbhd)
         remap = {}
         for key, oid in other._product_ids.items():
             remap[oid] = self._product_ids.setdefault(key, len(self._product_ids))
         for cp, oid in other.class_product.items():
             self.class_product.setdefault(cp, remap[oid])
-        for oid, packed in other.product.items():
-            pid = remap[oid]
-            prev = self.product.get(pid)
-            if prev is None:
-                self.product[pid] = packed
-            elif (prev | packed) & 1 or prev >> 1 != packed >> 1:
-                self.product[pid] = prev | packed | 1
+        _fold(self.product, {remap[oid]: packed for oid, packed in other.product.items()})
 
     def canon_of(self, rows) -> int:
         return self.canon_packs[_rows_to_index(self.n, rows, self.cells)]
@@ -467,8 +446,11 @@ def _main_pass_for_n(
     start: int = 0,
     stop: int | None = None,
 ) -> tuple[int, int, int, int]:
-    """The decider's routes against both scan oracles, graph by graph. The
-    universe index comes from _FORK_STATE, where verify_theorems puts it."""
+    """The decider's routes against both scan oracles, graph by graph, plus
+    the orbit checks up to ORBIT_CHECK_MAX, all from one Ant search and one
+    G^a per image. The universe index comes from _FORK_STATE, where
+    verify_theorems puts it; it holds every G^a, since G^a may have loops
+    whatever the mode."""
     index: _UniverseIndex = _FORK_STATE["index"]
     graphs = 0
     non_rec = 0
@@ -478,17 +460,17 @@ def _main_pass_for_n(
         frozen = tuple(rows)
         graphs += 1
         ant = list(iter_ant_images(n, frozen))
+        moved = [apply_anti_rows(frozen, img) for img in ant]
         mkey = tuple(sorted(frozen))
         direct = True
-        for img in ant:
-            arows = apply_anti_rows(frozen, img)
+        for img, arows in zip(ant, moved):
             direct = direct and arows == frozen
             if tuple(sorted(arows)) != mkey:
                 violations.add(
                     "eq1_multiset", n,
                     edges=_edges_of_rows(n, frozen), alpha=list(img),
                 )
-        slow = _full_route(frozen, ant, index.canon_of)
+        slow = _full_route(frozen, zip(ant, moved), index.canon_of)
         if not slow:
             non_rec += 1
         g = Graph(n, frozen)
@@ -527,7 +509,57 @@ def _main_pass_for_n(
             )
         if not direct:
             non_strong += 1
+        if n <= ORBIT_CHECK_MAX and len(ant) > 1:
+            certs = [index.canon_of(arows) for arows in moved]
+            _orbit_checks(n, frozen, ant, certs, violations)
     return graphs, non_rec, non_strong, bip_failures
+
+
+def _orbit_checks(
+    n: int,
+    rows: tuple[int, ...],
+    ant: list[tuple[int, ...]],
+    certs: list[int],
+    violations: _Violations,
+) -> None:
+    """certs[i] is the certificate of G^ant[i]. simeqiso: orbit mates give
+    isomorphic permuted graphs and vice versa. simplus2: G^a is isomorphic to
+    G^(a^e) for every odd exponent e."""
+    orbit_of, escaped = _orbit_labels(n, rows, ant)
+    for moved in escaped:
+        violations.add(
+            "simeqiso_closure", n, edges=_edges_of_rows(n, rows), alpha=list(moved),
+        )
+    orbit_cert: list[int | None] = [None] * (max(orbit_of) + 1)
+    for img, o, cert in zip(ant, orbit_of, certs):
+        if orbit_cert[o] is None:
+            orbit_cert[o] = cert
+        elif orbit_cert[o] != cert:
+            violations.add(
+                "simeqiso_within_orbit", n,
+                edges=_edges_of_rows(n, rows), alpha=list(img),
+            )
+    if len(set(orbit_cert)) != len(orbit_cert):
+        violations.add(
+            "simeqiso_across_orbits", n, edges=_edges_of_rows(n, rows),
+            orbits=len(orbit_cert), classes=len(set(orbit_cert)),
+        )
+    position = {img: i for i, img in enumerate(ant)}
+    for img, cert in zip(ant, certs):
+        order = perm_order(img)
+        if order <= 2:
+            continue
+        power = img
+        square = tuple(img[img[v]] for v in range(n))
+        for _ in range(order):
+            power = tuple(square[power[v]] for v in range(n))
+            j = position.get(power)
+            # an odd power outside Ant(G) has no G^(a^e) to compare
+            if j is None or certs[j] != cert:
+                violations.add(
+                    "simplus2", n, edges=_edges_of_rows(n, rows),
+                    alpha=list(img), exponent_image=list(power),
+                )
 
 
 def _neighborhood_prop_pass(n: int, violations: _Violations) -> None:
@@ -551,86 +583,9 @@ def _neighborhood_prop_pass(n: int, violations: _Violations) -> None:
                 )
 
 
-def _simeqiso_pass(
-    n: int, loops_allowed: bool, violations: _Violations,
-    start: int = 0, stop: int | None = None,
-) -> None:
-    """Orbit mates give isomorphic permuted graphs and vice versa."""
-    for rows in iter_adj_rows(n, loops_allowed, start=start, stop=stop):
-        frozen = tuple(rows)
-        ant = list(iter_ant_images(n, frozen))
-        if len(ant) == 1:
-            continue
-        orbit_of, escaped = _orbit_labels(n, frozen, ant)
-        for moved in escaped:
-            violations.add(
-                "simeqiso_closure", n,
-                edges=_edges_of_rows(n, frozen), alpha=list(moved),
-            )
-        norbits = max(orbit_of) + 1
-        cert_of = {}
-        orbit_cert: list[bytes | None] = [None] * norbits
-        distinct = set()
-        for i, img in enumerate(ant):
-            arows = apply_anti_rows(frozen, img)
-            cert = cert_of.get(arows)
-            if cert is None:
-                cert = cert_bytes(n, canon_rows(n, arows)[0])
-                cert_of[arows] = cert
-            o = orbit_of[i]
-            if orbit_cert[o] is None:
-                orbit_cert[o] = cert
-                distinct.add(cert)
-            elif orbit_cert[o] != cert:
-                violations.add(
-                    "simeqiso_within_orbit", n,
-                    edges=_edges_of_rows(n, frozen), alpha=list(img),
-                )
-        if len(distinct) != norbits:
-            violations.add(
-                "simeqiso_across_orbits", n,
-                edges=_edges_of_rows(n, frozen),
-                orbits=norbits, classes=len(distinct),
-            )
-
-
-def _simplus2_pass(
-    n: int, loops_allowed: bool, violations: _Violations,
-    start: int = 0, stop: int | None = None,
-) -> None:
-    """G^a is isomorphic to G^(a^e) for every odd exponent e."""
-    for rows in iter_adj_rows(n, loops_allowed, start=start, stop=stop):
-        frozen = tuple(rows)
-        for img in iter_ant_images(n, frozen):
-            order = perm_order(img)
-            if order <= 2:
-                continue
-            base_rows = apply_anti_rows(frozen, img)
-            base_cert = None
-            power = img
-            square = tuple(img[img[v]] for v in range(n))
-            for _ in range(order):
-                power = tuple(square[power[v]] for v in range(n))
-                prows = apply_anti_rows(frozen, power)
-                if prows == base_rows:
-                    continue
-                if base_cert is None:
-                    base_cert = cert_bytes(n, canon_rows(n, base_rows)[0])
-                if cert_bytes(n, canon_rows(n, prows)[0]) != base_cert:
-                    violations.add(
-                        "simplus2", n,
-                        edges=_edges_of_rows(n, frozen),
-                        alpha=list(img), exponent_image=list(power),
-                    )
-
-
 def _pair_membership_pass(n: int, violations: _Violations) -> None:
     """Brute-force Aut^TF against the enumerator; anti and auto embeddings."""
-    from itertools import permutations as _perms
-
-    from .antiauto import enumerate_aut_tf
-
-    perms = list(_perms(range(n)))
+    perms = list(all_permutations(n))
     for rows in iter_adj_rows(n, True):
         frozen = tuple(rows)
         g = Graph(n, frozen)
@@ -653,13 +608,19 @@ def _pair_membership_pass(n: int, violations: _Violations) -> None:
         from_pairs_anti = set()
         from_pairs_auto = set()
         for lam, mu in brute:
-            inv = [0] * n
-            for v, w in enumerate(mu):
-                inv[w] = v
-            if tuple(inv) == lam:
+            inv = Permutation(mu).inverse().image
+            if inv == lam:
                 from_pairs_anti.add(lam)
             if lam == mu:
                 from_pairs_auto.add(lam)
+            for a in ant:
+                if tuple(lam[a[u]] for u in inv) not in ant:
+                    violations.add(
+                        "action_closure", n,
+                        edges=_edges_of_rows(n, frozen),
+                        pair=[list(lam), list(mu)], alpha=list(a),
+                    )
+                    break
         if from_pairs_anti != ant:
             violations.add(
                 "anti_pair_embedding", n, edges=_edges_of_rows(n, frozen),
@@ -668,40 +629,20 @@ def _pair_membership_pass(n: int, violations: _Violations) -> None:
             violations.add(
                 "auto_pair_embedding", n, edges=_edges_of_rows(n, frozen),
             )
-        for lam, mu in brute:
-            inv = [0] * n
-            for v, w in enumerate(mu):
-                inv[w] = v
-            for a in ant:
-                moved = tuple(lam[a[inv[v]]] for v in range(n))
-                if moved not in ant:
-                    violations.add(
-                        "action_closure", n,
-                        edges=_edges_of_rows(n, frozen),
-                        pair=[list(lam), list(mu)], alpha=list(a),
-                    )
-                    break
 
 
 def _digraph_symmetry_pass(n: int, violations: _Violations) -> None:
-    from itertools import permutations as _perms
-
-    perms = list(_perms(range(n)))
+    perms = [(p, Permutation(p).inverse().image) for p in all_permutations(n)]
     for rows in iter_adj_rows(n, True):
         frozen = tuple(rows)
-        for p in perms:
+        for p, inv in perms:
             arcs = [permute_mask(frozen[x], p) for x in range(n)]
             symmetric = all(
                 not arcs[x] >> y & 1 or arcs[y] >> x & 1
                 for x in range(n)
                 for y in range(n)
             )
-            inv = [0] * n
-            for v, w in enumerate(p):
-                inv[w] = v
-            anti = all(
-                frozen[p[x]] == permute_mask(frozen[x], tuple(inv)) for x in range(n)
-            )
+            anti = all(frozen[p[x]] == permute_mask(frozen[x], inv) for x in range(n))
             if symmetric != anti:
                 violations.add(
                     "digraph_symmetry", n,
@@ -762,19 +703,13 @@ def _lovasz_pass(nmax: int, violations: _Violations) -> None:
     """G x K3 iso H x K3 forces G iso H over loopless graphs."""
     for n in range(1, min(nmax, 4) + 1):
         buckets: dict[bytes, int] = {}
-        mixed: dict[bytes, bool] = {}
         for rows in iter_adj_rows(n, False):
             frozen = tuple(rows)
             prod = direct_product(Graph(n, frozen), K3)
             key = cert_bytes(prod.n, canon_rows(prod.n, prod.adj)[0])
-            cp = _canon_pack(n, frozen)
-            if key not in buckets:
-                buckets[key] = cp
-                mixed[key] = False
-            elif buckets[key] != cp:
-                mixed[key] = True
-        for key, is_mixed in mixed.items():
-            if is_mixed:
+            _mark(buckets, key, _pack(n, canon_rows(n, frozen)[0]))
+        for packed in buckets.values():
+            if packed & 1:
                 violations.add("lovasz_k3", n, note="product class contains non-isomorphic members")
 
 
@@ -833,7 +768,7 @@ def _bip_sweep_for_n(
         bip_verdict, _ = _bip_decide(g, bip)
         if not bip_verdict:
             failures += 1
-        slow = _full_route(frozen, iter_ant_images(n, frozen), cert)
+        slow = _full_route(frozen, _permuted(frozen, iter_ant_images(n, frozen)), cert)
         if bip_verdict != slow:
             violations.add(
                 "biprevinv", n,
@@ -929,8 +864,9 @@ def verify_theorems(
     """Run every exhaustive invariant suite up to nmax and report violations.
 
     The main suite compares the decider against both scan oracles for every
-    graph of the mode's universe; side suites cover the multiset identity,
-    orbit/isomorphism agreement, odd powers, two-fold membership, digraph
+    graph of the mode's universe and, up to ORBIT_CHECK_MAX, checks
+    orbit/isomorphism agreement and odd powers on the same Ant search; side
+    suites cover the multiset identity, two-fold membership, digraph
     symmetry, product structure, and the bipartite sweep (which always runs
     loopless up to bip_max, independent of mode).
     """
@@ -1001,20 +937,6 @@ def verify_theorems(
         lambda: [
             _neighborhood_prop_pass(n, violations)
             for n in range(1, min(4, nmax) + 1)
-        ],
-    )
-    timed(
-        "simeqiso",
-        lambda: [
-            sharded(_simeqiso_pass, n, loops_allowed, loops_allowed)
-            for n in range(1, min(5, nmax) + 1)
-        ],
-    )
-    timed(
-        "simplus2",
-        lambda: [
-            sharded(_simplus2_pass, n, loops_allowed, loops_allowed)
-            for n in range(1, min(5, nmax) + 1)
         ],
     )
     timed(

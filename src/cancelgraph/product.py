@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapacityError, UsageError
-from .graphs import MAX_N, Graph, component_masks
+from .graphs import MAX_N, Graph, bits_of, component_masks
 
 
 def direct_product(g: Graph, h: Graph) -> Graph:
@@ -27,6 +27,7 @@ def direct_product(g: Graph, h: Graph) -> Graph:
                 continue
             acc = 0
             m = gm
+            # inline bit loop, not bits_of: runs once per pair of factor vertices
             while m:
                 b = m & -m
                 acc |= hrow << (b.bit_length() - 1) * nh
@@ -37,16 +38,7 @@ def direct_product(g: Graph, h: Graph) -> Graph:
 
 def components(g: Graph) -> list[tuple[int, ...]]:
     """Connected components as sorted vertex tuples, ordered by least vertex."""
-    out = []
-    for mask in component_masks(g.n, g.adj):
-        verts = []
-        m = mask
-        while m:
-            b = m & -m
-            verts.append(b.bit_length() - 1)
-            m ^= b
-        out.append(tuple(verts))
-    return out
+    return [tuple(bits_of(mask)) for mask in component_masks(g.n, g.adj)]
 
 
 @dataclass(frozen=True)
@@ -111,6 +103,7 @@ def bipartition(g: Graph) -> Bipartition:
             u = queue[qi]
             qi += 1
             m = rows[u]
+            # inline bit loop, not bits_of: runs for every graph of the sweeps
             while m:
                 b = m & -m
                 w = b.bit_length() - 1

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from cancelgraph import (
     verify_theorems,
 )
 from cancelgraph.graphs import iter_adj_rows, multiset_key
+from cancelgraph.iso import canon_rows
 
 from conftest import graph_strategy
 
@@ -189,11 +191,10 @@ def test_extract_anti_roundtrip(g):
 # the verification harness
 # ---------------------------------------------------------------------------
 
+# simeqiso and simplus2 run inside main, on its Ant search
 SUITE_NAMES = {
     "main",
     "neighborhood_prop",
-    "simeqiso",
-    "simplus2",
     "pair_membership",
     "digraph_symmetry",
     "weichsel",
@@ -322,3 +323,62 @@ def test_verify_guards():
     for jobs in (0, -3):
         with pytest.raises(UsageError):
             verify_theorems(1, True, jobs=jobs)
+
+
+def violation_kinds(items):
+    return Counter(item["suite"] for item in items)
+
+
+def test_orbit_fault_is_reported_by_the_main_pass(monkeypatch):
+    # every image in its own orbit: graphs with isomorphic G^a for two
+    # images now have fewer classes than orbits
+    monkeypatch.setattr(
+        oracle_mod, "_orbit_labels", lambda n, rows, ant: (list(range(len(ant))), [])
+    )
+    report = verify_theorems(3, True, bip_max=1, jobs=1)
+    assert violation_kinds(report.violations) == {"simeqiso_across_orbits": 30}
+
+
+def test_odd_power_fault_is_reported_by_the_main_pass(monkeypatch):
+    class LabeledIndex(oracle_mod._UniverseIndex):
+        """Labeled rows as certificates, so G^a and G^(a^3) differ whenever
+        their rows do; both oracles read pure."""
+
+        def canon_of(self, rows):
+            return oracle_mod._pack(self.n, rows)
+
+        def neighborhood_pure(self, rows):
+            return True
+
+        def product_pure(self, rows):
+            return True
+
+    monkeypatch.setitem(oracle_mod._FORK_STATE, "index", LabeledIndex(3))
+    violations = oracle_mod._Violations()
+    oracle_mod._main_pass_for_n(3, True, violations)
+    assert violation_kinds(violations.items)["simplus2"] > 0
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_universe_index_shards_merge_to_the_serial_build(n):
+    serial = oracle_mod._UniverseIndex(n)
+    serial.build()
+    total = 1 << len(serial.cells)
+    merged = oracle_mod._UniverseIndex(n)
+    merged.build(stop=total // 3)
+    for lo, hi in ((total // 3, total // 2), (total // 2, total)):
+        part = oracle_mod._UniverseIndex(n)
+        part.build(start=lo, stop=hi)
+        merged.merge(part)
+    assert merged.canon_packs == serial.canon_packs
+    assert merged.nbhd == serial.nbhd
+    # product-class ids may be numbered apart; the classes and buckets match
+    assert merged.class_product.keys() == serial.class_product.keys()
+    ids = {(serial.class_product[cp], merged.class_product[cp]) for cp in serial.class_product}
+    assert len(ids) == len(dict(ids)) == len({mid for _, mid in ids})
+    assert all(merged.product[mid] == serial.product[sid] for sid, mid in ids)
+    for rows in iter_adj_rows(n, True):
+        frozen = tuple(rows)
+        assert serial.canon_of(frozen) == oracle_mod._pack(n, canon_rows(n, frozen)[0])
+        assert merged.product_pure(frozen) == serial.product_pure(frozen)
+        assert merged.neighborhood_pure(frozen) == serial.neighborhood_pure(frozen)
