@@ -22,7 +22,15 @@ from .errors import (
     InvariantViolationError,
     UsageError,
 )
-from .graphs import Digraph, Graph, Permutation, permute_mask
+from .graphs import (
+    Digraph,
+    Graph,
+    Permutation,
+    invert,
+    maps_neighborhoods,
+    permute_mask,
+    row_classes,
+)
 from .iso import _canonical
 
 ANT_MAX = 8
@@ -36,10 +44,7 @@ def _require_length(g: Graph, p: Permutation) -> None:
 
 def is_anti_automorphism(g: Graph, a: Permutation) -> bool:
     _require_length(g, a)
-    inv = a.inverse().image
-    img = a.image
-    rows = g.adj
-    return all(rows[img[x]] == permute_mask(rows[x], inv) for x in range(g.n))
+    return maps_neighborhoods(g.adj, g.adj, invert(a.image), a.image)
 
 
 def permuted_digraph(g: Graph, p: Permutation) -> Digraph:
@@ -136,18 +141,13 @@ def is_two_fold(g: Graph, pair: TwoFoldPair) -> bool:
     """xy in E(G) iff lam(x)mu(y) in E(G); equivalently lam(N(x)) = N(mu(x))."""
     _require_length(g, pair.lam)
     _require_length(g, pair.mu)
-    rows = g.adj
-    lam = pair.lam.image
-    mu = pair.mu.image
-    return all(permute_mask(rows[x], lam) == rows[mu[x]] for x in range(g.n))
+    return maps_neighborhoods(g.adj, g.adj, pair.lam.image, pair.mu.image)
 
 
 def _lambda_scan(n: int, rows: tuple[int, ...]):
     """Yield (lambda image, per-vertex target classes) for every lambda that
     permutes the neighborhood multiset; mu solutions are the class bijections."""
-    classes: dict[int, list[int]] = {}
-    for v in range(n):
-        classes.setdefault(rows[v], []).append(v)
+    classes = row_classes(rows)
     for lam in itertools.permutations(range(n)):
         groups: dict[int, list[int]] = {}
         ok = True
@@ -240,7 +240,7 @@ def _tf_generators(n: int, rows: tuple[int, ...]) -> list[tuple[tuple[int, ...],
             for x, v in zip(xs, classes[t]):
                 mu[x] = v
         gens.append((lam, tuple(mu)))
-    for verts in _duplicate_classes(n, rows):
+    for verts in row_classes(rows).values():
         anchor = verts[0]
         for other in verts[1:]:
             t = list(ident)
@@ -249,26 +249,21 @@ def _tf_generators(n: int, rows: tuple[int, ...]) -> list[tuple[tuple[int, ...],
     return gens
 
 
-def _duplicate_classes(n: int, rows: tuple[int, ...]) -> list[list[int]]:
-    classes: dict[int, list[int]] = {}
-    for v in range(n):
-        classes.setdefault(rows[v], []).append(v)
-    return [vs for vs in classes.values() if len(vs) > 1]
-
-
-def _orbit_labels(n: int, rows: tuple[int, ...], ant: list[tuple[int, ...]]):
+def _orbit_partition(n: int, rows: tuple[int, ...], ant: list[tuple[int, ...]], certs: list):
     """Aut^TF(G) orbit label of each image of ant (all of Ant(G), ascending),
-    orbits numbered by their least member, plus every generator image that
-    fell outside ant, which correct generators never produce."""
-    gens = []
-    for lam, mu in _tf_generators(n, rows):
-        mu_inv = [0] * n
-        for v, w in enumerate(mu):
-            mu_inv[w] = v
-        gens.append((lam, mu_inv))
+    orbits numbered by their least member, checked against the theorem that
+    the orbits are the isomorphism classes of the G^a. certs[i] is equal
+    exactly on graphs isomorphic to G^ant[i].
+
+    Returns the labels and the faults, as (kind, detail) pairs in this order:
+    "closure" for each generator image outside ant, "within_orbit" for each
+    image whose G^a is not isomorphic to its orbit's first, and one
+    "across_orbits" when two orbits share an isomorphism class.
+    """
+    gens = [(lam, invert(mu)) for lam, mu in _tf_generators(n, rows)]
     index = {img: i for i, img in enumerate(ant)}
     labels = [-1] * len(ant)
-    escaped = []
+    faults: list[tuple[str, dict]] = []
     norbits = 0
     for i, img in enumerate(ant):
         if labels[i] >= 0:
@@ -281,12 +276,21 @@ def _orbit_labels(n: int, rows: tuple[int, ...], ant: list[tuple[int, ...]]):
                 moved = tuple(lam[cur[u]] for u in mu_inv)
                 j = index.get(moved)
                 if j is None:
-                    escaped.append(moved)
+                    faults.append(("closure", {"alpha": list(moved)}))
                 elif labels[j] < 0:
                     labels[j] = norbits
                     frontier.append(moved)
         norbits += 1
-    return labels, escaped
+    orbit_cert: list = [None] * norbits
+    for img, label, cert in zip(ant, labels, certs):
+        if orbit_cert[label] is None:
+            orbit_cert[label] = cert
+        elif orbit_cert[label] != cert:
+            faults.append(("within_orbit", {"alpha": list(img)}))
+    classes = len(set(orbit_cert))
+    if classes != norbits:
+        faults.append(("across_orbits", {"orbits": norbits, "classes": classes}))
+    return labels, faults
 
 
 def ant_orbits(g: Graph, *, force: bool = False) -> AntOrbitPartition:
@@ -295,23 +299,14 @@ def ant_orbits(g: Graph, *, force: bool = False) -> AntOrbitPartition:
             f"orbit computation uses the two-fold machinery, guarded at n<={TF_MAX}"
         )
     ant = enumerate_ant(g, force=force)
-    labels, escaped = _orbit_labels(g.n, g.adj, [p.image for p in ant])
-    if escaped:
-        raise InvariantViolationError("orbit closure left Ant(G); generators are wrong")
+    images = [p.image for p in ant]
+    certs = [_canonical(g.n, apply_anti_rows(g.adj, img))[0] for img in images]
+    labels, faults = _orbit_partition(g.n, g.adj, images, certs)
+    if faults:
+        raise InvariantViolationError(
+            f"Aut^TF(G) orbits are not the isomorphism classes of the permuted graphs: {faults[0]}"
+        )
     orbits: list[list[Permutation]] = [[] for _ in range(max(labels) + 1)]
     for p, label in zip(ant, labels):
         orbits[label].append(p)
-    part = AntOrbitPartition(tuple(ant), tuple(map(tuple, orbits)))
-    _cross_check_orbits(g, part)
-    return part
-
-
-def _cross_check_orbits(g: Graph, part: AntOrbitPartition) -> None:
-    """Orbit count must equal the isomorphism-class count among {G^a}."""
-    certs = {
-        _canonical(g.n, apply_anti_rows(g.adj, p.image))[0] for p in part.ant
-    }
-    if len(certs) != len(part.orbits):
-        raise InvariantViolationError(
-            f"{len(part.orbits)} orbits but {len(certs)} isomorphism classes among the permuted graphs"
-        )
+    return AntOrbitPartition(tuple(ant), tuple(map(tuple, orbits)))

@@ -20,31 +20,14 @@ the Ant search for graphs that neither fast test settles.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from math import factorial, lcm
+from math import factorial
 
 from .antiauto import ANT_MAX, apply_anti_rows, enumerate_ant
 from .errors import CapacityError, InvariantViolationError, UsageError
-from .graphs import Graph, Permutation
-from .iso import _canonical, adjacency_key, involution_witness
+from .graphs import Graph, Permutation, adjacency_index, perm_order, row_classes
+from .iso import _canonical, involution_witness
 from .product import Bipartition, bipartition
-
-
-def perm_order(image: tuple[int, ...]) -> int:
-    order = 1
-    seen = 0
-    for v in range(len(image)):
-        if seen >> v & 1:
-            continue
-        length = 0
-        w = v
-        while not seen >> w & 1:
-            seen |= 1 << w
-            w = image[w]
-            length += 1
-        order = lcm(order, length)
-    return order
 
 
 def _has_two_power_order(image: tuple[int, ...]) -> bool:
@@ -102,8 +85,8 @@ def _classwise_strong(rows: tuple[int, ...], images) -> bool:
         if any(rows[w] != rows[v] for v, w in enumerate(img)):
             return False
     expected = 1
-    for size in Counter(rows).values():
-        expected *= factorial(size)
+    for verts in row_classes(rows).values():
+        expected *= factorial(len(verts))
     return count == expected
 
 
@@ -137,7 +120,7 @@ def _ant_pass(g: Graph, force: bool):
         cert = _canonical(n, arows)[0]
         certs.add(cert)
         if cert != base:
-            key = adjacency_key(n, arows)
+            key = adjacency_index(n, arows)
             if best is None or key < best[0]:
                 best = (key, img, arows)
     return ant, certs, None if best is None else best[1:], strong_witness

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError, UsageError
-from .graphs import Graph, Permutation
+from .graphs import MAX_N, Graph, Permutation
 
 
 def parse_graph(text: str) -> Graph:
@@ -36,8 +36,8 @@ def parse_graph(text: str) -> Graph:
                 raise ParseError(f"vertex count {fields[2]!r} is not an integer", lineno)
             if n < 0:
                 raise ParseError(f"vertex count {n} is negative", lineno)
-            if n > 64:
-                raise ParseError(f"vertex count {n} exceeds the limit of 64", lineno)
+            if n > MAX_N:
+                raise ParseError(f"vertex count {n} exceeds the limit of {MAX_N}", lineno)
             rows = [0] * n
         elif fields[0] == "e":
             if n is None:

@@ -3,11 +3,17 @@
 Adjacency is stored as one int bitmask per vertex (bit y of adj[x] set iff
 xy is an edge). A loop at x sets bit x of adj[x], so x is in its own open
 neighborhood exactly when it carries a loop. Everything is immutable.
+
+A graph is encoded by the upper-triangle cells of its adjacency matrix,
+diagonal included, in row-major order with 0 < 1 (adjacency_index). The
+enumeration order, the certificates and the counterexample order all use
+this encoding, so certificates are comparable across the whole package.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import lcm
 from typing import Iterable, Iterator
 
 from .errors import CapacityError, UsageError
@@ -48,6 +54,45 @@ def permute_mask(mask: int, image: tuple[int, ...]) -> int:
     return out
 
 
+def maps_neighborhoods(src, dst, lam: tuple[int, ...], mu: tuple[int, ...]) -> bool:
+    """xy in E(src) iff lam(x)mu(y) in E(dst), tested as lam(N(x)) = N(mu(x)).
+
+    (lam, mu) on one graph is a two-fold automorphism; (a^-1, a) is the
+    anti-automorphism a, and (s, s) an automorphism or an isomorphism.
+    """
+    return all(permute_mask(src[x], lam) == dst[mu[x]] for x in range(len(src)))
+
+
+def invert(image: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(image)
+    for v, w in enumerate(image):
+        inv[w] = v
+    return tuple(inv)
+
+
+def perm_order(image: tuple[int, ...]) -> int:
+    """The lcm of the cycle lengths."""
+    order = 1
+    seen = 0
+    for v in range(len(image)):
+        if seen >> v & 1:
+            continue
+        length = 0
+        w = v
+        while not seen >> w & 1:
+            seen |= 1 << w
+            w = image[w]
+            length += 1
+        order = lcm(order, length)
+    return order
+
+
+def is_involution(image: tuple[int, ...]) -> bool:
+    """Order exactly 2."""
+    n = len(image)
+    return any(image[v] != v for v in range(n)) and all(image[image[v]] == v for v in range(n))
+
+
 @dataclass(frozen=True)
 class Permutation:
     image: tuple[int, ...]
@@ -70,10 +115,7 @@ class Permutation:
         return self.image[v]
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.image)
-        for v, w in enumerate(self.image):
-            inv[w] = v
-        return Permutation(tuple(inv))
+        return Permutation(invert(self.image))
 
     def compose(self, other: "Permutation") -> "Permutation":
         """self after other: (self.compose(other))(v) = self(other(v))."""
@@ -95,20 +137,10 @@ class Permutation:
         return Permutation(out)
 
     def order(self) -> int:
-        k = 1
-        p = self.image
-        cur = p
-        ident = tuple(range(len(p)))
-        while cur != ident:
-            cur = tuple(p[v] for v in cur)
-            k += 1
-        return k
+        return perm_order(self.image)
 
     def is_involution(self) -> bool:
-        img = self.image
-        return any(img[v] != v for v in range(len(img))) and all(
-            img[img[v]] == v for v in range(len(img))
-        )
+        return is_involution(self.image)
 
     def is_identity(self) -> bool:
         return all(w == v for v, w in enumerate(self.image))
@@ -302,11 +334,16 @@ def multiset_key(rows: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(rows))
 
 
+def row_classes(rows) -> dict[int, list[int]]:
+    """Each distinct row (open neighborhood) mapped to its vertices, ascending."""
+    classes: dict[int, list[int]] = {}
+    for v, row in enumerate(rows):
+        classes.setdefault(row, []).append(v)
+    return classes
+
+
 def r_partition(g: Graph) -> RPartition:
-    by_row: dict[int, list[int]] = {}
-    for v in range(g.n):
-        by_row.setdefault(g.adj[v], []).append(v)
-    return RPartition(tuple(tuple(vs) for vs in by_row.values()))
+    return RPartition(tuple(map(tuple, row_classes(g.adj).values())))
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
@@ -321,6 +358,24 @@ def upper_cells(n: int, loops_allowed: bool) -> list[tuple[int, int]]:
     """Row-major upper-triangle cells; diagonal included when loops are allowed."""
     lo = 0 if loops_allowed else 1
     return [(i, j) for i in range(n) for j in range(i + lo, n)]
+
+
+def adjacency_index(n: int, rows) -> int:
+    """Position of rows in iter_adj_rows(n, True): the upper-triangle bit
+    vector, cell (0,0) most significant. Only cells on or above the diagonal
+    are read, so on symmetric rows the index orders graphs like row-major
+    comparison of their adjacency matrices."""
+    k = 0
+    for i, row in enumerate(rows):
+        width = n - i  # cells (i, i) .. (i, n-1), most significant first
+        k <<= width
+        m = row >> i
+        # inline bit loop, not bits_of: one call per certificate and per G^a lookup
+        while m:
+            b = m & -m
+            k |= 1 << (width - b.bit_length())
+            m ^= b
+    return k
 
 
 def iter_adj_rows(

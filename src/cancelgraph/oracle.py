@@ -23,28 +23,30 @@ from functools import partial
 from typing import Callable
 
 from .antiauto import (
-    _orbit_labels,
+    _orbit_partition,
     apply_anti_rows,
     enumerate_aut_tf,
     is_anti_automorphism,
     iter_ant_images,
+    permuted_digraph,
 )
-from .decide import _bip_decide, _classwise_strong, _full_route, _permuted, perm_order
+from .decide import _bip_decide, _classwise_strong, _full_route, _permuted
 from .errors import CapacityError, InvariantViolationError, UsageError
 from .graphs import (
     Graph,
     Permutation,
+    adjacency_index,
     all_permutations,
     bits_of,
     component_masks,
     enumerate_count,
+    invert,
     iter_adj_rows,
+    maps_neighborhoods,
     multiset_key,
-    permute_mask,
-    upper_cells,
+    perm_order,
 )
 from .iso import (
-    adjacency_key,
     canon_connected,
     canon_rows,
     cert_bytes,
@@ -119,7 +121,7 @@ def _cancellation_scan(g: Graph, force: bool) -> tuple[bool, Graph | None]:
             offenders.append(frozen)
     if not offenders:
         return True, None
-    best = min(offenders, key=lambda r: adjacency_key(n, r))
+    best = min(offenders, key=lambda r: adjacency_index(n, r))
     return False, Graph(n, best)
 
 
@@ -160,11 +162,8 @@ def product_iso_witness(g: Graph, a: Permutation, k: Graph) -> Permutation:
     image = tuple(theta)
     before = direct_product(g, k)
     after = direct_product(Graph(g.n, apply_anti_rows(g.adj, a.image)), k)
-    for v in range(before.n):
-        if permute_mask(before.adj[v], image) != after.adj[image[v]]:
-            raise InvariantViolationError(
-                "product witness failed the edge-by-edge check"
-            )
+    if not maps_neighborhoods(before.adj, after.adj, image, image):
+        raise InvariantViolationError("product witness failed the edge-by-edge check")
     return Permutation(image)
 
 
@@ -231,9 +230,8 @@ def extract_anti_from_product_iso(
     if not is_anti_automorphism(g, alpha):
         raise InvariantViolationError("extracted map is not an anti-automorphism")
     moved = apply_anti_rows(grows, alpha.image)
-    for x in range(n):
-        if permute_mask(moved[x], mu_p.image) != hrows[mu_p.image[x]]:
-            raise InvariantViolationError("extracted mu is not an isomorphism onto H")
+    if not maps_neighborhoods(moved, hrows, mu_p.image, mu_p.image):
+        raise InvariantViolationError("extracted mu is not an isomorphism onto H")
     return alpha, mu_p
 
 
@@ -342,20 +340,10 @@ def _pack(n: int, rows) -> int:
     return acc
 
 
-def _rows_to_index(n: int, rows, cells) -> int:
-    """Position of a graph in the lexicographic enumeration over cells."""
-    m = len(cells)
-    k = 0
-    for t, (i, j) in enumerate(cells):
-        if rows[i] >> j & 1:
-            k |= 1 << (m - 1 - t)
-    return k
-
-
 def _mark(buckets: dict, key, canon: int) -> None:
-    """File a graph with packed canonical rows canon under key. A bucket
-    holds its first member's canon << 1, plus 1 once a non-isomorphic
-    member joins."""
+    """File a graph whose canonical rows have adjacency index canon under
+    key. A bucket holds its first member's canon << 1, plus 1 once a
+    non-isomorphic member joins."""
     prev = buckets.get(key)
     if prev is None:
         buckets[key] = canon << 1
@@ -376,61 +364,53 @@ def _fold(buckets: dict, other: dict) -> None:
 class _UniverseIndex:
     """Single-pass bucketing of the loops-allowed universe at one n.
 
-    canon_packs[k] is the packed canonical rows of enumeration index k.
-    nbhd maps a packed sorted-rows key to a _mark bucket; product does the
-    same for a product-class id. A product class is keyed by the sorted
-    component certificates of G x K2, computed once per iso class of G:
-    relabeling G relabels the product.
+    canon_packs[k] is the adjacency index of the canonical rows of
+    enumeration index k, equal exactly on isomorphic graphs. nbhd maps a
+    packed sorted-rows key to a _mark bucket; product does the same for a
+    product class, the sorted component certificates of G x K2, which
+    class_product holds per canonical index: relabeling G relabels the
+    product, so it is computed once per iso class of G.
     """
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self.cells = upper_cells(n, True)
         self.canon_packs: list[int] = []
         self.nbhd: dict[int, int] = {}
-        self.product: dict[int, int] = {}
-        self.class_product: dict[int, int] = {}
-        self._product_ids: dict[tuple[bytes, ...], int] = {}
+        self.product: dict[tuple[bytes, ...], int] = {}
+        self.class_product: dict[int, tuple[bytes, ...]] = {}
 
     def build(self, start: int = 0, stop: int | None = None) -> None:
         n = self.n
-        total = 1 << len(self.cells)
         if stop is None:
-            stop = total
+            stop = enumerate_count(n, True)
         canon_packs = [0] * (stop - start)
         nbhd = self.nbhd
         product = self.product
         class_product = self.class_product
-        product_ids = self._product_ids
         pos = 0
         for rows in iter_adj_rows(n, True, start=start, stop=stop):
             frozen = tuple(rows)
             canon = canon_rows(n, frozen)[0]
-            cp = _pack(n, canon)
+            cp = adjacency_index(n, canon)
             canon_packs[pos] = cp
             pos += 1
             _mark(nbhd, _pack(n, sorted(frozen)), cp)
-            pid = class_product.get(cp)
-            if pid is None:
+            key = class_product.get(cp)
+            if key is None:
                 key = _component_class_multiset(2 * n, _product_with_k2_rows(n, canon))
-                pid = product_ids.setdefault(key, len(product_ids))
-                class_product[cp] = pid
-            _mark(product, pid, cp)
+                class_product[cp] = key
+            _mark(product, key, cp)
 
         self.canon_packs = canon_packs
 
     def merge(self, other: "_UniverseIndex") -> None:
         self.canon_packs.extend(other.canon_packs)
         _fold(self.nbhd, other.nbhd)
-        remap = {}
-        for key, oid in other._product_ids.items():
-            remap[oid] = self._product_ids.setdefault(key, len(self._product_ids))
-        for cp, oid in other.class_product.items():
-            self.class_product.setdefault(cp, remap[oid])
-        _fold(self.product, {remap[oid]: packed for oid, packed in other.product.items()})
+        self.class_product.update(other.class_product)
+        _fold(self.product, other.product)
 
     def canon_of(self, rows) -> int:
-        return self.canon_packs[_rows_to_index(self.n, rows, self.cells)]
+        return self.canon_packs[adjacency_index(self.n, rows)]
 
     def neighborhood_pure(self, rows) -> bool:
         return not self.nbhd[_pack(self.n, sorted(rows))] & 1
@@ -522,28 +502,11 @@ def _orbit_checks(
     certs: list[int],
     violations: _Violations,
 ) -> None:
-    """certs[i] is the certificate of G^ant[i]. simeqiso: orbit mates give
-    isomorphic permuted graphs and vice versa. simplus2: G^a is isomorphic to
-    G^(a^e) for every odd exponent e."""
-    orbit_of, escaped = _orbit_labels(n, rows, ant)
-    for moved in escaped:
-        violations.add(
-            "simeqiso_closure", n, edges=_edges_of_rows(n, rows), alpha=list(moved),
-        )
-    orbit_cert: list[int | None] = [None] * (max(orbit_of) + 1)
-    for img, o, cert in zip(ant, orbit_of, certs):
-        if orbit_cert[o] is None:
-            orbit_cert[o] = cert
-        elif orbit_cert[o] != cert:
-            violations.add(
-                "simeqiso_within_orbit", n,
-                edges=_edges_of_rows(n, rows), alpha=list(img),
-            )
-    if len(set(orbit_cert)) != len(orbit_cert):
-        violations.add(
-            "simeqiso_across_orbits", n, edges=_edges_of_rows(n, rows),
-            orbits=len(orbit_cert), classes=len(set(orbit_cert)),
-        )
+    """certs[i] is the certificate of G^ant[i]. simeqiso: the Aut^TF(G)
+    orbits are the isomorphism classes of the G^a. simplus2: G^a is
+    isomorphic to G^(a^e) for every odd exponent e."""
+    for kind, detail in _orbit_partition(n, rows, ant, certs)[1]:
+        violations.add(f"simeqiso_{kind}", n, edges=_edges_of_rows(n, rows), **detail)
     position = {img: i for i, img in enumerate(ant)}
     for img, cert in zip(ant, certs):
         order = perm_order(img)
@@ -592,9 +555,7 @@ def _pair_membership_pass(n: int, violations: _Violations) -> None:
         brute = set()
         for lam in perms:
             for mu in perms:
-                if all(
-                    permute_mask(frozen[x], lam) == frozen[mu[x]] for x in range(n)
-                ):
+                if maps_neighborhoods(frozen, frozen, lam, mu):
                     brute.add((lam, mu))
         listed = {
             (pair.lam.image, pair.mu.image) for pair in enumerate_aut_tf(g)
@@ -608,7 +569,7 @@ def _pair_membership_pass(n: int, violations: _Violations) -> None:
         from_pairs_anti = set()
         from_pairs_auto = set()
         for lam, mu in brute:
-            inv = Permutation(mu).inverse().image
+            inv = invert(mu)
             if inv == lam:
                 from_pairs_anti.add(lam)
             if lam == mu:
@@ -632,21 +593,16 @@ def _pair_membership_pass(n: int, violations: _Violations) -> None:
 
 
 def _digraph_symmetry_pass(n: int, violations: _Violations) -> None:
-    perms = [(p, Permutation(p).inverse().image) for p in all_permutations(n)]
+    """The permuted digraph is symmetric iff the permutation is an
+    anti-automorphism."""
+    perms = [Permutation(p) for p in all_permutations(n)]
     for rows in iter_adj_rows(n, True):
-        frozen = tuple(rows)
-        for p, inv in perms:
-            arcs = [permute_mask(frozen[x], p) for x in range(n)]
-            symmetric = all(
-                not arcs[x] >> y & 1 or arcs[y] >> x & 1
-                for x in range(n)
-                for y in range(n)
-            )
-            anti = all(frozen[p[x]] == permute_mask(frozen[x], inv) for x in range(n))
-            if symmetric != anti:
+        g = Graph(n, tuple(rows))
+        for p in perms:
+            if permuted_digraph(g, p).is_symmetric() != is_anti_automorphism(g, p):
                 violations.add(
                     "digraph_symmetry", n,
-                    edges=_edges_of_rows(n, frozen), perm=list(p),
+                    edges=_edges_of_rows(n, g.adj), perm=list(p.image),
                 )
 
 
@@ -662,39 +618,27 @@ def _weichsel_pass(nmax: int, violations: _Violations) -> None:
     """Connectivity of products of connected factors with at least one edge:
     connected iff some factor is non-bipartite; two components when both are
     bipartite with edges."""
-    pools: dict[int, list[tuple[int, ...]]] = {}
-    for n in range(1, min(nmax, 3) + 1):
-        pools[n] = [r for r in _connected_row_sets(n, True) if any(r)]
-    simple_cap = min(nmax, 4)
-    simple: dict[int, list[tuple[int, ...]]] = {}
-    for n in range(1, simple_cap + 1):
-        simple[n] = [r for r in _connected_row_sets(n, False) if any(r)]
-    candidates: list[tuple[int, tuple[int, ...]]] = []
-    for n, rows_list in pools.items():
-        candidates.extend((n, r) for r in rows_list)
-    for n, rows_list in simple.items():
-        candidates.extend((n, r) for r in rows_list)
-    seen_pairs = set()
-    for ng, grows in candidates:
-        for nh, hrows in candidates:
-            if ng * nh > 36 or (ng, grows, nh, hrows) in seen_pairs:
-                continue
-            seen_pairs.add((ng, grows, nh, hrows))
-            g = Graph(ng, grows)
-            h = Graph(nh, hrows)
+    # every connected factor with an edge up to n=3, loops allowed, then
+    # the loopless ones at n=4 (the loopless ones below 4 are already in)
+    factors = [
+        Graph(n, rows)
+        for n in range(1, min(nmax, 3) + 1)
+        for rows in _connected_row_sets(n, True)
+        if any(rows)
+    ]
+    if nmax >= 4:
+        factors.extend(Graph(4, rows) for rows in _connected_row_sets(4, False) if any(rows))
+    bipartite = [bipartition(g).is_bipartite for g in factors]
+    for g, g_bip in zip(factors, bipartite):
+        for h, h_bip in zip(factors, bipartite):
             prod = direct_product(g, h)
             ncomp = len(component_masks(prod.n, prod.adj))
-            g_bip = bipartition(g).is_bipartite
-            h_bip = bipartition(h).is_bipartite
-            if not g_bip or not h_bip:
-                expected = 1
-            else:
-                expected = 2
+            expected = 2 if g_bip and h_bip else 1
             if ncomp != expected:
                 violations.add(
-                    "weichsel", max(ng, nh),
-                    g_edges=_edges_of_rows(ng, grows),
-                    h_edges=_edges_of_rows(nh, hrows),
+                    "weichsel", max(g.n, h.n),
+                    g_edges=_edges_of_rows(g.n, g.adj),
+                    h_edges=_edges_of_rows(h.n, h.adj),
                     components=ncomp, expected=expected,
                 )
 
@@ -707,7 +651,7 @@ def _lovasz_pass(nmax: int, violations: _Violations) -> None:
             frozen = tuple(rows)
             prod = direct_product(Graph(n, frozen), K3)
             key = cert_bytes(prod.n, canon_rows(prod.n, prod.adj)[0])
-            _mark(buckets, key, _pack(n, canon_rows(n, frozen)[0]))
+            _mark(buckets, key, adjacency_index(n, canon_rows(n, frozen)[0]))
         for packed in buckets.values():
             if packed & 1:
                 violations.add("lovasz_k3", n, note="product class contains non-isomorphic members")

@@ -35,9 +35,7 @@ from cancelgraph import (
     strong_counterexample,
 )
 from cancelgraph import decide
-from cancelgraph.decide import perm_order
-from cancelgraph.graphs import iter_adj_rows, multiset_key
-from cancelgraph.iso import adjacency_key
+from cancelgraph.graphs import adjacency_index, iter_adj_rows, multiset_key, perm_order
 
 from conftest import graph_and_permutation, graph_strategy
 
@@ -128,11 +126,11 @@ def test_counterexample_is_least_over_the_mates(sql):
     alpha, mate = reconstruction_counterexample(sql)
     assert alpha.image == (0, 3, 2, 1)
     assert mate == Graph.from_edges(4, itertools.combinations(range(4), 2))
-    best = adjacency_key(sql.n, mate.adj)
+    best = adjacency_index(sql.n, mate.adj)
     for p in enumerate_ant(sql):
         moved = apply_anti(sql, p)
         if not is_isomorphic(moved, sql):
-            assert best <= adjacency_key(sql.n, moved.adj)
+            assert best <= adjacency_index(sql.n, moved.adj)
 
 
 def test_strongly_and_its_witness(c6, lp, p_reconstruct, asym7):
@@ -355,4 +353,15 @@ def test_classify_witnesses_are_valid_and_label_free(gp):
 @given(st.integers(1, 7).flatmap(lambda n: st.permutations(range(n))))
 def test_perm_order_matches_permutation_order(img):
     p = Permutation(tuple(img))
-    assert perm_order(p.image) == p.order()
+    assert perm_order(p.image) == p.order() == power_order(p.image)
+
+
+def power_order(image: tuple[int, ...]) -> int:
+    """Least k >= 1 with image^k the identity, by repeated composition."""
+    k = 1
+    cur = image
+    ident = tuple(range(len(image)))
+    while cur != ident:
+        cur = tuple(image[v] for v in cur)
+        k += 1
+    return k

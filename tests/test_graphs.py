@@ -17,6 +17,7 @@ from cancelgraph import (
     r_partition,
 )
 from cancelgraph.graphs import (
+    adjacency_index,
     all_permutations,
     bits_of,
     component_masks,
@@ -251,6 +252,42 @@ def test_enumeration_slices_concatenate():
         list(iter_adj_rows(3, True, start=0, stop=65))
     with pytest.raises(UsageError):
         list(iter_adj_rows(3, True, start=5, stop=4))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_adjacency_index_inverts_the_enumeration(n):
+    count = 0
+    for k, rows in enumerate(iter_adj_rows(n, True)):
+        assert adjacency_index(n, rows) == k
+        count += 1
+    assert count == enumerate_count(n, True)
+
+
+def adjacency_key(n: int, rows) -> tuple[int, ...]:
+    """Each row with its bit order reversed: tuple comparison is row-major
+    comparison of the adjacency matrix, 0 < 1."""
+    return tuple(sum(1 << (n - 1 - y) for y in bits_of(row)) for row in rows)
+
+
+@st.composite
+def graph_and_neighbor(draw) -> tuple[Graph, Graph]:
+    """A graph with loops and a copy with up to three cells flipped, so the
+    two often share a long prefix of the encoding."""
+    g = draw(graph_strategy(9, loops=True))
+    rows = list(g.adj)
+    for i, j in draw(st.sets(st.sampled_from(upper_cells(g.n, True)), max_size=3)):
+        rows[i] ^= 1 << j
+        if i != j:
+            rows[j] ^= 1 << i
+    return g, Graph(g.n, tuple(rows))
+
+
+@settings(max_examples=200)
+@given(graph_and_neighbor())
+def test_adjacency_index_orders_graphs_like_the_row_key(pair):
+    index = [adjacency_index(g.n, g.adj) for g in pair]
+    key = [adjacency_key(g.n, g.adj) for g in pair]
+    assert (index[0] < index[1], index[0] == index[1]) == (key[0] < key[1], key[0] == key[1])
 
 
 def test_enumerate_labeled_graphs_guard():

@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 
+import cancelgraph.antiauto as antiauto_mod
 import cancelgraph.oracle as oracle_mod
 from cancelgraph import (
     CapacityError,
@@ -27,7 +28,7 @@ from cancelgraph import (
     product_iso_witness,
     verify_theorems,
 )
-from cancelgraph.graphs import iter_adj_rows, multiset_key
+from cancelgraph.graphs import adjacency_index, enumerate_count, iter_adj_rows, multiset_key
 from cancelgraph.iso import canon_rows
 
 from conftest import graph_strategy
@@ -330,11 +331,9 @@ def violation_kinds(items):
 
 
 def test_orbit_fault_is_reported_by_the_main_pass(monkeypatch):
-    # every image in its own orbit: graphs with isomorphic G^a for two
-    # images now have fewer classes than orbits
-    monkeypatch.setattr(
-        oracle_mod, "_orbit_labels", lambda n, rows, ant: (list(range(len(ant))), [])
-    )
+    # no generators, so every image is its own orbit: graphs with isomorphic
+    # G^a for two images now have fewer classes than orbits
+    monkeypatch.setattr(antiauto_mod, "_tf_generators", lambda n, rows: [])
     report = verify_theorems(3, True, bip_max=1, jobs=1)
     assert violation_kinds(report.violations) == {"simeqiso_across_orbits": 30}
 
@@ -363,7 +362,7 @@ def test_odd_power_fault_is_reported_by_the_main_pass(monkeypatch):
 def test_universe_index_shards_merge_to_the_serial_build(n):
     serial = oracle_mod._UniverseIndex(n)
     serial.build()
-    total = 1 << len(serial.cells)
+    total = enumerate_count(n, True)
     merged = oracle_mod._UniverseIndex(n)
     merged.build(stop=total // 3)
     for lo, hi in ((total // 3, total // 2), (total // 2, total)):
@@ -372,13 +371,24 @@ def test_universe_index_shards_merge_to_the_serial_build(n):
         merged.merge(part)
     assert merged.canon_packs == serial.canon_packs
     assert merged.nbhd == serial.nbhd
-    # product-class ids may be numbered apart; the classes and buckets match
-    assert merged.class_product.keys() == serial.class_product.keys()
-    ids = {(serial.class_product[cp], merged.class_product[cp]) for cp in serial.class_product}
-    assert len(ids) == len(dict(ids)) == len({mid for _, mid in ids})
-    assert all(merged.product[mid] == serial.product[sid] for sid, mid in ids)
+    assert merged.class_product == serial.class_product
+    assert merged.product == serial.product
     for rows in iter_adj_rows(n, True):
         frozen = tuple(rows)
-        assert serial.canon_of(frozen) == oracle_mod._pack(n, canon_rows(n, frozen)[0])
+        assert serial.canon_of(frozen) == adjacency_index(n, canon_rows(n, frozen)[0])
         assert merged.product_pure(frozen) == serial.product_pure(frozen)
         assert merged.neighborhood_pure(frozen) == serial.neighborhood_pure(frozen)
+
+
+def test_weichsel_pass_checks_each_factor_pair_once(monkeypatch):
+    calls = []
+    product = oracle_mod.direct_product
+    monkeypatch.setattr(
+        oracle_mod, "direct_product", lambda g, h: calls.append((g, h)) or product(g, h)
+    )
+    violations = oracle_mod._Violations()
+    oracle_mod._weichsel_pass(4, violations)
+    assert violations.total == 0
+    # 75 connected factors with an edge (loops allowed up to n=3, loopless
+    # at n=4), every ordered pair once
+    assert len(calls) == len(set(calls)) == 75 * 75
