@@ -9,6 +9,13 @@ Aut^TF(G) is the group of pairs (lambda, mu) with xy in E(G) iff
 lambda(x)mu(y) in E(G); it acts on Ant(G) by (lambda, mu) . a =
 lambda a mu^-1, and the orbits of that action group the a by isomorphism
 type of G^a.
+
+Two-fold pairs have one search, iter_two_fold(src, dst), over pairs with
+lambda(N_src(x)) = N_dst(mu(x)). It yields one pair per lambda; the other
+pairs of that lambda permute mu inside the equal-row classes. Aut^TF(G)
+(enumerate_aut_tf), its orbit generators (_tf_generators) and the
+product-isomorphism witness (oracle.extract_anti_from_product_iso, src and
+dst two graphs) all come from it.
 """
 from __future__ import annotations
 
@@ -104,6 +111,66 @@ def iter_ant_images(n: int, rows: tuple[int, ...]):
     yield from extend(0, 0)
 
 
+def iter_two_fold(src: tuple[int, ...], dst: tuple[int, ...]):
+    """Each (lambda, mu) with lambda(N_src(x)) = N_dst(mu(x)), one per lambda,
+    its mu sending vertices with equal src rows to ascending vertices.
+
+    Backtracking over mu[0], lambda[0], mu[1], lambda[1], ..., each in
+    ascending order, so the first pair is the least in that interleaved
+    order. Placing mu[v] checks src[v][y] == dst[mu[v]][lambda[y]] for y < v,
+    and placing lambda[v] checks src[x][v] == dst[mu[x]][lambda[v]] for
+    x <= v. Swapping mu on two vertices with equal src rows keeps a pair
+    two-fold, so mu[v] must exceed mu at the previous vertex with v's row;
+    every other mu of a lambda is a within-class permutation of this one.
+    """
+    n = len(src)
+    sdeg = [r.bit_count() for r in src]
+    ddeg = [r.bit_count() for r in dst]
+    prev_same = [-1] * n
+    last: dict[int, int] = {}
+    for v, row in enumerate(src):
+        prev_same[v] = last.get(row, -1)
+        last[row] = v
+    mu = [-1] * n
+    lam = [-1] * n
+
+    def place_mu(v: int, used_mu: int, used_lam: int):
+        if v == n:
+            yield tuple(lam), tuple(mu)
+            return
+        rv = src[v]
+        p = prev_same[v]
+        for b in range(mu[p] + 1 if p >= 0 else 0, n):
+            if used_mu >> b & 1 or ddeg[b] != sdeg[v]:
+                continue
+            rb = dst[b]
+            ok = True
+            for y in range(v):
+                if (rv >> y & 1) != (rb >> lam[y] & 1):
+                    ok = False
+                    break
+            if ok:
+                mu[v] = b
+                yield from place_lam(v, used_mu | 1 << b, used_lam)
+        mu[v] = -1
+
+    def place_lam(v: int, used_mu: int, used_lam: int):
+        for c in range(n):
+            if used_lam >> c & 1 or ddeg[c] != sdeg[v]:
+                continue
+            ok = True
+            for x in range(v + 1):
+                if (src[x] >> v & 1) != (dst[mu[x]] >> c & 1):
+                    ok = False
+                    break
+            if ok:
+                lam[v] = c
+                yield from place_mu(v + 1, used_mu, used_lam | 1 << c)
+        lam[v] = -1
+
+    yield from place_mu(0, 0, 0)
+
+
 def enumerate_ant(g: Graph, *, force: bool = False) -> list[Permutation]:
     """All of Ant(G), lexicographically ascending; always contains the identity."""
     if g.n > ANT_MAX and not force:
@@ -144,43 +211,23 @@ def is_two_fold(g: Graph, pair: TwoFoldPair) -> bool:
     return maps_neighborhoods(g.adj, g.adj, pair.lam.image, pair.mu.image)
 
 
-def _lambda_scan(n: int, rows: tuple[int, ...]):
-    """Yield (lambda image, per-vertex target classes) for every lambda that
-    permutes the neighborhood multiset; mu solutions are the class bijections."""
-    classes = row_classes(rows)
-    for lam in itertools.permutations(range(n)):
-        groups: dict[int, list[int]] = {}
-        ok = True
-        for x in range(n):
-            t = permute_mask(rows[x], lam)
-            if t not in classes:
-                ok = False
-                break
-            groups.setdefault(t, []).append(x)
-        if not ok:
-            continue
-        if all(len(xs) == len(classes[t]) for t, xs in groups.items()):
-            yield lam, groups, classes
-
-
 def enumerate_aut_tf(g: Graph, *, force: bool = False) -> list[TwoFoldPair]:
     """All of Aut^TF(G). Can reach (n!)^2 pairs on degenerate inputs."""
     if g.n > TF_MAX and not force:
         raise CapacityError(
             f"two-fold listing guarded at n<={TF_MAX}; pass force=True"
         )
-    n = g.n
+    classes = list(row_classes(g.adj).values())
     out = []
-    for lam, groups, classes in _lambda_scan(n, g.adj):
-        per_group = []
-        for t, xs in sorted(groups.items()):
-            per_group.append((xs, list(itertools.permutations(classes[t]))))
-        for choice in itertools.product(*(opts for _, opts in per_group)):
-            mu = [-1] * n
-            for (xs, _), assigned in zip(per_group, choice):
-                for x, v in zip(xs, assigned):
-                    mu[x] = v
-            out.append(TwoFoldPair(Permutation(lam), Permutation(tuple(mu))))
+    for lam, mu in iter_two_fold(g.adj, g.adj):
+        # mu may permute its images freely inside each equal-row class
+        per_class = [itertools.permutations([mu[x] for x in xs]) for xs in classes]
+        for choice in itertools.product(*per_class):
+            image = [-1] * g.n
+            for xs, targets in zip(classes, choice):
+                for x, t in zip(xs, targets):
+                    image[x] = t
+            out.append(TwoFoldPair(Permutation(lam), Permutation(tuple(image))))
     out.sort(key=lambda p: (p.lam.image, p.mu.image))
     return out
 
@@ -225,21 +272,15 @@ class AntOrbitPartition:
 
 
 def _tf_generators(n: int, rows: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """A generating set of Aut^TF(G): one (lambda, mu) per admissible lambda,
+    """A generating set of Aut^TF(G): iter_two_fold's pairs, one per lambda,
     plus (id, t) for transpositions t inside each duplicate-neighborhood class.
 
     Any (lambda, mu') factors as (id, mu' mu^-1) . (lambda, mu), and the pairs
     with identity lambda are exactly those whose mu fixes every class setwise,
     a group generated by within-class transpositions.
     """
-    gens = []
+    gens = list(iter_two_fold(rows, rows))
     ident = tuple(range(n))
-    for lam, groups, classes in _lambda_scan(n, rows):
-        mu = [-1] * n
-        for t, xs in groups.items():
-            for x, v in zip(xs, classes[t]):
-                mu[x] = v
-        gens.append((lam, tuple(mu)))
     for verts in row_classes(rows).values():
         anchor = verts[0]
         for other in verts[1:]:

@@ -21,7 +21,7 @@ from .errors import (
     UsageError,
 )
 from .fileformat import parse_graph_file, parse_permutation, serialize_graph
-from .graphs import Graph, neighborhood_multiset
+from .graphs import neighborhood_multiset
 from .iso import find_isomorphism, is_isomorphic
 from .oracle import BIP_SWEEP_MAX, verify_theorems
 from .product import direct_product
@@ -76,30 +76,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str) -> Graph:
-    return parse_graph_file(path)
-
-
 def _cmd_analyze(args) -> int:
-    report = classify(_load(args.graph))
+    report = classify(parse_graph_file(args.graph))
     print(json.dumps(report.to_json_dict(), indent=2))
     return EXIT_OK
 
 
 def _cmd_ant(args) -> int:
-    g = _load(args.graph)
+    g = parse_graph_file(args.graph)
     print(json.dumps([list(a.image) for a in enumerate_ant(g)]))
     return EXIT_OK
 
 
 def _cmd_tf(args) -> int:
-    g = _load(args.graph)
+    g = parse_graph_file(args.graph)
     print(json.dumps([[list(p.lam.image), list(p.mu.image)] for p in enumerate_aut_tf(g)]))
     return EXIT_OK
 
 
 def _cmd_galpha(args) -> int:
-    g = _load(args.graph)
+    g = parse_graph_file(args.graph)
     a = parse_permutation(args.perm, g.n)
     moved = apply_anti(g, a)
     sys.stdout.write(serialize_graph(moved))
@@ -107,15 +103,15 @@ def _cmd_galpha(args) -> int:
 
 
 def _cmd_product(args) -> int:
-    g = _load(args.graph)
-    h = _load(args.other)
+    g = parse_graph_file(args.graph)
+    h = parse_graph_file(args.other)
     sys.stdout.write(serialize_graph(direct_product(g, h)))
     return EXIT_OK
 
 
 def _cmd_iso(args) -> int:
-    g = _load(args.graph)
-    h = _load(args.other)
+    g = parse_graph_file(args.graph)
+    h = parse_graph_file(args.other)
     if is_isomorphic(g, h):
         phi = find_isomorphism(g, h)
         assert phi is not None
@@ -126,7 +122,7 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_nbhd(args) -> int:
-    g = _load(args.graph)
+    g = parse_graph_file(args.graph)
     print(json.dumps([list(entry) for entry in neighborhood_multiset(g).entries]))
     return EXIT_OK
 

@@ -83,8 +83,6 @@ def parse_permutation(text: str, n: int | None = None) -> Permutation:
         image = tuple(int(f) for f in fields)
     except ValueError:
         raise ParseError(f"permutation entries must be integers: {text!r}", None)
-    if sorted(image) != list(range(len(image))):
-        raise UsageError(f"not a permutation of 0..{len(image) - 1}: {image}")
     p = Permutation(image)
     if n is not None and len(p) != n:
         raise UsageError(f"permutation has length {len(p)}, expected {n}")

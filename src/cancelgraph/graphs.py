@@ -25,10 +25,6 @@ ENUM_MAX_LOOPS = 6
 ENUM_MAX_SIMPLE = 7
 
 
-def popcount(x: int) -> int:
-    return x.bit_count()
-
-
 def bits_of(mask: int) -> Iterator[int]:
     while mask:
         b = mask & -mask
@@ -193,7 +189,7 @@ class Graph:
     def degree(self, v: int) -> int:
         """Size of the open neighborhood; a loop contributes 1."""
         self._check_vertex(v)
-        return popcount(self.adj[v])
+        return self.adj[v].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
         """Undirected edges as (min,max) pairs, sorted; loops as (v,v)."""
@@ -206,7 +202,7 @@ class Graph:
         return out
 
     def edge_count(self) -> int:
-        return sum(popcount(self.adj[x] >> x) for x in range(self.n))
+        return sum((self.adj[x] >> x).bit_count() for x in range(self.n))
 
     def relabel(self, p: Permutation) -> "Graph":
         if len(p) != self.n:

@@ -28,6 +28,7 @@ from .antiauto import (
     enumerate_aut_tf,
     is_anti_automorphism,
     iter_ant_images,
+    iter_two_fold,
     permuted_digraph,
 )
 from .decide import _bip_decide, _classwise_strong, _full_route, _permuted
@@ -84,7 +85,7 @@ def neighborhood_oracle(g: Graph, *, force: bool = False) -> list[Graph]:
     target = multiset_key(g.adj)
     out = []
     for rows in iter_adj_rows(g.n, True):
-        if tuple(sorted(rows)) == target:
+        if multiset_key(rows) == target:
             out.append(Graph(g.n, tuple(rows)))
     return out
 
@@ -171,7 +172,8 @@ def extract_anti_from_product_iso(
     g: Graph, h: Graph, *, force: bool = False
 ) -> tuple[Permutation, Permutation] | None:
     """Search for bijections with xy in E(G) iff mu(x)lambda(y) in E(H); when
-    found, return (a, mu) with a = mu^-1 lambda, so that mu: G^a -> H.
+    found, return (a, mu) with a = mu^-1 lambda, so that mu: G^a -> H. The
+    pair is iter_two_fold's first, the least in its interleaved order.
 
     This is exactly a layer-preserving isomorphism G x K2 -> H x K2 with
     mu the layer-0 and lambda the layer-1 action. Returns None when no
@@ -180,57 +182,16 @@ def extract_anti_from_product_iso(
     if g.n != h.n:
         raise UsageError(f"vertex counts differ: {g.n} vs {h.n}")
     _oracle_guard(g.n, force)
-    n = g.n
-    grows = g.adj
-    hrows = h.adj
-    gdeg = [r.bit_count() for r in grows]
-    hdeg = [r.bit_count() for r in hrows]
-    mu = [-1] * n
-    lam = [-1] * n
-
-    def place_mu(v: int, used_mu: int, used_lam: int) -> bool:
-        if v == n:
-            return True
-        for b in range(n):
-            if used_mu >> b & 1 or hdeg[b] != gdeg[v]:
-                continue
-            ok = True
-            for y in range(v):
-                if (grows[v] >> y & 1) != (hrows[b] >> lam[y] & 1):
-                    ok = False
-                    break
-            if ok:
-                mu[v] = b
-                if place_lam(v, used_mu | 1 << b, used_lam):
-                    return True
-                mu[v] = -1
-        return False
-
-    def place_lam(v: int, used_mu: int, used_lam: int) -> bool:
-        for c in range(n):
-            if used_lam >> c & 1 or hdeg[c] != gdeg[v]:
-                continue
-            ok = True
-            for x in range(v + 1):
-                if (grows[x] >> v & 1) != (hrows[mu[x]] >> c & 1):
-                    ok = False
-                    break
-            if ok:
-                lam[v] = c
-                if place_mu(v + 1, used_mu, used_lam | 1 << c):
-                    return True
-                lam[v] = -1
-        return False
-
-    if not place_mu(0, 0, 0):
+    found = next(iter_two_fold(g.adj, h.adj), None)
+    if found is None:
         return None
-    mu_p = Permutation(tuple(mu))
-    lam_p = Permutation(tuple(lam))
-    alpha = mu_p.inverse().compose(lam_p)
+    lam, mu = found
+    mu_p = Permutation(mu)
+    alpha = mu_p.inverse().compose(Permutation(lam))
     if not is_anti_automorphism(g, alpha):
         raise InvariantViolationError("extracted map is not an anti-automorphism")
-    moved = apply_anti_rows(grows, alpha.image)
-    if not maps_neighborhoods(moved, hrows, mu_p.image, mu_p.image):
+    moved = apply_anti_rows(g.adj, alpha.image)
+    if not maps_neighborhoods(moved, h.adj, mu, mu):
         raise InvariantViolationError("extracted mu is not an isomorphism onto H")
     return alpha, mu_p
 
@@ -441,11 +402,11 @@ def _main_pass_for_n(
         graphs += 1
         ant = list(iter_ant_images(n, frozen))
         moved = [apply_anti_rows(frozen, img) for img in ant]
-        mkey = tuple(sorted(frozen))
+        mkey = multiset_key(frozen)
         direct = True
         for img, arows in zip(ant, moved):
             direct = direct and arows == frozen
-            if tuple(sorted(arows)) != mkey:
+            if multiset_key(arows) != mkey:
                 violations.add(
                     "eq1_multiset", n,
                     edges=_edges_of_rows(n, frozen), alpha=list(img),
@@ -530,7 +491,7 @@ def _neighborhood_prop_pass(n: int, violations: _Violations) -> None:
     groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for rows in iter_adj_rows(n, True):
         frozen = tuple(rows)
-        groups.setdefault(tuple(sorted(frozen)), []).append(frozen)
+        groups.setdefault(multiset_key(frozen), []).append(frozen)
     for members in groups.values():
         member_set = set(members)
         for frozen in members:
@@ -824,6 +785,8 @@ def verify_theorems(
         raise CapacityError(f"bipartite sweep guarded at n<={BIP_SWEEP_MAX}")
     if nmax < 1:
         raise UsageError("nmax must be at least 1")
+    if bip_max < 0:
+        raise UsageError("bip_max must be at least 0")
     cpus = os.cpu_count() or 1
     if jobs is None:
         jobs = cpus

@@ -29,7 +29,7 @@ from cancelgraph import (
     is_two_fold,
     permuted_digraph,
 )
-from cancelgraph.antiauto import apply_anti_rows
+from cancelgraph.antiauto import _tf_generators, apply_anti_rows, iter_two_fold
 from cancelgraph.graphs import iter_adj_rows, multiset_key
 
 from conftest import graph_and_permutation, graph_strategy
@@ -180,6 +180,46 @@ def test_tf_enumeration_matches_definition_exhaustively(n):
         assert {
             (p.lam.image, p.mu.image) for p in enumerate_aut_tf(g)
         } == brute_tf(g)
+
+
+def lambdas_by_scan(g: Graph) -> set[tuple[int, ...]]:
+    """Every lambda sending the multiset of neighborhoods onto itself, by
+    trying all n! permutations; exactly the lambdas of Aut^TF(G)."""
+    hoods = [frozenset(y for y in range(g.n) if g.has_edge(x, y)) for x in range(g.n)]
+    target = sorted(map(sorted, hoods))
+    return {
+        lam
+        for lam in itertools.permutations(range(g.n))
+        if sorted(sorted(lam[y] for y in hood) for hood in hoods) == target
+    }
+
+
+def check_two_fold_search(g: Graph) -> None:
+    pairs = list(iter_two_fold(g.adj, g.adj))
+    lams = [lam for lam, _ in pairs]
+    assert len(set(lams)) == len(lams)
+    assert set(lams) == lambdas_by_scan(g)
+    assert {lam for lam, _ in _tf_generators(g.n, g.adj)} == set(lams)
+    classes = [
+        [x for x in range(g.n) if g.adj[x] == g.adj[v]] for v in range(g.n)
+    ]
+    for lam, mu in pairs:
+        assert two_fold_by_definition(g, Permutation(lam), Permutation(mu))
+        for xs in classes:
+            images = [mu[x] for x in xs]
+            assert images == sorted(images)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_two_fold_search_matches_a_lambda_scan_exhaustively(n):
+    for rows in iter_adj_rows(n, True):
+        check_two_fold_search(Graph(n, tuple(rows)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_strategy(6, loops=True))
+def test_two_fold_search_matches_a_lambda_scan(g):
+    check_two_fold_search(g)
 
 
 def test_tf_group_structure(c6):

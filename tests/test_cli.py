@@ -136,6 +136,8 @@ def test_verify_command(capsys):
 def test_verify_guard_exits_usage(capsys):
     assert run(["verify", "--max-n", "9"]) == EXIT_USAGE
     assert run(["verify", "--max-n", "1", "--jobs", "0"]) == EXIT_USAGE
+    negative_bip = ["verify", "--max-n", "1", "--loops", "--bip-max", "-2", "--jobs", "1"]
+    assert run(negative_bip) == EXIT_USAGE
 
 
 def test_verify_reports_violations_with_exit_3(capsys, monkeypatch):

@@ -6,7 +6,7 @@ import json
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import cancelgraph.antiauto as antiauto_mod
 import cancelgraph.oracle as oracle_mod
@@ -168,6 +168,57 @@ def test_extract_anti_none_for_non_mates(c6):
     assert extract_anti_from_product_iso(c6, path6) is None
 
 
+def least_product_pair(g: Graph, h: Graph):
+    """Brute force over all (lambda, mu) with xy in E(G) iff mu(x)lambda(y)
+    in E(H): the least by (mu[0], lambda[0], mu[1], lambda[1], ...)."""
+    perms = list(itertools.permutations(range(g.n)))
+    found = [
+        (lam, mu)
+        for lam in perms
+        for mu in perms
+        if all(
+            g.has_edge(x, y) == h.has_edge(mu[x], lam[y])
+            for x in range(g.n)
+            for y in range(g.n)
+        )
+    ]
+    if not found:
+        return None
+    return min(found, key=lambda pair: [v for xy in zip(pair[1], pair[0]) for v in xy])
+
+
+def check_least_witness(g: Graph, h: Graph) -> None:
+    expected = least_product_pair(g, h)
+    got = extract_anti_from_product_iso(g, h)
+    if expected is None:
+        assert got is None
+        return
+    lam, mu = expected
+    alpha = Permutation(mu).inverse().compose(Permutation(lam))
+    assert got == (alpha, Permutation(mu))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_extract_anti_returns_the_least_pair_exhaustively(n):
+    graphs = [Graph(n, tuple(rows)) for rows in iter_adj_rows(n, True)]
+    for g, h in itertools.product(graphs, repeat=2):
+        check_least_witness(g, h)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_extract_anti_returns_the_least_pair(data):
+    g = data.draw(graph_strategy(4, loops=True))
+    if data.draw(st.booleans()):
+        h = data.draw(graph_strategy(g.n, loops=True, min_n=g.n))
+    else:
+        # a relabeled permuted graph, so that a witness exists
+        a = data.draw(st.sampled_from(enumerate_ant(g)))
+        s = Permutation(tuple(data.draw(st.permutations(range(g.n)))))
+        h = apply_anti(g, a).relabel(s)
+    check_least_witness(g, h)
+
+
 def test_extract_anti_guards(c6, asym7):
     with pytest.raises(UsageError):
         extract_anti_from_product_iso(c6, K2)
@@ -321,6 +372,8 @@ def test_verify_guards():
         verify_theorems(2, True, bip_max=8)
     with pytest.raises(UsageError):
         verify_theorems(0, True)
+    with pytest.raises(UsageError):
+        verify_theorems(1, True, bip_max=-2)
     for jobs in (0, -3):
         with pytest.raises(UsageError):
             verify_theorems(1, True, jobs=jobs)
