@@ -356,16 +356,18 @@ def upper_cells(n: int, loops_allowed: bool) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + lo, n)]
 
 
-def adjacency_index(n: int, rows) -> int:
-    """Position of rows in iter_adj_rows(n, True): the upper-triangle bit
-    vector, cell (0,0) most significant. Only cells on or above the diagonal
-    are read, so on symmetric rows the index orders graphs like row-major
-    comparison of their adjacency matrices."""
+def adjacency_index(n: int, rows, loops_allowed: bool = True) -> int:
+    """Position of rows in iter_adj_rows(n, loops_allowed): the upper-triangle
+    bit vector, cell (0,0) (loopless: (0,1)) most significant. Only cells on
+    or above the diagonal (loopless: above it) are read, so on symmetric rows
+    the index orders graphs like row-major comparison of their adjacency
+    matrices."""
+    lo = 0 if loops_allowed else 1
     k = 0
     for i, row in enumerate(rows):
-        width = n - i  # cells (i, i) .. (i, n-1), most significant first
+        width = n - i - lo  # cells (i, i + lo) .. (i, n-1), most significant first
         k <<= width
-        m = row >> i
+        m = row >> i + lo
         # inline bit loop, not bits_of: one call per certificate and per G^a lookup
         while m:
             b = m & -m

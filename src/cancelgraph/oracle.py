@@ -16,11 +16,13 @@ can have loopy product mates.
 """
 from __future__ import annotations
 
+import itertools
 import os
 import time
+from array import array
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable
+from functools import lru_cache, partial
+from typing import Callable, Iterator
 
 from .antiauto import (
     _orbit_partition,
@@ -44,6 +46,7 @@ from .graphs import (
     invert,
     iter_adj_rows,
     maps_neighborhoods,
+    mask_of,
     multiset_key,
     perm_order,
 )
@@ -54,6 +57,7 @@ from .iso import (
     compact_rows,
     involution_witness,
     iter_automorphism_images,
+    stamp_orbit,
 )
 from .product import bipartition, direct_product
 
@@ -61,13 +65,19 @@ ORACLE_MAX = 6
 VERIFY_MAX_LOOPS = 5
 VERIFY_MAX_SIMPLE = 6
 BIP_SWEEP_MAX = 7
+"""Default and guard for the bipartite sweep's largest n. The sweep's class
+data for one n at a time stays cached (_bip_classes, built on first use):
+two bitsets over the 2^(n(n-1)/2) loopless enumeration indices, bipartite
+and reversal failure, plus the failed checks of any faulty class. That is
+2 x 256 KiB at n=7 and 2 x 32 MiB at n=8 under force; stamp_orbit's
+transposition tables add under 0.5 MiB."""
 ORBIT_CHECK_MAX = 5
 
 K2 = Graph(2, (2, 1))
 K3 = Graph(3, (6, 5, 3))
 
 _SPREAD = tuple(
-    sum(1 << 2 * j for j in range(7) if m >> j & 1) for m in range(128)
+    sum(1 << 2 * j for j in range(8) if m >> j & 1) for m in range(256)
 )
 
 
@@ -91,7 +101,7 @@ def neighborhood_oracle(g: Graph, *, force: bool = False) -> list[Graph]:
 
 
 def _product_with_k2_rows(n: int, rows) -> tuple[int, ...]:
-    """Rows of G x K2 under the (x,k) -> 2x+k encoding, for n <= 7."""
+    """Rows of G x K2 under the (x,k) -> 2x+k encoding, for n <= 8."""
     out = []
     for v in range(n):
         spread = _SPREAD[rows[v]]
@@ -312,72 +322,59 @@ def _mark(buckets: dict, key, canon: int) -> None:
         buckets[key] = prev | 1
 
 
-def _fold(buckets: dict, other: dict) -> None:
-    """Merge another shard's buckets, of the shape _mark writes, into buckets."""
-    for key, packed in other.items():
-        prev = buckets.get(key)
-        if prev is None:
-            buckets[key] = packed
-        elif (prev | packed) & 1 or prev >> 1 != packed >> 1:
-            buckets[key] = prev | 1
-
-
 class _UniverseIndex:
-    """Single-pass bucketing of the loops-allowed universe at one n.
+    """Isomorphism classes and oracle buckets of the loops-allowed universe
+    at one n.
 
-    canon_packs[k] is the adjacency index of the canonical rows of
-    enumeration index k, equal exactly on isomorphic graphs. nbhd maps a
-    packed sorted-rows key to a _mark bucket; product does the same for a
-    product class, the sorted component certificates of G x K2, which
-    class_product holds per canonical index: relabeling G relabels the
-    product, so it is computed once per iso class of G.
+    class_of[k] numbers the iso class of enumeration index k, in order of
+    each class's least index; class_canon holds each class's adjacency
+    index of canonical rows, equal exactly on isomorphic graphs, and
+    class_product its product class, the sorted component certificates of
+    G x K2 (relabeling G relabels the product). nbhd maps a packed
+    sorted-rows key to a _mark bucket, product a product class.
     """
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self.canon_packs: list[int] = []
+        self.class_of = array("I")
+        self.class_canon: list[int] = []
+        self.class_product: list[tuple[bytes, ...]] = []
         self.nbhd: dict[int, int] = {}
         self.product: dict[tuple[bytes, ...], int] = {}
-        self.class_product: dict[int, tuple[bytes, ...]] = {}
 
-    def build(self, start: int = 0, stop: int | None = None) -> None:
+    def build(self) -> None:
+        """One walk of the universe: the first unseen index of each class
+        stamps its orbit and takes the class's one canon_rows call; every
+        labeled graph files its sorted rows under nbhd."""
         n = self.n
-        if stop is None:
-            stop = enumerate_count(n, True)
-        canon_packs = [0] * (stop - start)
-        nbhd = self.nbhd
-        product = self.product
-        class_product = self.class_product
-        pos = 0
-        for rows in iter_adj_rows(n, True, start=start, stop=stop):
-            frozen = tuple(rows)
-            canon = canon_rows(n, frozen)[0]
-            cp = adjacency_index(n, canon)
-            canon_packs[pos] = cp
-            pos += 1
-            _mark(nbhd, _pack(n, sorted(frozen)), cp)
-            key = class_product.get(cp)
-            if key is None:
+        total = enumerate_count(n, True)
+        seen = bytearray((total + 7) // 8)
+        class_of = array("I", [0]) * total
+        class_canon = self.class_canon
+        for k, rows in enumerate(iter_adj_rows(n, True)):
+            if not seen[k >> 3] >> (k & 7) & 1:
+                frozen = tuple(rows)
+                number = len(class_canon)
+                for member in stamp_orbit(n, frozen, True, seen):
+                    class_of[member] = number
+                canon = canon_rows(n, frozen)[0]
+                cp = adjacency_index(n, canon)
+                class_canon.append(cp)
                 key = _component_class_multiset(2 * n, _product_with_k2_rows(n, canon))
-                class_product[cp] = key
-            _mark(product, key, cp)
-
-        self.canon_packs = canon_packs
-
-    def merge(self, other: "_UniverseIndex") -> None:
-        self.canon_packs.extend(other.canon_packs)
-        _fold(self.nbhd, other.nbhd)
-        self.class_product.update(other.class_product)
-        _fold(self.product, other.product)
+                self.class_product.append(key)
+                _mark(self.product, key, cp)
+            _mark(self.nbhd, _pack(n, sorted(rows)), class_canon[class_of[k]])
+        self.class_of = class_of
 
     def canon_of(self, rows) -> int:
-        return self.canon_packs[adjacency_index(self.n, rows)]
+        return self.class_canon[self.class_of[adjacency_index(self.n, rows)]]
 
     def neighborhood_pure(self, rows) -> bool:
         return not self.nbhd[_pack(self.n, sorted(rows))] & 1
 
     def product_pure(self, rows) -> bool:
-        return not self.product[self.class_product[self.canon_of(rows)]] & 1
+        number = self.class_of[adjacency_index(self.n, rows)]
+        return not self.product[self.class_product[number]] & 1
 
 
 def _main_pass_for_n(
@@ -652,52 +649,123 @@ def _component_class_multiset(n: int, rows) -> tuple[bytes, ...]:
     return tuple(sorted(parts))
 
 
+def _fixed_bipartition_rows(n: int) -> Iterator[tuple[int, ...]]:
+    """Every graph with all edges between {0..k-1} and {k..n-1}, k <= n/2.
+    Each bipartite graph on n vertices is a relabeling of one of them: put
+    its smaller colour class first."""
+    for k in range(n // 2 + 1):
+        for sides in itertools.product(range(1 << n - k), repeat=k):
+            rows = [side << k for side in sides]
+            rows.extend(mask_of(a for a in range(k) if sides[a] >> b & 1) for b in range(n - k))
+            yield tuple(rows)
+
+
+def _bip_class_checks(n: int, rows: tuple[int, ...]) -> tuple[bool, list[tuple[str, dict]]]:
+    """The reversal-involution decider's verdict on one bipartite graph, and
+    the (suite, detail) of each check it fails: the verdict must agree with
+    the anti-automorphism route, and G x K2 must equal G + G up to iso."""
+    g = Graph(n, rows)
+    bip = bipartition(g)
+    if not bip.is_bipartite:
+        raise InvariantViolationError(f"relabeled bipartite graph {rows} read as non-bipartite")
+    found = []
+    bip_verdict, _ = _bip_decide(g, bip)
+    slow = _full_route(
+        rows, _permuted(rows, iter_ant_images(n, rows)), lambda r: canon_rows(n, r)[0]
+    )
+    if bip_verdict != slow:
+        found.append(("biprevinv", {
+            "edges": _edges_of_rows(n, rows),
+            "reversal_decider": bip_verdict, "anti_route": slow,
+        }))
+    doubled = _component_class_multiset(n, rows) * 2
+    cover = _component_class_multiset(2 * n, _product_with_k2_rows(n, rows))
+    if tuple(sorted(doubled)) != cover:
+        found.append(("double_cover", {"edges": _edges_of_rows(n, rows)}))
+    return bip_verdict, found
+
+
+@lru_cache(maxsize=1)
+def _bip_classes(n: int) -> tuple[bytearray, bytearray, tuple]:
+    """The bipartite sweep at n, per iso class: a bitset over the loopless
+    enumeration indices of the bipartite graphs, one of those whose
+    reversal decider says no, and (least index, found) for each class with
+    a failed check, ascending. Every check runs once per class, on its
+    least labeled member. See BIP_SWEEP_MAX for the memory this holds."""
+    total = enumerate_count(n, False)
+    bipartite = bytearray((total + 7) // 8)
+    failing = bytearray(len(bipartite))
+    faults = []
+    for rows in _fixed_bipartition_rows(n):
+        members = stamp_orbit(n, rows, False, bipartite)
+        if not members:
+            continue
+        least = min(members)
+        rep = tuple(next(iter_adj_rows(n, False, start=least, stop=least + 1)))
+        verdict, found = _bip_class_checks(n, rep)
+        if not verdict:
+            for k in members:
+                failing[k >> 3] |= 1 << (k & 7)
+        if found:
+            faults.append((least, found))
+    faults.sort(key=lambda fault: fault[0])
+    return bipartite, failing, tuple(faults)
+
+
+# bytes of a bitset read as one int at a time; whole 32 MiB bitsets at n=8
+# would take five such ints at once
+_COUNT_BLOCK = 1 << 20
+
+
+def _count_bits(bits: bytearray, start: int, stop: int) -> int:
+    """Set bits of the bitset at indices start..stop-1."""
+    if start >= stop:
+        return 0
+    lo = start >> 3
+    hi = (stop + 7) >> 3
+    view = memoryview(bits)
+    count = 0
+    for at in range(lo, hi, _COUNT_BLOCK):
+        count += int.from_bytes(view[at:min(at + _COUNT_BLOCK, hi)], "little").bit_count()
+    # the end bytes' bits below start and from stop on are outside
+    count -= (bits[lo] & (1 << (start & 7)) - 1).bit_count()
+    if stop & 7:
+        count -= (bits[hi - 1] >> (stop & 7)).bit_count()
+    return count
+
+
 def _bip_sweep_for_n(
     n: int, violations: _Violations, start: int = 0, stop: int | None = None
 ) -> tuple[int, int]:
-    """Bipartite-only sweep: the reversal-involution decider must agree with
-    the anti-automorphism route, and G x K2 must equal G + G up to iso."""
-    checked = 0
-    failures = 0
-
-    def cert(rows: tuple[int, ...]) -> tuple[int, ...]:
-        return canon_rows(n, rows)[0]
-
-    for rows in iter_adj_rows(n, False, start=start, stop=stop):
-        frozen = tuple(rows)
-        g = Graph(n, frozen)
-        bip = bipartition(g)
-        if not bip.is_bipartite:
-            continue
-        checked += 1
-        bip_verdict, _ = _bip_decide(g, bip)
-        if not bip_verdict:
-            failures += 1
-        slow = _full_route(frozen, _permuted(frozen, iter_ant_images(n, frozen)), cert)
-        if bip_verdict != slow:
-            violations.add(
-                "biprevinv", n,
-                edges=_edges_of_rows(n, frozen),
-                reversal_decider=bip_verdict, anti_route=slow,
-            )
-        doubled = _component_class_multiset(n, frozen) * 2
-        cover = _component_class_multiset(2 * n, _product_with_k2_rows(n, frozen))
-        if tuple(sorted(doubled)) != cover:
-            violations.add(
-                "double_cover", n, edges=_edges_of_rows(n, frozen),
-            )
-    return checked, failures
+    """The bipartite graphs among loopless enumeration indices start..stop-1
+    and their reversal failures, counted off _bip_classes. A class's
+    violations are added only by the range that holds its least index, so
+    any split of the range reports each once."""
+    total = enumerate_count(n, False)
+    if stop is None:
+        stop = total
+    if not 0 <= start <= stop <= total:
+        raise UsageError(f"bad enumeration slice [{start}, {stop}) for n={n}")
+    bipartite, failing, faults = _bip_classes(n)
+    for least, found in faults:
+        if start <= least < stop:
+            for suite, detail in found:
+                violations.add(suite, n, **detail)
+    return _count_bits(bipartite, start, stop), _count_bits(failing, start, stop)
 
 
 # ---------------------------------------------------------------------------
 # parallel plumbing
 # ---------------------------------------------------------------------------
 #
-# Workers rebuild iteration state from (n, start, stop). Large read-only
-# state (the universe index) travels by fork inheritance: it is stashed in
-# _FORK_STATE before the pool for that phase is created, so every child gets
-# it for free via copy-on-write. That requires a fresh pool per phase, which
-# fork makes cheap.
+# Only the main pass, which stays per labeled graph, is sharded: the
+# universe index and the bipartite sweep work per iso class and take
+# seconds in one process. Workers rebuild iteration state from (n, start,
+# stop). The universe index, large and read-only, travels by fork
+# inheritance: it is stashed in _FORK_STATE before the pool for that n is
+# created, so every child gets it for free via copy-on-write. That requires
+# a fresh pool per n, which fork makes cheap. _worker_bip_sweep keeps the
+# (n, start, stop) worker shape for callers that time slices of the sweep.
 
 _FORK_STATE: dict = {}
 
@@ -720,13 +788,6 @@ def _fork_available() -> bool:
     except ValueError:
         return False
     return True
-
-
-def _worker_universe(args: tuple[int, int, int]) -> "_UniverseIndex":
-    n, start, stop = args
-    index = _UniverseIndex(n)
-    index.build(start=start, stop=stop)
-    return index
 
 
 def _pass_worker(pass_fn, args: tuple) -> tuple:
@@ -806,32 +867,24 @@ def verify_theorems(
         fn()
         seconds.append((name, round(time.perf_counter() - t0, 3)))
 
-    def sharded(pass_fn, n: int, loops: bool, *args) -> list[int]:
-        """pass_fn's summed counts over the universe at n; its violations
-        are folded into the report's."""
-        results = _run_shards(
-            partial(_pass_worker, pass_fn), n, enumerate_count(n, loops), args, jobs
-        )
-        sums = [0] * (len(results[0]) - 2)
-        for *counts, items, total in results:
-            violations.absorb(items, total)
-            sums = [a + b for a, b in zip(sums, counts)]
-        return sums
-
     def run_main() -> None:
         for n in range(1, nmax + 1):
-            parts = _run_shards(_worker_universe, n, enumerate_count(n, True), (), jobs)
-            index = parts[0]
-            for part in parts[1:]:
-                index.merge(part)
+            index = _UniverseIndex(n)
+            index.build()
             _FORK_STATE["index"] = index
+            mode_total = enumerate_count(n, loops_allowed)
             try:
-                graphs, non_rec, non_strong, bipf = sharded(
-                    _main_pass_for_n, n, loops_allowed, loops_allowed
+                shards = _run_shards(
+                    partial(_pass_worker, _main_pass_for_n), n, mode_total,
+                    (loops_allowed,), jobs,
                 )
             finally:
                 _FORK_STATE.clear()
-            mode_total = enumerate_count(n, loops_allowed)
+            sums = [0, 0, 0, 0]
+            for *counts, items, total in shards:
+                violations.absorb(items, total)
+                sums = [a + b for a, b in zip(sums, counts)]
+            graphs, non_rec, non_strong, bipf = sums
             if graphs != mode_total:
                 raise InvariantViolationError(
                     f"census covered {graphs} graphs, expected {mode_total}"
@@ -871,7 +924,7 @@ def verify_theorems(
 
     def run_sweep() -> None:
         for n in range(1, bip_max + 1):
-            checked, failures = sharded(_bip_sweep_for_n, n, False)
+            checked, failures = _bip_sweep_for_n(n, violations)
             bip_census.append(BipSweepRow(n, checked, failures))
 
     timed("bipartite_sweep", run_sweep)

@@ -263,6 +263,14 @@ def test_adjacency_index_inverts_the_enumeration(n):
     assert count == enumerate_count(n, True)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_loopless_adjacency_index_inverts_the_loopless_enumeration(n):
+    for k, rows in enumerate(iter_adj_rows(n, False)):
+        assert adjacency_index(n, rows, False) == k
+        # a loop is not a cell of the loopless encoding
+        assert adjacency_index(n, [row | 1 << v for v, row in enumerate(rows)], False) == k
+
+
 def adjacency_key(n: int, rows) -> tuple[int, ...]:
     """Each row with its bit order reversed: tuple comparison is row-major
     comparison of the adjacency matrix, 0 < 1."""

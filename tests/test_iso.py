@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from cancelgraph import (
     CapacityError,
     Graph,
+    InvariantViolationError,
     Permutation,
     canonical_form,
     canonical_graph,
@@ -25,8 +26,9 @@ from cancelgraph import (
     involution_witness,
     is_isomorphic,
 )
-from cancelgraph.graphs import iter_adj_rows
-from cancelgraph.iso import automorphisms, iter_automorphism_images
+import cancelgraph.iso as iso_mod
+from cancelgraph.graphs import enumerate_count, iter_adj_rows
+from cancelgraph.iso import automorphisms, canon_rows, iter_automorphism_images, stamp_orbit
 
 from conftest import build_graph, graph_and_permutation, graph_strategy
 
@@ -157,6 +159,76 @@ def test_involution_witness_is_least(c6, lp, asym7, p_reconstruct):
 @given(graph_strategy(max_n=5, loops=True))
 def test_has_involution_matches_listing(g):
     assert has_involution(g) == any(p.is_involution() for p in automorphisms(g))
+
+
+# ---------------------------------------------------------------------------
+# orbit stamping
+# ---------------------------------------------------------------------------
+
+
+def orbit_classes(n: int, loops: bool) -> list[int]:
+    """The class number of every enumeration index, numbered in order of
+    each class's least index, from one stamp_orbit call per class."""
+    total = enumerate_count(n, loops)
+    seen = bytearray((total + 7) // 8)
+    class_of = [-1] * total
+    count = 0
+    for k, rows in enumerate(iter_adj_rows(n, loops)):
+        if class_of[k] < 0:
+            members = stamp_orbit(n, tuple(rows), loops, seen)
+            assert members[0] == k == min(members)
+            for member in members:
+                class_of[member] = count
+            count += 1
+    return class_of
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_loopless_orbit_classes_are_the_canon_rows_classes(n):
+    class_of = orbit_classes(n, False)
+    cert_of_class: dict[int, tuple[int, ...]] = {}
+    class_of_cert: dict[tuple[int, ...], int] = {}
+    for k, rows in enumerate(iter_adj_rows(n, False)):
+        cert = canon_rows(n, tuple(rows))[0]
+        assert cert_of_class.setdefault(class_of[k], cert) == cert
+        assert class_of_cert.setdefault(cert, class_of[k]) == class_of[k]
+
+
+# OEIS A000666 (loops allowed) and A000088 (loopless), n = 1, 2, ...
+@pytest.mark.parametrize(
+    "loops, counts",
+    [(True, (2, 6, 20, 90, 544, 5096)), (False, (1, 2, 4, 11, 34, 156, 1044))],
+)
+def test_orbit_class_counts_match_oeis(loops, counts):
+    for n, count in enumerate(counts, start=1):
+        assert max(orbit_classes(n, loops)) + 1 == count
+
+
+def test_stamp_orbit_skips_a_stamped_index():
+    seen = bytearray(enumerate_count(3, True) // 8)
+    path = (2, 5, 2)
+    assert len(stamp_orbit(3, path, True, seen)) == 3
+    assert stamp_orbit(3, (6, 1, 1), True, seen) == []
+    assert sum(byte.bit_count() for byte in seen) == 3
+
+
+def test_corrupted_transposition_table_trips_the_orbit_size_check(monkeypatch):
+    # vertex 2 looped, 0-1-2-3 a path: no automorphism but the identity
+    rows = (2, 5, 14, 4)
+    size = enumerate_count(4, True) // 8
+    assert len(stamp_orbit(4, rows, True, bytearray(size))) == 24
+    # the first swap's tables replaced by the identity's
+    steps = iso_mod._orbit_steps(4, True)
+    identity = iso_mod._swap_tables(4, True, 0, 0)
+    corrupted = tuple(identity if tables is steps[0] else tables for tables in steps)
+    monkeypatch.setattr(iso_mod, "_orbit_steps", lambda n, loops: corrupted)
+    with pytest.raises(InvariantViolationError):
+        stamp_orbit(4, rows, True, bytearray(size))
+
+
+def test_orbit_stamping_guard():
+    with pytest.raises(CapacityError):
+        stamp_orbit(8, (0,) * 8, True, bytearray(1))
 
 
 # ---------------------------------------------------------------------------

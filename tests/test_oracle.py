@@ -3,16 +3,19 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cancelgraph.antiauto as antiauto_mod
+import cancelgraph.iso as iso_mod
 import cancelgraph.oracle as oracle_mod
 from cancelgraph import (
     CapacityError,
     Graph,
+    InvariantViolationError,
     Permutation,
     UsageError,
     apply_anti,
@@ -28,8 +31,11 @@ from cancelgraph import (
     product_iso_witness,
     verify_theorems,
 )
+from cancelgraph.antiauto import iter_ant_images
+from cancelgraph.decide import _full_route, _permuted
 from cancelgraph.graphs import adjacency_index, enumerate_count, iter_adj_rows, multiset_key
 from cancelgraph.iso import canon_rows
+from cancelgraph.product import bipartition
 
 from conftest import graph_strategy
 
@@ -411,26 +417,157 @@ def test_odd_power_fault_is_reported_by_the_main_pass(monkeypatch):
     assert violation_kinds(violations.items)["simplus2"] > 0
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_universe_index_shards_merge_to_the_serial_build(n):
-    serial = oracle_mod._UniverseIndex(n)
-    serial.build()
-    total = enumerate_count(n, True)
-    merged = oracle_mod._UniverseIndex(n)
-    merged.build(stop=total // 3)
-    for lo, hi in ((total // 3, total // 2), (total // 2, total)):
-        part = oracle_mod._UniverseIndex(n)
-        part.build(start=lo, stop=hi)
-        merged.merge(part)
-    assert merged.canon_packs == serial.canon_packs
-    assert merged.nbhd == serial.nbhd
-    assert merged.class_product == serial.class_product
-    assert merged.product == serial.product
-    for rows in iter_adj_rows(n, True):
+# OEIS A000666: graphs with loops allowed, n = 1..5
+@pytest.mark.parametrize("n, classes", [(1, 2), (2, 6), (3, 20), (4, 90), (5, 544)])
+def test_universe_index_classes_are_the_canon_rows_classes(n, classes):
+    index = oracle_mod._UniverseIndex(n)
+    index.build()
+    assert len(index.class_canon) == len(index.class_product) == classes
+    assert len(index.class_of) == enumerate_count(n, True)
+    class_of_canon: dict[int, int] = {}
+    for k, rows in enumerate(iter_adj_rows(n, True)):
         frozen = tuple(rows)
-        assert serial.canon_of(frozen) == adjacency_index(n, canon_rows(n, frozen)[0])
-        assert merged.product_pure(frozen) == serial.product_pure(frozen)
-        assert merged.neighborhood_pure(frozen) == serial.neighborhood_pure(frozen)
+        canon = adjacency_index(n, canon_rows(n, frozen)[0])
+        assert index.canon_of(frozen) == canon
+        assert class_of_canon.setdefault(canon, index.class_of[k]) == index.class_of[k]
+    assert len(class_of_canon) == classes
+
+
+# ---------------------------------------------------------------------------
+# bipartite sweep: per iso class against graph by graph
+# ---------------------------------------------------------------------------
+
+
+def labeled_bip_sweep(n, violations, start=0, stop=None):
+    """The bipartite sweep over every labeled graph of [start, stop): the
+    reference the per-class sweep must reproduce, counts and violations."""
+    checked = 0
+    failures = 0
+
+    def cert(rows):
+        return canon_rows(n, rows)[0]
+
+    for rows in iter_adj_rows(n, False, start=start, stop=stop):
+        frozen = tuple(rows)
+        g = Graph(n, frozen)
+        bip = bipartition(g)
+        if not bip.is_bipartite:
+            continue
+        checked += 1
+        bip_verdict, _ = oracle_mod._bip_decide(g, bip)
+        if not bip_verdict:
+            failures += 1
+        slow = _full_route(frozen, _permuted(frozen, iter_ant_images(n, frozen)), cert)
+        if bip_verdict != slow:
+            violations.add(
+                "biprevinv", n,
+                edges=oracle_mod._edges_of_rows(n, frozen),
+                reversal_decider=bip_verdict, anti_route=slow,
+            )
+        doubled = oracle_mod._component_class_multiset(n, frozen) * 2
+        cover = oracle_mod._component_class_multiset(
+            2 * n, oracle_mod._product_with_k2_rows(n, frozen)
+        )
+        if tuple(sorted(doubled)) != cover:
+            violations.add("double_cover", n, edges=oracle_mod._edges_of_rows(n, frozen))
+    return checked, failures
+
+
+@pytest.fixture
+def fresh_bip_classes():
+    """Drop the sweep's cached classes before and after a test that patches
+    what they are computed from."""
+    oracle_mod._bip_classes.cache_clear()
+    yield
+    oracle_mod._bip_classes.cache_clear()
+
+
+def split_points(total: int) -> list[int]:
+    """Cut points of [0, total), most of them off byte boundaries."""
+    return sorted({0, 1, 3, total // 3 + 1, total // 2 + 5, total - 1, total} & set(range(total + 1)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_class_sweep_matches_the_labeled_sweep(n):
+    total = enumerate_count(n, False)
+    cuts = split_points(total)
+    summed = [0, 0]
+    for lo, hi in zip(cuts, cuts[1:]):
+        reference = oracle_mod._Violations()
+        counts = labeled_bip_sweep(n, reference, lo, hi)
+        assert oracle_mod._worker_bip_sweep((n, lo, hi)) == (*counts, reference.items, 0)
+        summed = [a + b for a, b in zip(summed, counts)]
+    assert oracle_mod._worker_bip_sweep((n, 0, total)) == (*summed, [], 0)
+
+
+def test_corrupted_transposition_table_stops_index_and_sweep(monkeypatch, fresh_bip_classes):
+    real = iso_mod._orbit_steps
+
+    def corrupted(n, loops):
+        steps = real(n, loops)
+        identity = iso_mod._swap_tables(n, loops, 0, 0)
+        return tuple(identity if tables is steps[0] else tables for tables in steps)
+
+    monkeypatch.setattr(iso_mod, "_orbit_steps", corrupted)
+    with pytest.raises(InvariantViolationError):
+        oracle_mod._UniverseIndex(4).build()
+    with pytest.raises(InvariantViolationError):
+        oracle_mod._worker_bip_sweep((5, 0, enumerate_count(5, False)))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_faulty_decider_is_reported_once_per_class(n, monkeypatch, fresh_bip_classes):
+    real = oracle_mod._bip_decide
+
+    def faulty(g, bp):
+        # wrong on every graph with an odd edge count, a class invariant
+        verdict, witness = real(g, bp)
+        return verdict != g.edge_count() % 2, witness
+
+    monkeypatch.setattr(oracle_mod, "_bip_decide", faulty)
+    total = enumerate_count(n, False)
+    least: dict[tuple[int, ...], int] = {}
+    for k, rows in enumerate(iter_adj_rows(n, False)):
+        g = Graph(n, tuple(rows))
+        if g.edge_count() % 2 and bipartition(g).is_bipartite:
+            least.setdefault(canon_rows(n, g.adj)[0], k)
+    serial = oracle_mod._worker_bip_sweep((n, 0, total))
+    items = serial[2]
+    assert {item["suite"] for item in items} == {"biprevinv"}
+    reported = [
+        adjacency_index(n, Graph.from_edges(n, item["edges"]).adj, False) for item in items
+    ]
+    assert reported == sorted(least.values())
+    assert serial[3] == len(least)
+    cuts = split_points(total)
+    parts = [oracle_mod._worker_bip_sweep((n, lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
+    assert sum(part[0] for part in parts) == serial[0]
+    assert sum(part[1] for part in parts) == serial[1]
+    assert [item for part in parts for item in part[2]] == items
+    assert sum(part[3] for part in parts) == serial[3]
+
+
+@pytest.mark.parametrize("block", [1, 2, 1 << 20])
+def test_count_bits_counts_each_range(monkeypatch, block):
+    monkeypatch.setattr(oracle_mod, "_COUNT_BLOCK", block)
+    bits = bytearray(random.Random(6).randbytes(5))
+    for start in range(41):
+        for stop in range(start, 41):
+            expected = sum(bits[k >> 3] >> (k & 7) & 1 for k in range(start, stop))
+            assert oracle_mod._count_bits(bits, start, stop) == expected
+
+
+def test_bip_sweep_rejects_a_bad_slice():
+    for lo, hi in ((-1, 4), (5, 4), (0, enumerate_count(3, False) + 1)):
+        with pytest.raises(UsageError):
+            oracle_mod._worker_bip_sweep((3, lo, hi))
+
+
+@settings(max_examples=100)
+@given(graph_strategy(max_n=8, loops=True, min_n=6))
+def test_product_with_k2_rows_is_the_direct_product(g):
+    # the sweep reaches n=8 under force
+    assert oracle_mod._product_with_k2_rows(g.n, g.adj) == direct_product(g, K2).adj
 
 
 def test_weichsel_pass_checks_each_factor_pair_once(monkeypatch):
