@@ -1,18 +1,18 @@
 """Brute-force oracles and the exhaustive verification suites.
 
 Everything here deliberately avoids anti-automorphism reasoning when
-producing a verdict: the neighborhood oracle scans every labeled graph on
-the same vertex set and compares neighborhood multisets; the cancellation
-oracle scans the same universe and compares product certificates. Agreement
-with the decide module is then actual evidence, because the two routes share
-no theory beyond the isomorphism engine.
+producing a verdict: the neighborhood oracle builds every labeled graph on
+the same vertex set whose rows rearrange G's rows into a symmetric matrix,
+which is the definition of sharing G's neighborhood multiset; the
+cancellation oracle scans every labeled graph and compares product
+certificates. Agreement with the decide module is then actual evidence,
+because the two routes share no theory beyond the isomorphism engine.
 
-The verification suites group the scan by key instead of calling the oracles
-once per graph: one pass over the universe buckets every H by multiset key
-and by product certificate, marking a bucket mixed as soon as two members
-are non-isomorphic. A graph's oracle verdict is then just its bucket's flag.
-H-universes always allow loops, whatever the mode, because a loopless graph
-can have loopy product mates.
+The verification suites read both oracles per isomorphism class instead of
+calling them once per graph: the universe index records whether every
+neighborhood mate of a class lies in it, and whether any other class shares
+its product certificate. H-universes always allow loops, whatever the mode,
+because a loopless graph can have loopy product mates.
 """
 from __future__ import annotations
 
@@ -20,7 +20,8 @@ import itertools
 import os
 import time
 from array import array
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 from typing import Callable, Iterator
 
@@ -88,16 +89,37 @@ def _oracle_guard(n: int, force: bool) -> None:
         )
 
 
+def _neighborhood_mates(n: int, rows) -> Iterator[tuple[int, ...]]:
+    """Every labeled graph on n vertices (loops allowed) with the
+    neighborhood multiset of rows, each once: rows are placed at vertices
+    0..n-1 in turn, each as often as it occurs, and a row goes at v only
+    when its bit u equals bit v of the row at u for every u < v, so the
+    matrix stays symmetric."""
+    left = Counter(rows)
+    placed = [0] * n
+
+    def place(v: int) -> Iterator[tuple[int, ...]]:
+        if v == n:
+            yield tuple(placed)
+            return
+        column = sum((placed[u] >> v & 1) << u for u in range(v))
+        below = (1 << v) - 1
+        for row in list(left):
+            if left[row] and row & below == column:
+                left[row] -= 1
+                placed[v] = row
+                yield from place(v + 1)
+                left[row] += 1
+
+    return place(0)
+
+
 def neighborhood_oracle(g: Graph, *, force: bool = False) -> list[Graph]:
     """Every labeled graph on V(G) (loops allowed) with the same neighborhood
     multiset, in enumeration order. Contains g itself."""
     _oracle_guard(g.n, force)
-    target = multiset_key(g.adj)
-    out = []
-    for rows in iter_adj_rows(g.n, True):
-        if multiset_key(rows) == target:
-            out.append(Graph(g.n, tuple(rows)))
-    return out
+    mates = sorted(_neighborhood_mates(g.n, g.adj), key=partial(adjacency_index, g.n))
+    return [Graph(g.n, rows) for rows in mates]
 
 
 def _product_with_k2_rows(n: int, rows) -> tuple[int, ...]:
@@ -249,24 +271,8 @@ class VerificationReport:
             "bip_max": self.bip_max,
             "jobs": self.jobs,
             "ok": self.ok,
-            "census": [
-                {
-                    "n": row.n,
-                    "graphs": row.graphs,
-                    "non_reconstructible": row.non_reconstructible,
-                    "non_strongly": row.non_strongly,
-                    "bipartite_failures": row.bipartite_failures,
-                }
-                for row in self.census
-            ],
-            "bipartite_census": [
-                {
-                    "n": row.n,
-                    "bipartite_graphs": row.bipartite_graphs,
-                    "reversal_failures": row.reversal_failures,
-                }
-                for row in self.bipartite_census
-            ],
+            "census": [asdict(row) for row in self.census],
+            "bipartite_census": [asdict(row) for row in self.bipartite_census],
             "violations": list(self.violations),
             "suite_seconds": {name: secs for name, secs in self.suite_seconds},
         }
@@ -304,34 +310,17 @@ def _edges_of_rows(n: int, rows) -> list[list[int]]:
     return [[x, y] for x in range(n) for y in bits_of(rows[x]) if y >= x]
 
 
-def _pack(n: int, rows) -> int:
-    acc = 0
-    for i, row in enumerate(rows):
-        acc |= row << n * i
-    return acc
-
-
-def _mark(buckets: dict, key, canon: int) -> None:
-    """File a graph whose canonical rows have adjacency index canon under
-    key. A bucket holds its first member's canon << 1, plus 1 once a
-    non-isomorphic member joins."""
-    prev = buckets.get(key)
-    if prev is None:
-        buckets[key] = canon << 1
-    elif prev >> 1 != canon:
-        buckets[key] = prev | 1
-
-
 class _UniverseIndex:
-    """Isomorphism classes and oracle buckets of the loops-allowed universe
-    at one n.
+    """Isomorphism classes and oracle verdicts of the loops-allowed universe
+    at one n, all per class.
 
     class_of[k] numbers the iso class of enumeration index k, in order of
     each class's least index; class_canon holds each class's adjacency
     index of canonical rows, equal exactly on isomorphic graphs, and
     class_product its product class, the sorted component certificates of
-    G x K2 (relabeling G relabels the product). nbhd maps a packed
-    sorted-rows key to a _mark bucket, product a product class.
+    G x K2 (relabeling G relabels the product). class_nbhd_pure says every
+    neighborhood mate of the class lies in it, class_product_pure that no
+    other class has its product class.
     """
 
     def __init__(self, n: int) -> None:
@@ -339,42 +328,49 @@ class _UniverseIndex:
         self.class_of = array("I")
         self.class_canon: list[int] = []
         self.class_product: list[tuple[bytes, ...]] = []
-        self.nbhd: dict[int, int] = {}
-        self.product: dict[tuple[bytes, ...], int] = {}
+        self.class_nbhd_pure: list[bool] = []
+        self.class_product_pure: list[bool] = []
 
     def build(self) -> None:
-        """One walk of the universe: the first unseen index of each class
-        stamps its orbit and takes the class's one canon_rows call; every
-        labeled graph files its sorted rows under nbhd."""
+        """The first unseen index of each class stamps its orbit and takes
+        the class's one canon_rows call. Purity is read once every orbit is
+        stamped, since class_of reads 0 on unstamped indices."""
         n = self.n
         total = enumerate_count(n, True)
         seen = bytearray((total + 7) // 8)
         class_of = array("I", [0]) * total
-        class_canon = self.class_canon
-        for k, rows in enumerate(iter_adj_rows(n, True)):
+        least_rows = []
+        for k in range(total):
             if not seen[k >> 3] >> (k & 7) & 1:
-                frozen = tuple(rows)
-                number = len(class_canon)
-                for member in stamp_orbit(n, frozen, True, seen):
-                    class_of[member] = number
-                canon = canon_rows(n, frozen)[0]
-                cp = adjacency_index(n, canon)
-                class_canon.append(cp)
-                key = _component_class_multiset(2 * n, _product_with_k2_rows(n, canon))
-                self.class_product.append(key)
-                _mark(self.product, key, cp)
-            _mark(self.nbhd, _pack(n, sorted(rows)), class_canon[class_of[k]])
+                rows = tuple(next(iter_adj_rows(n, True, start=k, stop=k + 1)))
+                for member in stamp_orbit(n, rows, True, seen):
+                    class_of[member] = len(least_rows)
+                least_rows.append(rows)
+                canon = canon_rows(n, rows)[0]
+                self.class_canon.append(adjacency_index(n, canon))
+                self.class_product.append(
+                    _component_class_multiset(2 * n, _product_with_k2_rows(n, canon))
+                )
         self.class_of = class_of
+        self.class_nbhd_pure = [
+            all(class_of[adjacency_index(n, mate)] == number
+                for mate in _neighborhood_mates(n, rows))
+            for number, rows in enumerate(least_rows)
+        ]
+        shared = Counter(self.class_product)
+        self.class_product_pure = [shared[key] == 1 for key in self.class_product]
+
+    def _class(self, rows) -> int:
+        return self.class_of[adjacency_index(self.n, rows)]
 
     def canon_of(self, rows) -> int:
-        return self.class_canon[self.class_of[adjacency_index(self.n, rows)]]
+        return self.class_canon[self._class(rows)]
 
     def neighborhood_pure(self, rows) -> bool:
-        return not self.nbhd[_pack(self.n, sorted(rows))] & 1
+        return self.class_nbhd_pure[self._class(rows)]
 
     def product_pure(self, rows) -> bool:
-        number = self.class_of[adjacency_index(self.n, rows)]
-        return not self.product[self.class_product[number]] & 1
+        return self.class_product_pure[self._class(rows)]
 
 
 def _main_pass_for_n(
@@ -604,14 +600,14 @@ def _weichsel_pass(nmax: int, violations: _Violations) -> None:
 def _lovasz_pass(nmax: int, violations: _Violations) -> None:
     """G x K3 iso H x K3 forces G iso H over loopless graphs."""
     for n in range(1, min(nmax, 4) + 1):
-        buckets: dict[bytes, int] = {}
+        classes: dict[bytes, set[int]] = {}
         for rows in iter_adj_rows(n, False):
             frozen = tuple(rows)
             prod = direct_product(Graph(n, frozen), K3)
             key = cert_bytes(prod.n, canon_rows(prod.n, prod.adj)[0])
-            _mark(buckets, key, adjacency_index(n, canon_rows(n, frozen)[0]))
-        for packed in buckets.values():
-            if packed & 1:
+            classes.setdefault(key, set()).add(adjacency_index(n, canon_rows(n, frozen)[0]))
+        for canons in classes.values():
+            if len(canons) > 1:
                 violations.add("lovasz_k3", n, note="product class contains non-isomorphic members")
 
 
@@ -761,11 +757,12 @@ def _bip_sweep_for_n(
 # Only the main pass, which stays per labeled graph, is sharded: the
 # universe index and the bipartite sweep work per iso class and take
 # seconds in one process. Workers rebuild iteration state from (n, start,
-# stop). The universe index, large and read-only, travels by fork
-# inheritance: it is stashed in _FORK_STATE before the pool for that n is
-# created, so every child gets it for free via copy-on-write. That requires
-# a fresh pool per n, which fork makes cheap. _worker_bip_sweep keeps the
-# (n, start, stop) worker shape for callers that time slices of the sweep.
+# stop). The universe index, read-only and mostly its class_of array (8 MiB
+# at n=6), travels by fork inheritance: it is stashed in _FORK_STATE before
+# the pool for that n is created, so every child gets it for free via
+# copy-on-write. That requires a fresh pool per n, which fork makes cheap.
+# _worker_bip_sweep keeps the (n, start, stop) worker shape for callers
+# that time slices of the sweep.
 
 _FORK_STATE: dict = {}
 

@@ -31,13 +31,13 @@ from cancelgraph import (
     product_iso_witness,
     verify_theorems,
 )
-from cancelgraph.antiauto import iter_ant_images
+from cancelgraph.antiauto import apply_anti_rows, iter_ant_images
 from cancelgraph.decide import _full_route, _permuted
 from cancelgraph.graphs import adjacency_index, enumerate_count, iter_adj_rows, multiset_key
 from cancelgraph.iso import canon_rows
 from cancelgraph.product import bipartition
 
-from conftest import graph_strategy
+from conftest import graph_strategy, load_fixture
 
 K2 = Graph.from_edges(2, [(0, 1)])
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -76,6 +76,43 @@ def test_neighborhood_oracle_hexagon(c6, two_k3):
 def test_neighborhood_oracle_guard(asym7):
     with pytest.raises(CapacityError):
         neighborhood_oracle(asym7)
+
+
+def scan_neighborhood_oracle(g: Graph) -> list[Graph]:
+    """The oracle as a scan of every labeled graph on V(G), loops allowed:
+    the reference for the mates search."""
+    key = multiset_key(g.adj)
+    return [
+        Graph(g.n, tuple(rows)) for rows in iter_adj_rows(g.n, True) if multiset_key(rows) == key
+    ]
+
+
+@pytest.mark.parametrize("name", ["2k3", "c6", "lp", "p_reconstruct", "sql", "sql_alpha"])
+def test_neighborhood_oracle_matches_a_scan_on_the_fixtures(name):
+    g = load_fixture(name)
+    assert neighborhood_oracle(g) == scan_neighborhood_oracle(g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_neighborhood_mates_are_the_multiset_groups_exhaustively(n):
+    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for rows in iter_adj_rows(n, True):
+        groups.setdefault(multiset_key(rows), []).append(tuple(rows))
+    for members in groups.values():
+        for rows in members:
+            mates = list(oracle_mod._neighborhood_mates(n, rows))
+            assert len(mates) == len(members)
+            assert set(mates) == set(members)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_strategy(max_n=8, loops=True))
+def test_neighborhood_mates_are_the_permuted_graphs(g):
+    # H shares N(G) iff H = G^a for an anti-automorphism a: two independent
+    # searches must find the same graphs
+    mates = list(oracle_mod._neighborhood_mates(g.n, g.adj))
+    assert len(set(mates)) == len(mates)
+    assert set(mates) == {apply_anti_rows(g.adj, a) for a in iter_ant_images(g.n, g.adj)}
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +434,33 @@ def test_orbit_fault_is_reported_by_the_main_pass(monkeypatch):
     assert violation_kinds(report.violations) == {"simeqiso_across_orbits": 30}
 
 
+def test_oracle_purity_fault_is_reported_by_the_main_pass(monkeypatch):
+    # every graph reads reconstructible: the 0 + 2 + 20 non-reconstructible
+    # graphs up to n=3 now disagree with both oracles
+    monkeypatch.setattr(oracle_mod, "_full_route", lambda *args: True)
+    kinds = violation_kinds(verify_theorems(3, True, bip_max=1, jobs=1).violations)
+    assert kinds["theorem_vs_neighborhood_oracle"] == 22
+    assert kinds["theorem_vs_cancellation_oracle"] == 22
+
+
+def test_lovasz_pass_reports_a_mixed_product_class(monkeypatch):
+    # every G x K3 reads as one vertex, so each n with two or more loopless
+    # classes (n = 2, 3, 4) has one mixed product class
+    monkeypatch.setattr(oracle_mod, "direct_product", lambda g, h: Graph(1, (0,)))
+    violations = oracle_mod._Violations()
+    oracle_mod._lovasz_pass(4, violations)
+    assert [(item["suite"], item["n"]) for item in violations.items] == [
+        ("lovasz_k3", 2), ("lovasz_k3", 3), ("lovasz_k3", 4),
+    ]
+
+
 def test_odd_power_fault_is_reported_by_the_main_pass(monkeypatch):
     class LabeledIndex(oracle_mod._UniverseIndex):
         """Labeled rows as certificates, so G^a and G^(a^3) differ whenever
         their rows do; both oracles read pure."""
 
         def canon_of(self, rows):
-            return oracle_mod._pack(self.n, rows)
+            return adjacency_index(self.n, rows)
 
         def neighborhood_pure(self, rows):
             return True
@@ -417,6 +474,29 @@ def test_odd_power_fault_is_reported_by_the_main_pass(monkeypatch):
     assert violation_kinds(violations.items)["simplus2"] > 0
 
 
+def labeled_purity(n: int) -> list[tuple[bool, bool]]:
+    """The oracle buckets as a walk of every labeled graph, loops allowed:
+    each graph is filed under its sorted rows and under its product class,
+    by its canonical rows, and a bucket is pure when it holds one iso
+    class. Per enumeration index, (neighborhood, product) purity."""
+    nbhd: dict[tuple[int, ...], set] = {}
+    product: dict[tuple[bytes, ...], set] = {}
+    cover_class: dict[tuple[int, ...], tuple[bytes, ...]] = {}
+    keys = []
+    for rows in iter_adj_rows(n, True):
+        frozen = tuple(rows)
+        canon = canon_rows(n, frozen)[0]
+        if canon not in cover_class:
+            # relabeling G relabels G x K2, so one product class per iso class
+            cover = oracle_mod._product_with_k2_rows(n, canon)
+            cover_class[canon] = oracle_mod._component_class_multiset(2 * n, cover)
+        nkey, pkey = multiset_key(frozen), cover_class[canon]
+        nbhd.setdefault(nkey, set()).add(canon)
+        product.setdefault(pkey, set()).add(canon)
+        keys.append((nkey, pkey))
+    return [(len(nbhd[a]) == 1, len(product[b]) == 1) for a, b in keys]
+
+
 # OEIS A000666: graphs with loops allowed, n = 1..5
 @pytest.mark.parametrize("n, classes", [(1, 2), (2, 6), (3, 20), (4, 90), (5, 544)])
 def test_universe_index_classes_are_the_canon_rows_classes(n, classes):
@@ -425,11 +505,13 @@ def test_universe_index_classes_are_the_canon_rows_classes(n, classes):
     assert len(index.class_canon) == len(index.class_product) == classes
     assert len(index.class_of) == enumerate_count(n, True)
     class_of_canon: dict[int, int] = {}
+    purity = labeled_purity(n)
     for k, rows in enumerate(iter_adj_rows(n, True)):
         frozen = tuple(rows)
         canon = adjacency_index(n, canon_rows(n, frozen)[0])
         assert index.canon_of(frozen) == canon
         assert class_of_canon.setdefault(canon, index.class_of[k]) == index.class_of[k]
+        assert (index.neighborhood_pure(frozen), index.product_pure(frozen)) == purity[k]
     assert len(class_of_canon) == classes
 
 
