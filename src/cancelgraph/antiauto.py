@@ -72,40 +72,37 @@ def apply_anti(g: Graph, a: Permutation) -> Graph:
 
 
 def iter_ant_images(n: int, rows: tuple[int, ...]):
-    """Anti-automorphism image vectors, lexicographically ascending.
+    """Anti-automorphism image vectors, lexicographically ascending, of
+    symmetric rows (a Graph's).
 
-    Backtracking over images in index order. Assigning img[v]=w fixes both a
-    value of the permutation and a value of its inverse, so every ordered
-    pair with both coordinates resolved is checked incrementally:
-    A[v][img[u]] == A[w][u] and A[u][w] == A[img[u]][v].
+    Backtracking over images in index order. Assigning img[v]=w fixes a value
+    of the permutation and one of its inverse, so each placed u < v requires
+    A[v][img[u]] == A[w][u] and A[u][w] == A[img[u]][v]. Both read one cell
+    pair, so u ANDs rows[u] or its complement into one mask of v's unused
+    candidates of v's degree, walked from its lowest bit up.
     """
     if n == 0:
         yield ()
         return
-    deg = [r.bit_count() for r in rows]
+    by_deg: dict[int, int] = {}
+    for w, r in enumerate(rows):
+        by_deg[r.bit_count()] = by_deg.get(r.bit_count(), 0) | 1 << w
+    same_deg = [by_deg[r.bit_count()] for r in rows]
     img = [-1] * n
 
     def extend(v: int, used: int):
         if v == n:
             yield tuple(img)
             return
-        dv = deg[v]
         rv = rows[v]
-        for w in range(n):
-            if used >> w & 1 or deg[w] != dv:
-                continue
-            rw = rows[w]
-            ok = True
-            for u in range(v):
-                t = img[u]
-                if (rv >> t & 1) != (rw >> u & 1) or (rows[u] >> w & 1) != (
-                    rows[t] >> v & 1
-                ):
-                    ok = False
-                    break
-            if ok:
-                img[v] = w
-                yield from extend(v + 1, used | 1 << w)
+        cand = same_deg[v] & ~used
+        for u in range(v):
+            cand &= rows[u] if rv >> img[u] & 1 else ~rows[u]
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            img[v] = b.bit_length() - 1
+            yield from extend(v + 1, used | b)
         img[v] = -1
 
     yield from extend(0, 0)
@@ -117,15 +114,19 @@ def iter_two_fold(src: tuple[int, ...], dst: tuple[int, ...]):
 
     Backtracking over mu[0], lambda[0], mu[1], lambda[1], ..., each in
     ascending order, so the first pair is the least in that interleaved
-    order. Placing mu[v] checks src[v][y] == dst[mu[v]][lambda[y]] for y < v,
-    and placing lambda[v] checks src[x][v] == dst[mu[x]][lambda[v]] for
-    x <= v. Swapping mu on two vertices with equal src rows keeps a pair
+    order. Placing mu[v] needs src[v][y] == dst[mu[v]][lambda[y]] for y < v,
+    and placing lambda[v] needs src[x][v] == dst[mu[x]][lambda[v]] for
+    x <= v. dst must be symmetric: then each such vertex ANDs dst[lambda[y]]
+    or dst[mu[x]], or its complement, into one mask of unused candidates of
+    v's degree. Swapping mu on two vertices with equal src rows keeps a pair
     two-fold, so mu[v] must exceed mu at the previous vertex with v's row;
     every other mu of a lambda is a within-class permutation of this one.
     """
     n = len(src)
-    sdeg = [r.bit_count() for r in src]
-    ddeg = [r.bit_count() for r in dst]
+    by_deg: dict[int, int] = {}
+    for b, r in enumerate(dst):
+        by_deg[r.bit_count()] = by_deg.get(r.bit_count(), 0) | 1 << b
+    same_deg = [by_deg.get(r.bit_count(), 0) for r in src]
     prev_same = [-1] * n
     last: dict[int, int] = {}
     for v, row in enumerate(src):
@@ -140,32 +141,25 @@ def iter_two_fold(src: tuple[int, ...], dst: tuple[int, ...]):
             return
         rv = src[v]
         p = prev_same[v]
-        for b in range(mu[p] + 1 if p >= 0 else 0, n):
-            if used_mu >> b & 1 or ddeg[b] != sdeg[v]:
-                continue
-            rb = dst[b]
-            ok = True
-            for y in range(v):
-                if (rv >> y & 1) != (rb >> lam[y] & 1):
-                    ok = False
-                    break
-            if ok:
-                mu[v] = b
-                yield from place_lam(v, used_mu | 1 << b, used_lam)
+        cand = same_deg[v] & ~used_mu & (-2 << mu[p] if p >= 0 else -1)
+        for y in range(v):
+            cand &= dst[lam[y]] if rv >> y & 1 else ~dst[lam[y]]
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            mu[v] = b.bit_length() - 1
+            yield from place_lam(v, used_mu | b, used_lam)
         mu[v] = -1
 
     def place_lam(v: int, used_mu: int, used_lam: int):
-        for c in range(n):
-            if used_lam >> c & 1 or ddeg[c] != sdeg[v]:
-                continue
-            ok = True
-            for x in range(v + 1):
-                if (src[x] >> v & 1) != (dst[mu[x]] >> c & 1):
-                    ok = False
-                    break
-            if ok:
-                lam[v] = c
-                yield from place_mu(v + 1, used_mu, used_lam | 1 << c)
+        cand = same_deg[v] & ~used_lam
+        for x in range(v + 1):
+            cand &= dst[mu[x]] if src[x] >> v & 1 else ~dst[mu[x]]
+        while cand:
+            c = cand & -cand
+            cand ^= c
+            lam[v] = c.bit_length() - 1
+            yield from place_mu(v + 1, used_mu, used_lam | c)
         lam[v] = -1
 
     yield from place_mu(0, 0, 0)

@@ -14,9 +14,10 @@ The decider takes one fixed route:
               the 2-power-order a only: a and a^(odd) give isomorphic G^a
 
 classify makes one pass over Ant(G) that certifies each distinct G^a and
-yields the verdict, the orbit classes, the counterexample and the strong
-witness. The verdict is checked against both public deciders; they repeat
-the Ant search for graphs that neither fast test settles.
+yields the verdict, the orbit classes, the counterexample, the strong
+witness and whether G has an involution. The verdict is checked against
+both public deciders; they repeat the Ant search for graphs that neither
+fast test settles.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from math import factorial
 
 from .antiauto import ANT_MAX, apply_anti_rows, enumerate_ant
 from .errors import CapacityError, InvariantViolationError, UsageError
-from .graphs import Graph, Permutation, adjacency_index, perm_order, row_classes
+from .graphs import Graph, Permutation, adjacency_index, is_involution, perm_order, row_classes
 from .iso import _canonical, involution_witness
 from .product import Bipartition, bipartition
 
@@ -299,7 +300,6 @@ class AnalysisReport:
 
 def classify(g: Graph, *, force: bool = False) -> AnalysisReport:
     _guard(g, force)
-    involution = involution_witness(g)
     bp = bipartition(g)
     reversal = _bip_decide(g, bp)[1] if bp.is_bipartite else None
     ant, certs, counterexample, strong_witness = _ant_pass(g, force)
@@ -319,7 +319,8 @@ def classify(g: Graph, *, force: bool = False) -> AnalysisReport:
         strongly=_strong_verdict(g.adj, ant, strong_witness is None),
         cancellation=is_cancellation_graph(g, force=force),
         bipartite=bp.is_bipartite,
-        has_involution=involution is not None,
+        # the involutions in Ant(G) are the involutory automorphisms
+        has_involution=any(map(is_involution, ant)),
         orbit_count=len(certs),
         orbit_classes=tuple(sorted(c.hex() for c in certs)),
         counterexample_alpha=None if counterexample is None else Permutation(counterexample[0]),

@@ -45,6 +45,7 @@ from .graphs import (
     component_masks,
     enumerate_count,
     invert,
+    is_involution,
     iter_adj_rows,
     maps_neighborhoods,
     mask_of,
@@ -56,7 +57,6 @@ from .iso import (
     canon_rows,
     cert_bytes,
     compact_rows,
-    involution_witness,
     iter_automorphism_images,
     stamp_orbit,
 )
@@ -82,11 +82,9 @@ _SPREAD = tuple(
 )
 
 
-def _oracle_guard(n: int, force: bool) -> None:
+def _oracle_guard(n: int, force: bool, work: str) -> None:
     if n > ORACLE_MAX and not force:
-        raise CapacityError(
-            f"oracle scans 2^(n(n+1)/2) graphs; guarded at n<={ORACLE_MAX}"
-        )
+        raise CapacityError(f"{work}; guarded at n<={ORACLE_MAX}")
 
 
 def _neighborhood_mates(n: int, rows) -> Iterator[tuple[int, ...]]:
@@ -117,7 +115,7 @@ def _neighborhood_mates(n: int, rows) -> Iterator[tuple[int, ...]]:
 def neighborhood_oracle(g: Graph, *, force: bool = False) -> list[Graph]:
     """Every labeled graph on V(G) (loops allowed) with the same neighborhood
     multiset, in enumeration order. Contains g itself."""
-    _oracle_guard(g.n, force)
+    _oracle_guard(g.n, force, "neighborhood oracle lists up to n! rearrangements of G's rows")
     mates = sorted(_neighborhood_mates(g.n, g.adj), key=partial(adjacency_index, g.n))
     return [Graph(g.n, rows) for rows in mates]
 
@@ -133,7 +131,7 @@ def _product_with_k2_rows(n: int, rows) -> tuple[int, ...]:
 
 
 def _cancellation_scan(g: Graph, force: bool) -> tuple[bool, Graph | None]:
-    _oracle_guard(g.n, force)
+    _oracle_guard(g.n, force, "cancellation oracle scans 2^(n(n+1)/2) graphs")
     n = g.n
     base_prod = direct_product(g, K2)
     base_cert = cert_bytes(base_prod.n, canon_rows(base_prod.n, base_prod.adj)[0])
@@ -213,7 +211,7 @@ def extract_anti_from_product_iso(
     """
     if g.n != h.n:
         raise UsageError(f"vertex counts differ: {g.n} vs {h.n}")
-    _oracle_guard(g.n, force)
+    _oracle_guard(g.n, force, "product-isomorphism search tries up to (n!)^2 pairs")
     found = next(iter_two_fold(g.adj, h.adj), None)
     if found is None:
         return None
@@ -380,11 +378,12 @@ def _main_pass_for_n(
     start: int = 0,
     stop: int | None = None,
 ) -> tuple[int, int, int, int]:
-    """The decider's routes against both scan oracles, graph by graph, plus
-    the orbit checks up to ORBIT_CHECK_MAX, all from one Ant search and one
-    G^a per image. The universe index comes from _FORK_STATE, where
-    verify_theorems puts it; it holds every G^a, since G^a may have loops
-    whatever the mode."""
+    """The decider's routes against both oracles, graph by graph, plus the
+    orbit checks up to ORBIT_CHECK_MAX, all from one Ant search and one G^a
+    per image; the involution test reads the Ant list, since the involutions
+    in Ant(G) are the involutory automorphisms. The universe index comes
+    from _FORK_STATE, where verify_theorems puts it; it holds every G^a,
+    since G^a may have loops whatever the mode."""
     index: _UniverseIndex = _FORK_STATE["index"]
     graphs = 0
     non_rec = 0
@@ -412,7 +411,7 @@ def _main_pass_for_n(
         bip_verdict = _bip_decide(g, bip)[0] if bip.is_bipartite else None
         if bip_verdict is False:
             bip_failures += 1
-        if involution_witness(g) is None:
+        if not any(map(is_involution, ant)):
             fast = True
         elif bip_verdict is not None:
             fast = bip_verdict

@@ -29,8 +29,9 @@ from cancelgraph import (
     is_two_fold,
     permuted_digraph,
 )
-from cancelgraph.antiauto import _tf_generators, apply_anti_rows, iter_two_fold
+from cancelgraph.antiauto import _tf_generators, apply_anti_rows, iter_ant_images, iter_two_fold
 from cancelgraph.graphs import iter_adj_rows, multiset_key
+from cancelgraph.iso import involution_witness
 
 from conftest import graph_and_permutation, graph_strategy
 
@@ -220,6 +221,160 @@ def test_two_fold_search_matches_a_lambda_scan_exhaustively(n):
 @given(graph_strategy(6, loops=True))
 def test_two_fold_search_matches_a_lambda_scan(g):
     check_two_fold_search(g)
+
+
+# ---------------------------------------------------------------------------
+# the mask searches against the per-bit searches they replaced
+# ---------------------------------------------------------------------------
+
+
+def per_bit_ant_images(n: int, rows: tuple[int, ...]):
+    """The Ant search testing, for each candidate w of img[v] and each u < v,
+    A[v][img[u]] == A[w][u] and A[u][w] == A[img[u]][v] bit by bit: the
+    reference for iter_ant_images, order included."""
+    if n == 0:
+        yield ()
+        return
+    deg = [r.bit_count() for r in rows]
+    img = [-1] * n
+
+    def extend(v: int, used: int):
+        if v == n:
+            yield tuple(img)
+            return
+        dv = deg[v]
+        rv = rows[v]
+        for w in range(n):
+            if used >> w & 1 or deg[w] != dv:
+                continue
+            rw = rows[w]
+            ok = True
+            for u in range(v):
+                t = img[u]
+                if (rv >> t & 1) != (rw >> u & 1) or (rows[u] >> w & 1) != (
+                    rows[t] >> v & 1
+                ):
+                    ok = False
+                    break
+            if ok:
+                img[v] = w
+                yield from extend(v + 1, used | 1 << w)
+        img[v] = -1
+
+    yield from extend(0, 0)
+
+
+def per_bit_two_fold(src: tuple[int, ...], dst: tuple[int, ...]):
+    """The two-fold search testing one cell pair per placed vertex and
+    candidate: the reference for iter_two_fold, order included."""
+    n = len(src)
+    sdeg = [r.bit_count() for r in src]
+    ddeg = [r.bit_count() for r in dst]
+    prev_same = [-1] * n
+    last: dict[int, int] = {}
+    for v, row in enumerate(src):
+        prev_same[v] = last.get(row, -1)
+        last[row] = v
+    mu = [-1] * n
+    lam = [-1] * n
+
+    def place_mu(v: int, used_mu: int, used_lam: int):
+        if v == n:
+            yield tuple(lam), tuple(mu)
+            return
+        rv = src[v]
+        p = prev_same[v]
+        for b in range(mu[p] + 1 if p >= 0 else 0, n):
+            if used_mu >> b & 1 or ddeg[b] != sdeg[v]:
+                continue
+            rb = dst[b]
+            ok = True
+            for y in range(v):
+                if (rv >> y & 1) != (rb >> lam[y] & 1):
+                    ok = False
+                    break
+            if ok:
+                mu[v] = b
+                yield from place_lam(v, used_mu | 1 << b, used_lam)
+        mu[v] = -1
+
+    def place_lam(v: int, used_mu: int, used_lam: int):
+        for c in range(n):
+            if used_lam >> c & 1 or ddeg[c] != sdeg[v]:
+                continue
+            ok = True
+            for x in range(v + 1):
+                if (src[x] >> v & 1) != (dst[mu[x]] >> c & 1):
+                    ok = False
+                    break
+            if ok:
+                lam[v] = c
+                yield from place_mu(v + 1, used_mu, used_lam | 1 << c)
+        lam[v] = -1
+
+    yield from place_mu(0, 0, 0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_mask_searches_match_the_per_bit_searches_exhaustively(n):
+    for rows in iter_adj_rows(n, True):
+        frozen = tuple(rows)
+        assert list(iter_ant_images(n, frozen)) == list(per_bit_ant_images(n, frozen))
+        assert list(iter_two_fold(frozen, frozen)) == list(per_bit_two_fold(frozen, frozen))
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph_strategy(8, loops=True))
+def test_mask_searches_match_the_per_bit_searches(g):
+    assert list(iter_ant_images(g.n, g.adj)) == list(per_bit_ant_images(g.n, g.adj))
+    assert list(iter_two_fold(g.adj, g.adj)) == list(per_bit_two_fold(g.adj, g.adj))
+
+
+@st.composite
+def two_graphs_of_one_order(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    return draw(graph_strategy(n, min_n=n, loops=True)), draw(graph_strategy(n, min_n=n, loops=True))
+
+
+@settings(max_examples=80, deadline=None)
+@given(two_graphs_of_one_order())
+def test_two_fold_search_matches_the_per_bit_search_between_graphs(gh):
+    g, h = gh
+    assert list(iter_two_fold(g.adj, h.adj)) == list(per_bit_two_fold(g.adj, h.adj))
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph_strategy(8, loops=True), st.randoms(use_true_random=False))
+def test_two_fold_search_matches_the_per_bit_search_onto_a_relabeled_permuted_graph(g, rng):
+    # G x K2 and G^a x K2 are isomorphic, so a pair exists; relabeling G^a
+    # moves where the search finds it
+    alpha = rng.choice(list(iter_ant_images(g.n, g.adj)))
+    relabel = list(range(g.n))
+    rng.shuffle(relabel)
+    h = Graph(g.n, apply_anti_rows(g.adj, alpha)).relabel(Permutation(tuple(relabel)))
+    pairs = list(iter_two_fold(g.adj, h.adj))
+    assert pairs and pairs == list(per_bit_two_fold(g.adj, h.adj))
+
+
+def first_involution(n: int, rows: tuple[int, ...]):
+    return next((img for img in iter_ant_images(n, rows) if Permutation(img).is_involution()), None)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_first_involution_in_ant_is_the_involution_witness_exhaustively(n):
+    # an involution in Ant(G) is an automorphism, and every involutory
+    # automorphism lies in Ant(G); both lists ascend
+    for rows in iter_adj_rows(n, True):
+        g = Graph(n, tuple(rows))
+        witness = involution_witness(g)
+        assert first_involution(n, g.adj) == (None if witness is None else witness.image)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_strategy(8, loops=True))
+def test_first_involution_in_ant_is_the_involution_witness(g):
+    witness = involution_witness(g)
+    assert first_involution(g.n, g.adj) == (None if witness is None else witness.image)
 
 
 def test_tf_group_structure(c6):

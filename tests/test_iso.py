@@ -28,7 +28,14 @@ from cancelgraph import (
 )
 import cancelgraph.iso as iso_mod
 from cancelgraph.graphs import enumerate_count, iter_adj_rows
-from cancelgraph.iso import automorphisms, canon_rows, iter_automorphism_images, stamp_orbit
+from cancelgraph.iso import (
+    automorphisms,
+    canon_rows,
+    initial_colors,
+    iter_automorphism_images,
+    refine,
+    stamp_orbit,
+)
 
 from conftest import build_graph, graph_and_permutation, graph_strategy
 
@@ -159,6 +166,55 @@ def test_involution_witness_is_least(c6, lp, asym7, p_reconstruct):
 @given(graph_strategy(max_n=5, loops=True))
 def test_has_involution_matches_listing(g):
     assert has_involution(g) == any(p.is_involution() for p in automorphisms(g))
+
+
+def per_bit_automorphism_images(n: int, rows: tuple[int, ...]):
+    """The automorphism search testing one bit per placed vertex and
+    candidate: the reference for iter_automorphism_images, order included."""
+    if n == 0:
+        yield ()
+        return
+    colors = refine(n, rows, initial_colors(n, rows))
+    members: dict[int, list[int]] = {}
+    for v in range(n):
+        members.setdefault(colors[v], []).append(v)
+    img = [-1] * n
+
+    def extend(v: int, used: int):
+        if v == n:
+            yield tuple(img)
+            return
+        for w in members[colors[v]]:
+            if used >> w & 1:
+                continue
+            ok = True
+            for u in range(v):
+                if rows[v] >> u & 1 != rows[w] >> img[u] & 1:
+                    ok = False
+                    break
+            if ok and rows[v] >> v & 1 == rows[w] >> w & 1:
+                img[v] = w
+                yield from extend(v + 1, used | 1 << w)
+        img[v] = -1
+
+    yield from extend(0, 0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_automorphism_search_matches_the_per_bit_search_exhaustively(n):
+    for rows in iter_adj_rows(n, True):
+        frozen = tuple(rows)
+        assert list(iter_automorphism_images(n, frozen)) == list(
+            per_bit_automorphism_images(n, frozen)
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_strategy(max_n=8, loops=True))
+def test_automorphism_search_matches_the_per_bit_search(g):
+    assert list(iter_automorphism_images(g.n, g.adj)) == list(
+        per_bit_automorphism_images(g.n, g.adj)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,7 @@ def test_neighborhood_oracle_hexagon(c6, two_k3):
 
 
 def test_neighborhood_oracle_guard(asym7):
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match=r"lists up to n! rearrangements of G's rows; guarded at n<=6"):
         neighborhood_oracle(asym7)
 
 
@@ -152,7 +152,7 @@ def test_oracles_and_decider_agree_exhaustively(n):
 
 
 def test_cancellation_oracle_guard(asym7):
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match=r"scans 2\^\(n\(n\+1\)/2\) graphs; guarded at n<=6"):
         cancellation_oracle(asym7)
 
 
@@ -265,7 +265,7 @@ def test_extract_anti_returns_the_least_pair(data):
 def test_extract_anti_guards(c6, asym7):
     with pytest.raises(UsageError):
         extract_anti_from_product_iso(c6, K2)
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match=r"search tries up to \(n!\)\^2 pairs; guarded at n<=6"):
         extract_anti_from_product_iso(asym7, asym7)
     alpha, mu = extract_anti_from_product_iso(asym7, asym7, force=True)
     assert apply_anti(asym7, alpha).relabel(mu) == asym7
@@ -441,6 +441,15 @@ def test_oracle_purity_fault_is_reported_by_the_main_pass(monkeypatch):
     kinds = violation_kinds(verify_theorems(3, True, bip_max=1, jobs=1).violations)
     assert kinds["theorem_vs_neighborhood_oracle"] == 22
     assert kinds["theorem_vs_cancellation_oracle"] == 22
+
+
+def test_fast_path_fault_is_reported_by_the_main_pass(monkeypatch):
+    # an involution test that never finds one sends every graph down the
+    # "reconstructible outright" route: the 0 + 2 + 20 non-reconstructible
+    # graphs up to n=3 now disagree with the full route
+    monkeypatch.setattr(oracle_mod, "is_involution", lambda image: False)
+    report = verify_theorems(3, True, bip_max=1, jobs=1)
+    assert violation_kinds(report.violations) == {"fast_paths": 22}
 
 
 def test_lovasz_pass_reports_a_mixed_product_class(monkeypatch):
