@@ -4,8 +4,9 @@ A graph is neighborhood-reconstructible when every permuted graph G^a is
 isomorphic to G, and strongly so when every G^a equals G on the nose. By the
 product cancellation theorem the first property is also equivalent to G
 cancelling from direct products, so the cancellation decider is the same
-test; the oracle module re-derives the answer by brute-force scanning so the
-two routes can be compared.
+test; the oracle module re-derives the answer without anti-automorphism
+theory, from each class's neighborhood mates and product certificates in its
+universe index, so the two routes can be compared.
 
 The decider takes one fixed route:
   involution  no order-2 automorphism means reconstructible outright

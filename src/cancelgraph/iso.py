@@ -5,9 +5,12 @@ plus individualization: starting colors are (loop flag, neighborhood size),
 refinement re-colors by sorted neighbor colors until stable, and when classes
 remain ambiguous the search individualizes each vertex of the smallest class
 in turn, keeping the relabeling whose adjacency encoding (see graphs) is
-least. The certificate is that encoding of the canonical rows.
+least. The certificate is that encoding of the canonical rows. A discrete
+coloring is final, so it is renumbered without a refinement round.
 
-Automorphisms discovered at equal-encoding leaves prune sibling branches.
+Automorphisms discovered at equal-encoding leaves prune sibling branches: a
+cell vertex is skipped when it lies in the orbit of a tried vertex under the
+group the found automorphisms that fix the prefix generate.
 
 stamp_orbit enumerates an isomorphism class the other way round: it walks
 all n! relabelings of one labeled graph, acting on enumeration indices, so
@@ -52,22 +55,22 @@ def initial_colors(n: int, rows: tuple[int, ...]) -> list[int]:
 
 def refine(n: int, rows: tuple[int, ...], colors: list[int]) -> list[int]:
     """Stable re-coloring: color plus sorted multiset of neighbor colors."""
+    return _refine(n, [list(bits_of(row)) for row in rows], colors)
+
+
+def _refine(n: int, nbrs: list[list[int]], colors: list[int]) -> list[int]:
+    """refine over neighbour lists; a discrete coloring is stable, so it is
+    renumbered without a round, and a round that makes one is the last."""
     ncolors = len(set(colors))
+    if ncolors == n:
+        rank = {c: i for i, c in enumerate(sorted(colors))}
+        return [rank[c] for c in colors]
     while True:
-        sigs = []
-        for v in range(n):
-            m = rows[v]
-            nb = []
-            # inline bit loop, not bits_of: this is the canonical form's inner loop
-            while m:
-                b = m & -m
-                nb.append(colors[b.bit_length() - 1])
-                m ^= b
-            nb.sort()
-            sigs.append((colors[v], tuple(nb)))
+        get = colors.__getitem__
+        sigs = [(colors[v], tuple(sorted(map(get, nbrs[v])))) for v in range(n)]
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
         colors = [rank[s] for s in sigs]
-        if len(rank) == ncolors:
+        if len(rank) == ncolors or len(rank) == n:
             return colors
         ncolors = len(rank)
 
@@ -90,14 +93,27 @@ def _leaf_key(n: int, rows: tuple[int, ...], perm: list[int]) -> tuple[int, ...]
     return tuple(out)
 
 
+def _orbit_mask(mask: int, gens: list[tuple[int, ...]]) -> int:
+    """mask closed under the permutations gens, as a vertex bitmask."""
+    frontier = mask
+    while frontier:
+        images = 0
+        for s in gens:
+            images |= permute_mask(frontier, s)
+        frontier = images & ~mask
+        mask |= frontier
+    return mask
+
+
 def canon_connected(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Canonical rows and the old->new relabeling, for a connected graph."""
     if n <= 1:
         return tuple(rows), tuple(range(n))
+    nbrs = [list(bits_of(row)) for row in rows]
     best_key: list = [None]
     best_perm: list = [None]
     best_inv: list = [None]
-    autos: set[tuple[int, ...]] = set()
+    autos: list[tuple[int, ...]] = []
 
     def descend(colors: list[int], prefix: list[int]) -> None:
         counts: dict[int, int] = {}
@@ -110,32 +126,33 @@ def canon_connected(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], tup
                 target = c
                 tcount = cnt
         if target < 0:
-            perm = [0] * n
-            for pos, v in enumerate(sorted(range(n), key=colors.__getitem__)):
-                perm[v] = pos
-            key = _leaf_key(n, rows, perm)
+            # a discrete coloring from _refine is already 0..n-1
+            key = _leaf_key(n, rows, colors)
             if best_key[0] is None or key < best_key[0]:
                 best_key[0] = key
-                best_perm[0] = perm
-                best_inv[0] = invert(perm)
+                best_perm[0] = colors
+                best_inv[0] = invert(colors)
             elif key == best_key[0]:
                 inv = best_inv[0]
-                autos.add(tuple(inv[perm[v]] for v in range(n)))
+                autos.append(tuple(inv[colors[v]] for v in range(n)))
             return
-        cell = [v for v in range(n) if colors[v] == target]
-        tried: list[int] = []
-        for v in cell:
-            if tried and any(
-                all(s[p] == p for p in prefix) and any(s[u] == v for u in tried)
-                for s in autos
-            ):
+        # orbit: the tried vertices' orbits under the found automorphisms that
+        # fix the prefix; a vertex in it roots the image of a searched subtree
+        orbit = known = 0
+        gens: list[tuple[int, ...]] = []
+        for v in [v for v in range(n) if colors[v] == target]:
+            if orbit and not orbit >> v & 1 and known < len(autos):
+                gens.extend(s for s in autos[known:] if all(s[p] == p for p in prefix))
+                known = len(autos)
+                orbit = _orbit_mask(orbit, gens)
+            if orbit >> v & 1:
                 continue
             child = list(colors)
             child[v] = n + len(prefix)
-            descend(refine(n, rows, child), prefix + [v])
-            tried.append(v)
+            descend(_refine(n, nbrs, child), prefix + [v])
+            orbit = _orbit_mask(orbit | 1 << v, gens)
 
-    descend(refine(n, rows, initial_colors(n, rows)), [])
+    descend(_refine(n, nbrs, initial_colors(n, rows)), [])
     perm = best_perm[0]
     canon = [0] * n
     for v in range(n):

@@ -51,6 +51,7 @@ from .graphs import (
     mask_of,
     multiset_key,
     perm_order,
+    permute_mask,
 )
 from .iso import (
     canon_connected,
@@ -379,9 +380,10 @@ def _main_pass_for_n(
     stop: int | None = None,
 ) -> tuple[int, int, int, int]:
     """The decider's routes against both oracles, graph by graph, plus the
-    orbit checks up to ORBIT_CHECK_MAX, all from one Ant search and one G^a
-    per image; the involution test reads the Ant list, since the involutions
-    in Ant(G) are the involutory automorphisms. The universe index comes
+    orbit checks up to ORBIT_CHECK_MAX, all from one Ant search, one G^a
+    per image and, where the orbit checks run, one certificate per G^a that
+    the full route reads too; the involution test reads the Ant list, since
+    the involutions in Ant(G) are the involutory automorphisms. The universe index comes
     from _FORK_STATE, where verify_theorems puts it; it holds every G^a,
     since G^a may have loops whatever the mode."""
     index: _UniverseIndex = _FORK_STATE["index"]
@@ -403,7 +405,12 @@ def _main_pass_for_n(
                     "eq1_multiset", n,
                     edges=_edges_of_rows(n, frozen), alpha=list(img),
                 )
-        slow = _full_route(frozen, zip(ant, moved), index.canon_of)
+        if n <= ORBIT_CHECK_MAX and len(ant) > 1:
+            certs = [index.canon_of(arows) for arows in moved]
+            cert = dict(zip(moved, certs)).__getitem__
+        else:
+            certs, cert = None, index.canon_of
+        slow = _full_route(frozen, zip(ant, moved), cert)
         if not slow:
             non_rec += 1
         g = Graph(n, frozen)
@@ -442,8 +449,7 @@ def _main_pass_for_n(
             )
         if not direct:
             non_strong += 1
-        if n <= ORBIT_CHECK_MAX and len(ant) > 1:
-            certs = [index.canon_of(arows) for arows in moved]
+        if certs is not None:
             _orbit_checks(n, frozen, ant, certs, violations)
     return graphs, non_rec, non_strong, bip_failures
 
@@ -500,16 +506,21 @@ def _neighborhood_prop_pass(n: int, violations: _Violations) -> None:
 
 
 def _pair_membership_pass(n: int, violations: _Violations) -> None:
-    """Brute-force Aut^TF against the enumerator; anti and auto embeddings."""
+    """Brute-force Aut^TF against the enumerator; anti and auto embeddings.
+    (lambda, mu) is two-fold iff lambda(N(x)) = N(mu(x)) for every x, so
+    every lambda looks its partners up among the rows-after-mu of every mu."""
     perms = list(all_permutations(n))
     for rows in iter_adj_rows(n, True):
         frozen = tuple(rows)
         g = Graph(n, frozen)
-        brute = set()
-        for lam in perms:
-            for mu in perms:
-                if maps_neighborhoods(frozen, frozen, lam, mu):
-                    brute.add((lam, mu))
+        by_rows: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for mu in perms:
+            by_rows.setdefault(tuple(frozen[x] for x in mu), []).append(mu)
+        brute = {
+            (lam, mu)
+            for lam in perms
+            for mu in by_rows.get(tuple(permute_mask(row, lam) for row in frozen), ())
+        }
         listed = {
             (pair.lam.image, pair.mu.image) for pair in enumerate_aut_tf(g)
         }
@@ -825,8 +836,8 @@ def verify_theorems(
 ) -> VerificationReport:
     """Run every exhaustive invariant suite up to nmax and report violations.
 
-    The main suite compares the decider against both scan oracles for every
-    graph of the mode's universe and, up to ORBIT_CHECK_MAX, checks
+    The main suite compares the decider against both oracles, read per class
+    from the universe index, for every graph of the mode's universe and, up to ORBIT_CHECK_MAX, checks
     orbit/isomorphism agreement and odd powers on the same Ant search; side
     suites cover the multiset identity, two-fold membership, digraph
     symmetry, product structure, and the bipartite sweep (which always runs

@@ -27,6 +27,7 @@ from cancelgraph import (
     is_isomorphic,
 )
 import cancelgraph.iso as iso_mod
+import cancelgraph.oracle as oracle_mod
 from cancelgraph.graphs import enumerate_count, iter_adj_rows
 from cancelgraph.iso import (
     automorphisms,
@@ -215,6 +216,158 @@ def test_automorphism_search_matches_the_per_bit_search(g):
     assert list(iter_automorphism_images(g.n, g.adj)) == list(
         per_bit_automorphism_images(g.n, g.adj)
     )
+
+
+# ---------------------------------------------------------------------------
+# the canonical-form search against the one it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_refine(n: int, rows: tuple[int, ...], colors: list[int]) -> list[int]:
+    """Refinement reading neighbours off the row bits, one round more than
+    needed: the reference for refine."""
+    ncolors = len(set(colors))
+    while True:
+        sigs = []
+        for v in range(n):
+            m = rows[v]
+            nb = []
+            while m:
+                b = m & -m
+                nb.append(colors[b.bit_length() - 1])
+                m ^= b
+            nb.sort()
+            sigs.append((colors[v], tuple(nb)))
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        colors = [rank[s] for s in sigs]
+        if len(rank) == ncolors:
+            return colors
+        ncolors = len(rank)
+
+
+def reference_canon_connected(n: int, rows: tuple[int, ...]):
+    """The search that prunes a cell vertex only when one found automorphism
+    fixing the prefix maps a tried vertex onto it: the reference for
+    canon_connected, relabeling included."""
+    if n <= 1:
+        return tuple(rows), tuple(range(n))
+    best_key: list = [None]
+    best_perm: list = [None]
+    best_inv: list = [None]
+    autos: set[tuple[int, ...]] = set()
+
+    def descend(colors: list[int], prefix: list[int]) -> None:
+        counts: dict[int, int] = {}
+        for c in colors:
+            counts[c] = counts.get(c, 0) + 1
+        target = -1
+        tcount = n + 1
+        for c, cnt in counts.items():
+            if cnt > 1 and (cnt < tcount or (cnt == tcount and c < target)):
+                target = c
+                tcount = cnt
+        if target < 0:
+            perm = [0] * n
+            for pos, v in enumerate(sorted(range(n), key=colors.__getitem__)):
+                perm[v] = pos
+            key = iso_mod._leaf_key(n, rows, perm)
+            if best_key[0] is None or key < best_key[0]:
+                best_key[0] = key
+                best_perm[0] = perm
+                best_inv[0] = iso_mod.invert(perm)
+            elif key == best_key[0]:
+                inv = best_inv[0]
+                autos.add(tuple(inv[perm[v]] for v in range(n)))
+            return
+        cell = [v for v in range(n) if colors[v] == target]
+        tried: list[int] = []
+        for v in cell:
+            if tried and any(
+                all(s[p] == p for p in prefix) and any(s[u] == v for u in tried)
+                for s in autos
+            ):
+                continue
+            child = list(colors)
+            child[v] = n + len(prefix)
+            descend(reference_refine(n, rows, child), prefix + [v])
+            tried.append(v)
+
+    descend(reference_refine(n, rows, initial_colors(n, rows)), [])
+    perm = best_perm[0]
+    canon = [0] * n
+    for v in range(n):
+        canon[perm[v]] = iso_mod.permute_mask(rows[v], perm)
+    return tuple(canon), tuple(perm)
+
+
+def check_against_reference_search(graphs) -> None:
+    """canon_rows and refine against the reference search on each (n, rows);
+    refine from the initial coloring, from it with vertex 0 individualized,
+    and from a discrete coloring."""
+    got = [canon_rows(n, rows) for n, rows in graphs]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(iso_mod, "canon_connected", reference_canon_connected)
+        assert got == [canon_rows(n, rows) for n, rows in graphs]
+    for n, rows in graphs:
+        start = initial_colors(n, rows)
+        for colors in (start, [n, *start[1:]], [2 * (n - v) for v in range(n)]):
+            assert refine(n, rows, colors) == reference_refine(n, rows, colors)
+
+
+def circulant_rows(n: int, jumps, loops: bool) -> tuple[int, ...]:
+    return tuple(
+        sum(1 << (v + s) % n | 1 << (v - s) % n for s in jumps) | (loops << v)
+        for v in range(n)
+    )
+
+
+def named_symmetric_rows() -> list[tuple[int, tuple[int, ...]]]:
+    """Circulants on 6-9 vertices with and without loops, K_n, E_n, K_{a,a}
+    and the cube Q3."""
+    out = []
+    for n in range(6, 10):
+        for size in (1, 2):
+            for jumps in itertools.combinations(range(1, n // 2 + 1), size):
+                out.extend((n, circulant_rows(n, jumps, loops)) for loops in (False, True))
+    for n in range(1, 10):
+        full = (1 << n) - 1
+        out.append((n, tuple(full ^ 1 << v for v in range(n))))
+        out.append((n, (0,) * n))
+    for a in range(1, 5):
+        out.append((2 * a, tuple(((1 << a) - 1) << (a if v < a else 0) for v in range(2 * a))))
+    out.append((8, tuple(sum(1 << (v ^ 1 << i) for i in range(3)) for v in range(8))))
+    return out
+
+
+@pytest.mark.parametrize("n, loops", [(1, True), (2, True), (3, True), (4, True), (5, True), (6, False)])
+def test_canonical_search_matches_the_reference_search_exhaustively(n, loops):
+    check_against_reference_search([(n, tuple(rows)) for rows in iter_adj_rows(n, loops)])
+
+
+def test_canonical_search_matches_the_reference_search_on_double_covers():
+    check_against_reference_search([
+        (2 * n, oracle_mod._product_with_k2_rows(n, rows))
+        for n in range(1, 5) for rows in iter_adj_rows(n, True)
+    ])
+
+
+# a connected 6-regular graph on 16 vertices, found by a random search over
+# relabeled and edge-switched symmetric graphs, whose canonical rows change
+# when the search prunes by found automorphisms that move the prefix too
+PREFIX_MOVING_WITNESS = (
+    19844, 49764, 963, 19664, 43336, 55426, 2590, 4397,
+    41109, 13382, 29193, 4217, 11936, 38672, 33835, 24882,
+)
+
+
+def test_canonical_search_matches_the_reference_search_on_symmetric_graphs():
+    check_against_reference_search(named_symmetric_rows() + [(16, PREFIX_MOVING_WITNESS)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_strategy(max_n=9, loops=True))
+def test_canonical_search_matches_the_reference_search(g):
+    check_against_reference_search([(g.n, g.adj)])
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from cancelgraph import (
     Graph,
     InvariantViolationError,
     Permutation,
+    TwoFoldPair,
     UsageError,
     apply_anti,
     cancellation_counterexample,
@@ -461,6 +462,46 @@ def test_lovasz_pass_reports_a_mixed_product_class(monkeypatch):
     assert [(item["suite"], item["n"]) for item in violations.items] == [
         ("lovasz_k3", 2), ("lovasz_k3", 3), ("lovasz_k3", 4),
     ]
+
+
+def pair_membership_kinds() -> Counter:
+    """Violations per suite of the pair-membership pass at n = 1..4, counted
+    past the cap on recorded items."""
+    kinds: Counter = Counter()
+
+    class Counting(oracle_mod._Violations):
+        def add(self, suite, n, **detail):
+            kinds[suite] += 1
+            super().add(suite, n, **detail)
+
+    violations = Counting()
+    for n in range(1, 5):
+        oracle_mod._pair_membership_pass(n, violations)
+    return kinds
+
+
+LIST_AUT_TF = oracle_mod.enumerate_aut_tf
+
+
+def with_reversal_pair(g):
+    ident, rev = tuple(range(g.n)), tuple(reversed(range(g.n)))
+    return LIST_AUT_TF(g) + [TwoFoldPair(Permutation(ident), Permutation(rev))]
+
+
+# the 2 + 8 + 64 + 1024 loops-allowed graphs at n <= 4 hold 684 with an
+# automorphism besides the identity, and 20 on which (identity, reversal)
+# is a two-fold automorphism
+@pytest.mark.parametrize("name, fake, expected", [
+    ("enumerate_aut_tf", lambda g: LIST_AUT_TF(g)[:-1], {"aut_tf_enumeration": 1098}),
+    ("enumerate_aut_tf", with_reversal_pair, {"aut_tf_enumeration": 1078}),
+    ("iter_automorphism_images", lambda n, rows: iter([tuple(range(n))]),
+     {"auto_pair_embedding": 684}),
+    ("iter_ant_images", lambda n, rows: iter([tuple(range(n))]),
+     {"action_closure": 3580, "anti_pair_embedding": 684}),
+])
+def test_pair_membership_faults_are_reported(monkeypatch, name, fake, expected):
+    monkeypatch.setattr(oracle_mod, name, fake)
+    assert pair_membership_kinds() == expected
 
 
 def test_odd_power_fault_is_reported_by_the_main_pass(monkeypatch):
