@@ -407,7 +407,9 @@ def _main_pass_for_n(
                 )
         if n <= ORBIT_CHECK_MAX and len(ant) > 1:
             certs = [index.canon_of(arows) for arows in moved]
-            cert = dict(zip(moved, certs)).__getitem__
+            known = dict(zip(moved, certs))
+            # G's own rows are in moved only while the Ant search yields the identity
+            cert = lambda r: known[r] if r in known else index.canon_of(r)
         else:
             certs, cert = None, index.canon_of
         slow = _full_route(frozen, zip(ant, moved), cert)

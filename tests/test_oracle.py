@@ -524,6 +524,34 @@ def test_odd_power_fault_is_reported_by_the_main_pass(monkeypatch):
     assert violation_kinds(violations.items)["simplus2"] > 0
 
 
+LIST_ANT = oracle_mod.iter_ant_images
+
+
+def ant_without_identity(n, rows):
+    ident = tuple(range(n))
+    return iter([img for img in LIST_ANT(n, rows) if img != ident] or [ident])
+
+
+def test_ant_search_losing_the_identity_is_reported_by_the_main_pass(monkeypatch):
+    # G is then no G^a, so the full route reads G's certificate from the
+    # index rather than from the images' certificates
+    monkeypatch.setattr(oracle_mod, "iter_ant_images", ant_without_identity)
+    kinds: Counter = Counter()
+
+    class Counting(oracle_mod._Violations):
+        def add(self, suite, n, **detail):
+            kinds[suite] += 1
+            super().add(suite, n, **detail)
+
+    violations = Counting()
+    for n in range(1, 5):
+        index = oracle_mod._UniverseIndex(n)
+        index.build()
+        monkeypatch.setitem(oracle_mod._FORK_STATE, "index", index)
+        oracle_mod._main_pass_for_n(n, True, violations)
+    assert kinds == {"strong_routes": 276, "simeqiso_closure": 1206, "simplus2": 272}
+
+
 def labeled_purity(n: int) -> list[tuple[bool, bool]]:
     """The oracle buckets as a walk of every labeled graph, loops allowed:
     each graph is filed under its sorted rows and under its product class,
