@@ -22,7 +22,7 @@ from .errors import (
 )
 from .fileformat import parse_graph_file, parse_permutation, serialize_graph
 from .graphs import neighborhood_multiset
-from .iso import find_isomorphism, is_isomorphic
+from .iso import find_isomorphism
 from .oracle import BIP_SWEEP_MAX, verify_theorems
 from .product import direct_product
 
@@ -112,12 +112,9 @@ def _cmd_product(args) -> int:
 def _cmd_iso(args) -> int:
     g = parse_graph_file(args.graph)
     h = parse_graph_file(args.other)
-    if is_isomorphic(g, h):
-        phi = find_isomorphism(g, h)
-        assert phi is not None
-        print(json.dumps({"isomorphic": True, "witness": list(phi.image)}))
-    else:
-        print(json.dumps({"isomorphic": False, "witness": None}))
+    phi = find_isomorphism(g, h)
+    witness = None if phi is None else list(phi.image)
+    print(json.dumps({"isomorphic": phi is not None, "witness": witness}))
     return EXIT_OK
 
 

@@ -5,13 +5,14 @@ producing a verdict: the neighborhood oracle builds every labeled graph on
 the same vertex set whose rows rearrange G's rows into a symmetric matrix,
 which is the definition of sharing G's neighborhood multiset; the
 cancellation oracle scans every labeled graph and compares product
-certificates. Agreement with the decide module is then actual evidence,
-because the two routes share no theory beyond the isomorphism engine.
+classes, the sorted component certificates of H x K2. Agreement with the
+decide module is then actual evidence, because the two routes share no
+theory beyond the isomorphism engine.
 
 The verification suites read both oracles per isomorphism class instead of
 calling them once per graph: the universe index records whether every
 neighborhood mate of a class lies in it, and whether any other class shares
-its product certificate. H-universes always allow loops, whatever the mode,
+its product class. H-universes always allow loops, whatever the mode,
 because a loopless graph can have loopy product mates.
 """
 from __future__ import annotations
@@ -74,13 +75,12 @@ and reversal failure, plus the failed checks of any faulty class. That is
 2 x 256 KiB at n=7 and 2 x 32 MiB at n=8 under force; stamp_orbit's
 transposition tables add under 0.5 MiB."""
 ORBIT_CHECK_MAX = 5
+SIDE_SUITE_MAX = 4
+"""Largest n of the side suites that run per n: neighborhood_prop,
+pair_membership, digraph_symmetry, lovasz and roundtrip."""
 
 K2 = Graph(2, (2, 1))
 K3 = Graph(3, (6, 5, 3))
-
-_SPREAD = tuple(
-    sum(1 << 2 * j for j in range(8) if m >> j & 1) for m in range(256)
-)
 
 
 def _oracle_guard(n: int, force: bool, work: str) -> None:
@@ -121,34 +121,24 @@ def neighborhood_oracle(g: Graph, *, force: bool = False) -> list[Graph]:
     return [Graph(g.n, rows) for rows in mates]
 
 
-def _product_with_k2_rows(n: int, rows) -> tuple[int, ...]:
-    """Rows of G x K2 under the (x,k) -> 2x+k encoding, for n <= 8."""
-    out = []
-    for v in range(n):
-        spread = _SPREAD[rows[v]]
-        out.append(spread << 1)
-        out.append(spread)
-    return tuple(out)
-
-
 def _cancellation_scan(g: Graph, force: bool) -> tuple[bool, Graph | None]:
     _oracle_guard(g.n, force, "cancellation oracle scans 2^(n(n+1)/2) graphs")
     n = g.n
-    base_prod = direct_product(g, K2)
-    base_cert = cert_bytes(base_prod.n, canon_rows(base_prod.n, base_prod.adj)[0])
-    base_sizes = sorted(m.bit_count() for m in component_masks(base_prod.n, base_prod.adj))
+    base_prod = direct_product(g, K2).adj
+    base_class = _component_class_multiset(2 * n, base_prod)
+    base_sizes = sorted(m.bit_count() for m in component_masks(2 * n, base_prod))
     own_cert = cert_bytes(n, canon_rows(n, g.adj)[0])
     degs = sorted(r.bit_count() for r in g.adj)
     offenders = []
     for rows in iter_adj_rows(n, True):
         if sorted(r.bit_count() for r in rows) != degs:
             continue
-        prod = _product_with_k2_rows(n, rows)
+        frozen = tuple(rows)
+        prod = direct_product(Graph(n, frozen), K2).adj
         if sorted(m.bit_count() for m in component_masks(2 * n, prod)) != base_sizes:
             continue
-        if cert_bytes(2 * n, canon_rows(2 * n, prod)[0]) != base_cert:
+        if _component_class_multiset(2 * n, prod) != base_class:
             continue
-        frozen = tuple(rows)
         if cert_bytes(n, canon_rows(n, frozen)[0]) != own_cert:
             offenders.append(frozen)
     if not offenders:
@@ -317,9 +307,10 @@ class _UniverseIndex:
     each class's least index; class_canon holds each class's adjacency
     index of canonical rows, equal exactly on isomorphic graphs, and
     class_product its product class, the sorted component certificates of
-    G x K2 (relabeling G relabels the product). class_nbhd_pure says every
-    neighborhood mate of the class lies in it, class_product_pure that no
-    other class has its product class.
+    G x K2 as direct_product builds it (relabeling G relabels the
+    product). class_nbhd_pure says every neighborhood mate of the class
+    lies in it, class_product_pure that no other class has its product
+    class.
     """
 
     def __init__(self, n: int) -> None:
@@ -348,7 +339,7 @@ class _UniverseIndex:
                 canon = canon_rows(n, rows)[0]
                 self.class_canon.append(adjacency_index(n, canon))
                 self.class_product.append(
-                    _component_class_multiset(2 * n, _product_with_k2_rows(n, canon))
+                    _component_class_multiset(2 * n, direct_product(Graph(n, canon), K2).adj)
                 )
         self.class_of = class_of
         self.class_nbhd_pure = [
@@ -380,12 +371,12 @@ def _main_pass_for_n(
     stop: int | None = None,
 ) -> tuple[int, int, int, int]:
     """The decider's routes against both oracles, graph by graph, plus the
-    orbit checks up to ORBIT_CHECK_MAX, all from one Ant search, one G^a
-    per image and, where the orbit checks run, one certificate per G^a that
-    the full route reads too; the involution test reads the Ant list, since
-    the involutions in Ant(G) are the involutory automorphisms. The universe index comes
-    from _FORK_STATE, where verify_theorems puts it; it holds every G^a,
-    since G^a may have loops whatever the mode."""
+    orbit checks up to ORBIT_CHECK_MAX, all from one Ant search and one G^a
+    per image, with every certificate read off the universe index; the
+    involution test reads the Ant list, since the involutions in Ant(G) are
+    the involutory automorphisms. The universe index comes from
+    _FORK_STATE, where verify_theorems puts it; it holds every G^a, since
+    G^a may have loops whatever the mode."""
     index: _UniverseIndex = _FORK_STATE["index"]
     graphs = 0
     non_rec = 0
@@ -405,14 +396,7 @@ def _main_pass_for_n(
                     "eq1_multiset", n,
                     edges=_edges_of_rows(n, frozen), alpha=list(img),
                 )
-        if n <= ORBIT_CHECK_MAX and len(ant) > 1:
-            certs = [index.canon_of(arows) for arows in moved]
-            known = dict(zip(moved, certs))
-            # G's own rows are in moved only while the Ant search yields the identity
-            cert = lambda r: known[r] if r in known else index.canon_of(r)
-        else:
-            certs, cert = None, index.canon_of
-        slow = _full_route(frozen, zip(ant, moved), cert)
+        slow = _full_route(frozen, zip(ant, moved), index.canon_of)
         if not slow:
             non_rec += 1
         g = Graph(n, frozen)
@@ -451,8 +435,8 @@ def _main_pass_for_n(
             )
         if not direct:
             non_strong += 1
-        if certs is not None:
-            _orbit_checks(n, frozen, ant, certs, violations)
+        if n <= ORBIT_CHECK_MAX and len(ant) > 1:
+            _orbit_checks(n, frozen, ant, [index.canon_of(r) for r in moved], violations)
     return graphs, non_rec, non_strong, bip_failures
 
 
@@ -486,90 +470,93 @@ def _orbit_checks(
                 )
 
 
-def _neighborhood_prop_pass(n: int, violations: _Violations) -> None:
+def _neighborhood_prop_pass(nmax: int, violations: _Violations) -> None:
     """Oracle members must be exactly the permuted graphs, both directions."""
-    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for rows in iter_adj_rows(n, True):
-        frozen = tuple(rows)
-        groups.setdefault(multiset_key(frozen), []).append(frozen)
-    for members in groups.values():
-        member_set = set(members)
-        for frozen in members:
-            images = {
-                apply_anti_rows(frozen, img) for img in iter_ant_images(n, frozen)
-            }
-            if images != member_set:
-                violations.add(
-                    "neighborhood_prop", n,
-                    edges=_edges_of_rows(n, frozen),
-                    missing=len(member_set - images),
-                    extra=len(images - member_set),
-                )
+    for n in range(1, min(nmax, SIDE_SUITE_MAX) + 1):
+        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for rows in iter_adj_rows(n, True):
+            frozen = tuple(rows)
+            groups.setdefault(multiset_key(frozen), []).append(frozen)
+        for members in groups.values():
+            member_set = set(members)
+            for frozen in members:
+                images = {
+                    apply_anti_rows(frozen, img) for img in iter_ant_images(n, frozen)
+                }
+                if images != member_set:
+                    violations.add(
+                        "neighborhood_prop", n,
+                        edges=_edges_of_rows(n, frozen),
+                        missing=len(member_set - images),
+                        extra=len(images - member_set),
+                    )
 
 
-def _pair_membership_pass(n: int, violations: _Violations) -> None:
+def _pair_membership_pass(nmax: int, violations: _Violations) -> None:
     """Brute-force Aut^TF against the enumerator; anti and auto embeddings.
     (lambda, mu) is two-fold iff lambda(N(x)) = N(mu(x)) for every x, so
     every lambda looks its partners up among the rows-after-mu of every mu."""
-    perms = list(all_permutations(n))
-    for rows in iter_adj_rows(n, True):
-        frozen = tuple(rows)
-        g = Graph(n, frozen)
-        by_rows: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for mu in perms:
-            by_rows.setdefault(tuple(frozen[x] for x in mu), []).append(mu)
-        brute = {
-            (lam, mu)
-            for lam in perms
-            for mu in by_rows.get(tuple(permute_mask(row, lam) for row in frozen), ())
-        }
-        listed = {
-            (pair.lam.image, pair.mu.image) for pair in enumerate_aut_tf(g)
-        }
-        if brute != listed:
-            violations.add(
-                "aut_tf_enumeration", n, edges=_edges_of_rows(n, frozen),
-            )
-        ant = set(iter_ant_images(n, frozen))
-        aut = set(iter_automorphism_images(n, frozen))
-        from_pairs_anti = set()
-        from_pairs_auto = set()
-        for lam, mu in brute:
-            inv = invert(mu)
-            if inv == lam:
-                from_pairs_anti.add(lam)
-            if lam == mu:
-                from_pairs_auto.add(lam)
-            for a in ant:
-                if tuple(lam[a[u]] for u in inv) not in ant:
-                    violations.add(
-                        "action_closure", n,
-                        edges=_edges_of_rows(n, frozen),
-                        pair=[list(lam), list(mu)], alpha=list(a),
-                    )
-                    break
-        if from_pairs_anti != ant:
-            violations.add(
-                "anti_pair_embedding", n, edges=_edges_of_rows(n, frozen),
-            )
-        if from_pairs_auto != aut:
-            violations.add(
-                "auto_pair_embedding", n, edges=_edges_of_rows(n, frozen),
-            )
+    for n in range(1, min(nmax, SIDE_SUITE_MAX) + 1):
+        perms = list(all_permutations(n))
+        for rows in iter_adj_rows(n, True):
+            frozen = tuple(rows)
+            g = Graph(n, frozen)
+            by_rows: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+            for mu in perms:
+                by_rows.setdefault(tuple(frozen[x] for x in mu), []).append(mu)
+            brute = {
+                (lam, mu)
+                for lam in perms
+                for mu in by_rows.get(tuple(permute_mask(row, lam) for row in frozen), ())
+            }
+            listed = {
+                (pair.lam.image, pair.mu.image) for pair in enumerate_aut_tf(g)
+            }
+            if brute != listed:
+                violations.add(
+                    "aut_tf_enumeration", n, edges=_edges_of_rows(n, frozen),
+                )
+            ant = set(iter_ant_images(n, frozen))
+            aut = set(iter_automorphism_images(n, frozen))
+            from_pairs_anti = set()
+            from_pairs_auto = set()
+            for lam, mu in brute:
+                inv = invert(mu)
+                if inv == lam:
+                    from_pairs_anti.add(lam)
+                if lam == mu:
+                    from_pairs_auto.add(lam)
+                for a in ant:
+                    if tuple(lam[a[u]] for u in inv) not in ant:
+                        violations.add(
+                            "action_closure", n,
+                            edges=_edges_of_rows(n, frozen),
+                            pair=[list(lam), list(mu)], alpha=list(a),
+                        )
+                        break
+            if from_pairs_anti != ant:
+                violations.add(
+                    "anti_pair_embedding", n, edges=_edges_of_rows(n, frozen),
+                )
+            if from_pairs_auto != aut:
+                violations.add(
+                    "auto_pair_embedding", n, edges=_edges_of_rows(n, frozen),
+                )
 
 
-def _digraph_symmetry_pass(n: int, violations: _Violations) -> None:
+def _digraph_symmetry_pass(nmax: int, violations: _Violations) -> None:
     """The permuted digraph is symmetric iff the permutation is an
     anti-automorphism."""
-    perms = [Permutation(p) for p in all_permutations(n)]
-    for rows in iter_adj_rows(n, True):
-        g = Graph(n, tuple(rows))
-        for p in perms:
-            if permuted_digraph(g, p).is_symmetric() != is_anti_automorphism(g, p):
-                violations.add(
-                    "digraph_symmetry", n,
-                    edges=_edges_of_rows(n, g.adj), perm=list(p.image),
-                )
+    for n in range(1, min(nmax, SIDE_SUITE_MAX) + 1):
+        perms = [Permutation(p) for p in all_permutations(n)]
+        for rows in iter_adj_rows(n, True):
+            g = Graph(n, tuple(rows))
+            for p in perms:
+                if permuted_digraph(g, p).is_symmetric() != is_anti_automorphism(g, p):
+                    violations.add(
+                        "digraph_symmetry", n,
+                        edges=_edges_of_rows(n, g.adj), perm=list(p.image),
+                    )
 
 
 def _connected_row_sets(n: int, loops_allowed: bool) -> list[tuple[int, ...]]:
@@ -611,7 +598,7 @@ def _weichsel_pass(nmax: int, violations: _Violations) -> None:
 
 def _lovasz_pass(nmax: int, violations: _Violations) -> None:
     """G x K3 iso H x K3 forces G iso H over loopless graphs."""
-    for n in range(1, min(nmax, 4) + 1):
+    for n in range(1, min(nmax, SIDE_SUITE_MAX) + 1):
         classes: dict[bytes, set[int]] = {}
         for rows in iter_adj_rows(n, False):
             frozen = tuple(rows)
@@ -623,29 +610,30 @@ def _lovasz_pass(nmax: int, violations: _Violations) -> None:
                 violations.add("lovasz_k3", n, note="product class contains non-isomorphic members")
 
 
-def _roundtrip_pass(n: int, violations: _Violations) -> None:
-    for rows in iter_adj_rows(n, True):
-        frozen = tuple(rows)
-        g = Graph(n, frozen)
-        for img in iter_ant_images(n, frozen):
-            target_rows = apply_anti_rows(frozen, img)
-            result = extract_anti_from_product_iso(g, Graph(n, target_rows))
-            if result is None:
-                violations.add(
-                    "roundtrip_missing", n,
-                    edges=_edges_of_rows(n, frozen), alpha=list(img),
-                )
-                continue
-            alpha, _mu = result
-            got = apply_anti_rows(frozen, alpha.image)
-            if got != target_rows and cert_bytes(n, canon_rows(n, got)[0]) != cert_bytes(
-                n, canon_rows(n, target_rows)[0]
-            ):
-                violations.add(
-                    "roundtrip_mismatch", n,
-                    edges=_edges_of_rows(n, frozen),
-                    alpha=list(img), recovered=list(alpha.image),
-                )
+def _roundtrip_pass(nmax: int, violations: _Violations) -> None:
+    for n in range(1, min(nmax, SIDE_SUITE_MAX) + 1):
+        for rows in iter_adj_rows(n, True):
+            frozen = tuple(rows)
+            g = Graph(n, frozen)
+            for img in iter_ant_images(n, frozen):
+                target_rows = apply_anti_rows(frozen, img)
+                result = extract_anti_from_product_iso(g, Graph(n, target_rows))
+                if result is None:
+                    violations.add(
+                        "roundtrip_missing", n,
+                        edges=_edges_of_rows(n, frozen), alpha=list(img),
+                    )
+                    continue
+                alpha, _mu = result
+                got = apply_anti_rows(frozen, alpha.image)
+                if got != target_rows and cert_bytes(n, canon_rows(n, got)[0]) != cert_bytes(
+                    n, canon_rows(n, target_rows)[0]
+                ):
+                    violations.add(
+                        "roundtrip_mismatch", n,
+                        edges=_edges_of_rows(n, frozen),
+                        alpha=list(img), recovered=list(alpha.image),
+                    )
 
 
 def _component_class_multiset(n: int, rows) -> tuple[bytes, ...]:
@@ -687,7 +675,7 @@ def _bip_class_checks(n: int, rows: tuple[int, ...]) -> tuple[bool, list[tuple[s
             "reversal_decider": bip_verdict, "anti_route": slow,
         }))
     doubled = _component_class_multiset(n, rows) * 2
-    cover = _component_class_multiset(2 * n, _product_with_k2_rows(n, rows))
+    cover = _component_class_multiset(2 * n, direct_product(g, K2).adj)
     if tuple(sorted(doubled)) != cover:
         found.append(("double_cover", {"edges": _edges_of_rows(n, rows)}))
     return bip_verdict, found
@@ -901,35 +889,15 @@ def verify_theorems(
             census.append(CensusRow(n, graphs, non_rec, non_strong, bipf))
 
     timed("main", run_main)
-    timed(
-        "neighborhood_prop",
-        lambda: [
-            _neighborhood_prop_pass(n, violations)
-            for n in range(1, min(4, nmax) + 1)
-        ],
-    )
-    timed(
-        "pair_membership",
-        lambda: [
-            _pair_membership_pass(n, violations)
-            for n in range(1, min(4, nmax) + 1)
-        ],
-    )
-    timed(
-        "digraph_symmetry",
-        lambda: [
-            _digraph_symmetry_pass(n, violations)
-            for n in range(1, min(4, nmax) + 1)
-        ],
-    )
-    timed("weichsel", lambda: _weichsel_pass(nmax, violations))
-    timed("lovasz", lambda: _lovasz_pass(nmax, violations))
-    timed(
-        "roundtrip",
-        lambda: [
-            _roundtrip_pass(n, violations) for n in range(1, min(4, nmax) + 1)
-        ],
-    )
+    for name, suite in (
+        ("neighborhood_prop", _neighborhood_prop_pass),
+        ("pair_membership", _pair_membership_pass),
+        ("digraph_symmetry", _digraph_symmetry_pass),
+        ("weichsel", _weichsel_pass),
+        ("lovasz", _lovasz_pass),
+        ("roundtrip", _roundtrip_pass),
+    ):
+        timed(name, partial(suite, nmax, violations))
 
     def run_sweep() -> None:
         for n in range(1, bip_max + 1):

@@ -157,6 +157,33 @@ def test_cancellation_oracle_guard(asym7):
         cancellation_oracle(asym7)
 
 
+def test_cancellation_oracle_builds_products_past_eight_vertices(monkeypatch):
+    # under force the scan reaches n >= 9, where a row no longer fits a byte;
+    # four graphs of the 2^45 are enough to build products of that size
+    real = oracle_mod.iter_adj_rows
+    monkeypatch.setattr(
+        oracle_mod, "iter_adj_rows", lambda *args, **kw: itertools.islice(real(*args, **kw), 4)
+    )
+    assert cancellation_oracle(Graph.from_edges(9, [(8, 8)]), force=True)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cancellation_oracle_matches_the_index_product_purity(n):
+    # on the least member of each of the 2 + 6 + 20 + 90 loops-allowed classes
+    index = oracle_mod._UniverseIndex(n)
+    index.build()
+    numbered = 0
+    for k, rows in enumerate(iter_adj_rows(n, True)):
+        if index.class_of[k] != numbered:
+            continue
+        numbered += 1
+        g = Graph(n, tuple(rows))
+        pure = index.product_pure(g.adj)
+        assert cancellation_oracle(g) == pure
+        assert (cancellation_counterexample(g) is None) == pure
+    assert numbered == len(index.class_canon)
+
+
 # ---------------------------------------------------------------------------
 # product witnesses
 # ---------------------------------------------------------------------------
@@ -475,8 +502,7 @@ def pair_membership_kinds() -> Counter:
             super().add(suite, n, **detail)
 
     violations = Counting()
-    for n in range(1, 5):
-        oracle_mod._pair_membership_pass(n, violations)
+    oracle_mod._pair_membership_pass(4, violations)
     return kinds
 
 
@@ -566,7 +592,7 @@ def labeled_purity(n: int) -> list[tuple[bool, bool]]:
         canon = canon_rows(n, frozen)[0]
         if canon not in cover_class:
             # relabeling G relabels G x K2, so one product class per iso class
-            cover = oracle_mod._product_with_k2_rows(n, canon)
+            cover = direct_product(Graph(n, canon), K2).adj
             cover_class[canon] = oracle_mod._component_class_multiset(2 * n, cover)
         nkey, pkey = multiset_key(frozen), cover_class[canon]
         nbhd.setdefault(nkey, set()).add(canon)
@@ -625,9 +651,7 @@ def labeled_bip_sweep(n, violations, start=0, stop=None):
                 reversal_decider=bip_verdict, anti_route=slow,
             )
         doubled = oracle_mod._component_class_multiset(n, frozen) * 2
-        cover = oracle_mod._component_class_multiset(
-            2 * n, oracle_mod._product_with_k2_rows(n, frozen)
-        )
+        cover = oracle_mod._component_class_multiset(2 * n, direct_product(g, K2).adj)
         if tuple(sorted(doubled)) != cover:
             violations.add("double_cover", n, edges=oracle_mod._edges_of_rows(n, frozen))
     return checked, failures
@@ -658,6 +682,19 @@ def test_class_sweep_matches_the_labeled_sweep(n):
         assert oracle_mod._worker_bip_sweep((n, lo, hi)) == (*counts, reference.items, 0)
         summed = [a + b for a, b in zip(summed, counts)]
     assert oracle_mod._worker_bip_sweep((n, 0, total)) == (*summed, [], 0)
+
+
+# OEIS A033995: bipartite graphs, n = 1..6
+@pytest.mark.parametrize("n, classes", [(1, 1), (2, 2), (3, 3), (4, 7), (5, 13), (6, 35)])
+def test_double_cover_fault_is_reported_once_per_class(n, classes, monkeypatch, fresh_bip_classes):
+    # a component-class key that reads only the vertex count tells G + G
+    # (two keys) from G x K2 (one key) on every bipartite class
+    monkeypatch.setattr(
+        oracle_mod, "_component_class_multiset", lambda order, rows: (bytes((order,)),)
+    )
+    *_, items, total = oracle_mod._worker_bip_sweep((n, 0, enumerate_count(n, False)))
+    assert Counter(item["suite"] for item in items) == {"double_cover": classes}
+    assert total == classes
 
 
 def test_corrupted_transposition_table_stops_index_and_sweep(monkeypatch, fresh_bip_classes):
@@ -721,13 +758,6 @@ def test_bip_sweep_rejects_a_bad_slice():
     for lo, hi in ((-1, 4), (5, 4), (0, enumerate_count(3, False) + 1)):
         with pytest.raises(UsageError):
             oracle_mod._worker_bip_sweep((3, lo, hi))
-
-
-@settings(max_examples=100)
-@given(graph_strategy(max_n=8, loops=True, min_n=6))
-def test_product_with_k2_rows_is_the_direct_product(g):
-    # the sweep reaches n=8 under force
-    assert oracle_mod._product_with_k2_rows(g.n, g.adj) == direct_product(g, K2).adj
 
 
 def test_weichsel_pass_checks_each_factor_pair_once(monkeypatch):
