@@ -40,10 +40,9 @@ from .graphs import (
 
 AUT_MAX = 8
 
-# stamp_orbit reads an enumeration index in 7-bit chunks through 32-bit
+# stamp_orbit reads an enumeration index in three chunks through 32-bit
 # tables, so it covers universes of at most 32 cells (n <= 7 with loops,
 # n <= 8 loopless)
-ORBIT_CHUNKS = 5
 ORBIT_MAX_CELLS = 32
 
 
@@ -351,9 +350,10 @@ def _heap_swaps(n: int) -> Iterator[tuple[int, int]]:
 
 
 def _swap_tables(n: int, loops_allowed: bool, a: int, b: int) -> tuple[array, ...]:
-    """Per 7-bit chunk of an enumeration index, the bits its cells occupy
-    once vertices a and b swap labels; padded to ORBIT_CHUNKS with a
-    one-entry zero table, which only the zero chunk above the top reads."""
+    """Per chunk of an enumeration index, the bits its cells occupy once
+    vertices a and b swap labels. The m cells split into three chunks of
+    ceil(m/3) bits, the last one shorter; an empty chunk gets a one-entry
+    zero table."""
     cells = upper_cells(n, loops_allowed)
     m = len(cells)
     bit_of = {cell: m - 1 - p for p, cell in enumerate(cells)}
@@ -364,22 +364,22 @@ def _swap_tables(n: int, loops_allowed: bool, a: int, b: int) -> tuple[array, ..
         i, j = cells[m - 1 - bit]
         x, y = label[i], label[j]
         moved.append(bit_of[(min(x, y), max(x, y))])
+    width = -(-m // 3)
     tables = []
-    for lo in range(0, m, 7):
-        width = min(7, m - lo)
+    for lo in (0, width, 2 * width):
+        span = max(0, min(width, m - lo))
         tables.append(array("I", [
-            sum(1 << moved[lo + t] for t in range(width) if chunk >> t & 1)
-            for chunk in range(1 << width)
+            sum(1 << moved[lo + t] for t in range(span) if chunk >> t & 1)
+            for chunk in range(1 << span)
         ]))
-    tables.extend(array("I", [0]) for _ in range(ORBIT_CHUNKS - len(tables)))
     return tuple(tables)
 
 
 @lru_cache(maxsize=2)
 def _orbit_steps(n: int, loops_allowed: bool) -> tuple[tuple[array, ...], ...]:
-    """The tables of each Heap swap, in order. There are n(n-1)/2 distinct
-    swaps, so at most 28 x 4 x 512 B of tables at n=8; the step tuple
-    shares them."""
+    """The tables of each Heap swap, in order. There are at most n(n-1)/2
+    distinct swaps, so at most 28 x 3 x 4 KiB of tables at 28 cells (n=7
+    with loops, n=8 loopless); the step tuple shares them."""
     m = len(upper_cells(n, loops_allowed))
     if m > ORBIT_MAX_CELLS:
         raise CapacityError(
@@ -410,10 +410,13 @@ def stamp_orbit(n: int, rows, loops_allowed: bool, seen: bytearray) -> list[int]
     seen[k >> 3] |= 1 << (k & 7)
     members = [k]
     x = k
-    # one loop body for every n, unrolled over the 5 chunks: a loop over
+    width = -(-len(upper_cells(n, loops_allowed)) // 3)
+    low = (1 << width) - 1
+    top = 2 * width
+    # one loop body for every n, unrolled over the 3 chunks: a loop over
     # the chunks took 1.3x as long on the n=6 loops-allowed universe
-    for t0, t1, t2, t3, t4 in _orbit_steps(n, loops_allowed):
-        x = t0[x & 127] | t1[x >> 7 & 127] | t2[x >> 14 & 127] | t3[x >> 21 & 127] | t4[x >> 28]
+    for t0, t1, t2 in _orbit_steps(n, loops_allowed):
+        x = t0[x & low] | t1[x >> width & low] | t2[x >> top]
         byte = x >> 3
         bit = 1 << (x & 7)
         if not seen[byte] & bit:

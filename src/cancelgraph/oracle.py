@@ -304,27 +304,25 @@ class _UniverseIndex:
     at one n, all per class.
 
     class_of[k] numbers the iso class of enumeration index k, in order of
-    each class's least index; class_canon holds each class's adjacency
-    index of canonical rows, equal exactly on isomorphic graphs, and
-    class_product its product class, the sorted component certificates of
-    G x K2 as direct_product builds it (relabeling G relabels the
-    product). class_nbhd_pure says every neighborhood mate of the class
-    lies in it, class_product_pure that no other class has its product
-    class.
+    each class's least index. Stamping each orbit makes the numbers exact,
+    so canon_of reads them as certificates. class_nbhd_pure says every
+    neighborhood mate of the class lies in it, class_product_pure that no
+    other class has its product class, the sorted component certificates of
+    G x K2 as direct_product builds it (relabeling G relabels the product,
+    so any member gives it).
     """
 
     def __init__(self, n: int) -> None:
         self.n = n
         self.class_of = array("I")
-        self.class_canon: list[int] = []
-        self.class_product: list[tuple[bytes, ...]] = []
         self.class_nbhd_pure: list[bool] = []
         self.class_product_pure: list[bool] = []
 
     def build(self) -> None:
-        """The first unseen index of each class stamps its orbit and takes
-        the class's one canon_rows call. Purity is read once every orbit is
-        stamped, since class_of reads 0 on unstamped indices."""
+        """The first unseen index of each class stamps its orbit, and that
+        least member gives the class's mates and product class. Purity is
+        read once every orbit is stamped, since class_of reads 0 on
+        unstamped indices."""
         n = self.n
         total = enumerate_count(n, True)
         seen = bytearray((total + 7) // 8)
@@ -336,35 +334,31 @@ class _UniverseIndex:
                 for member in stamp_orbit(n, rows, True, seen):
                     class_of[member] = len(least_rows)
                 least_rows.append(rows)
-                canon = canon_rows(n, rows)[0]
-                self.class_canon.append(adjacency_index(n, canon))
-                self.class_product.append(
-                    _component_class_multiset(2 * n, direct_product(Graph(n, canon), K2).adj)
-                )
         self.class_of = class_of
         self.class_nbhd_pure = [
             all(class_of[adjacency_index(n, mate)] == number
                 for mate in _neighborhood_mates(n, rows))
             for number, rows in enumerate(least_rows)
         ]
-        shared = Counter(self.class_product)
-        self.class_product_pure = [shared[key] == 1 for key in self.class_product]
-
-    def _class(self, rows) -> int:
-        return self.class_of[adjacency_index(self.n, rows)]
+        products = [
+            _component_class_multiset(2 * n, direct_product(Graph(n, rows), K2).adj)
+            for rows in least_rows
+        ]
+        shared = Counter(products)
+        self.class_product_pure = [shared[key] == 1 for key in products]
 
     def canon_of(self, rows) -> int:
-        return self.class_canon[self._class(rows)]
+        return self.class_of[adjacency_index(self.n, rows)]
 
     def neighborhood_pure(self, rows) -> bool:
-        return self.class_nbhd_pure[self._class(rows)]
+        return self.class_nbhd_pure[self.canon_of(rows)]
 
     def product_pure(self, rows) -> bool:
-        return self.class_product_pure[self._class(rows)]
+        return self.class_product_pure[self.canon_of(rows)]
 
 
 def _main_pass_for_n(
-    n: int,
+    index: _UniverseIndex,
     loops_allowed: bool,
     violations: _Violations,
     start: int = 0,
@@ -374,10 +368,10 @@ def _main_pass_for_n(
     orbit checks up to ORBIT_CHECK_MAX, all from one Ant search and one G^a
     per image, with every certificate read off the universe index; the
     involution test reads the Ant list, since the involutions in Ant(G) are
-    the involutory automorphisms. The universe index comes from
-    _FORK_STATE, where verify_theorems puts it; it holds every G^a, since
-    G^a may have loops whatever the mode."""
-    index: _UniverseIndex = _FORK_STATE["index"]
+    the involutory automorphisms. The index is the loops-allowed one at the
+    pass's n, so it holds every G^a, which may have loops whatever the
+    mode."""
+    n = index.n
     graphs = 0
     non_rec = 0
     non_strong = 0
@@ -756,15 +750,11 @@ def _bip_sweep_for_n(
 #
 # Only the main pass, which stays per labeled graph, is sharded: the
 # universe index and the bipartite sweep work per iso class and take
-# seconds in one process. Workers rebuild iteration state from (n, start,
-# stop). The universe index, read-only and mostly its class_of array (8 MiB
-# at n=6), travels by fork inheritance: it is stashed in _FORK_STATE before
-# the pool for that n is created, so every child gets it for free via
-# copy-on-write. That requires a fresh pool per n, which fork makes cheap.
+# seconds in one process. Workers rebuild iteration state from (start,
+# stop) and get the universe index as an argument, pickled once per shard:
+# mostly its class_of array, 8 MiB and about 15 ms each way at n=6.
 # _worker_bip_sweep keeps the (n, start, stop) worker shape for callers
 # that time slices of the sweep.
-
-_FORK_STATE: dict = {}
 
 _POOL_THRESHOLD = 1 << 12
 
@@ -805,15 +795,15 @@ def _shards(total: int, jobs: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
 
 
-def _run_shards(worker, n: int, total: int, args: tuple, jobs: int) -> list:
-    """worker((n, *args, lo, hi)) for each shard of range(total): in a fresh
+def _run_shards(worker, total: int, args: tuple, jobs: int) -> list:
+    """worker((*args, lo, hi)) for each shard of range(total): in a fresh
     fork pool when jobs > 1 and the range is large, else once in-process
     over the whole range."""
     if jobs > 1 and total >= _POOL_THRESHOLD:
         return _run_pool(
-            worker, [(n, *args, lo, hi) for lo, hi in _shards(total, jobs)], jobs
+            worker, [(*args, lo, hi) for lo, hi in _shards(total, jobs)], jobs
         )
-    return [worker((n, *args, 0, total))]
+    return [worker((*args, 0, total))]
 
 
 def verify_theorems(
@@ -868,15 +858,11 @@ def verify_theorems(
         for n in range(1, nmax + 1):
             index = _UniverseIndex(n)
             index.build()
-            _FORK_STATE["index"] = index
             mode_total = enumerate_count(n, loops_allowed)
-            try:
-                shards = _run_shards(
-                    partial(_pass_worker, _main_pass_for_n), n, mode_total,
-                    (loops_allowed,), jobs,
-                )
-            finally:
-                _FORK_STATE.clear()
+            shards = _run_shards(
+                partial(_pass_worker, _main_pass_for_n), mode_total,
+                (index, loops_allowed), jobs,
+            )
             sums = [0, 0, 0, 0]
             for *counts, items, total in shards:
                 violations.absorb(items, total)

@@ -28,7 +28,7 @@ from cancelgraph import (
     is_isomorphic,
 )
 import cancelgraph.iso as iso_mod
-from cancelgraph.graphs import enumerate_count, iter_adj_rows
+from cancelgraph.graphs import enumerate_count, iter_adj_rows, upper_cells
 from cancelgraph.iso import (
     automorphisms,
     canon_rows,
@@ -439,6 +439,75 @@ def test_corrupted_transposition_table_trips_the_orbit_size_check(monkeypatch):
 def test_orbit_stamping_guard():
     with pytest.raises(CapacityError):
         stamp_orbit(8, (0,) * 8, True, bytearray(1))
+
+
+def seven_bit_tables(n: int, loops: bool, a: int, b: int) -> list[list[int]]:
+    """The reference transposition tables: per 7-bit chunk of an enumeration
+    index, the bits its cells occupy once vertices a and b swap labels."""
+    cells = upper_cells(n, loops)
+    m = len(cells)
+    bit_of = {cell: m - 1 - p for p, cell in enumerate(cells)}
+    label = list(range(n))
+    label[a], label[b] = b, a
+    moved = [bit_of[tuple(sorted((label[i], label[j])))] for i, j in reversed(cells)]
+    return [
+        [sum(1 << moved[lo + t] for t in range(min(7, m - lo)) if chunk >> t & 1)
+         for chunk in range(1 << min(7, m - lo))]
+        for lo in range(0, m, 7)
+    ]
+
+
+def seven_bit_image(tables: list[list[int]], x: int) -> int:
+    out = 0
+    for c, table in enumerate(tables):
+        out |= table[x >> 7 * c & 127]
+    return out
+
+
+@pytest.mark.parametrize(
+    "n, loops", [(n, True) for n in range(1, 8)] + [(n, False) for n in range(1, 9)]
+)
+def test_three_chunk_tables_match_the_seven_bit_tables(n, loops):
+    # the tables map indices bitwise, so single bits settle every index
+    m = len(upper_cells(n, loops))
+    width = -(-m // 3)
+    low = (1 << width) - 1
+    for a, b in set(iso_mod._heap_swaps(n)):
+        t0, t1, t2 = iso_mod._swap_tables(n, loops, a, b)
+        reference = seven_bit_tables(n, loops, a, b)
+        for bit in range(m):
+            x = 1 << bit
+            got = t0[x & low] | t1[x >> width & low] | t2[x >> 2 * width]
+            assert got == seven_bit_image(reference, x)
+
+
+@pytest.mark.parametrize(
+    "n, loops", [(n, True) for n in range(1, 6)] + [(n, False) for n in range(1, 7)]
+)
+def test_stamp_orbit_matches_seven_bit_stamping(n, loops):
+    tables = {pair: seven_bit_tables(n, loops, *pair) for pair in set(iso_mod._heap_swaps(n))}
+    steps = [tables[pair] for pair in iso_mod._heap_swaps(n)]
+    seen = bytearray((enumerate_count(n, loops) + 7) // 8)
+    reference = bytearray(len(seen))
+    for k, rows in enumerate(iter_adj_rows(n, loops)):
+        if reference[k >> 3] >> (k & 7) & 1:
+            continue
+        walk = [k]
+        for step in steps:
+            walk.append(seven_bit_image(step, walk[-1]))
+        orbit = list(dict.fromkeys(walk))
+        for x in orbit:
+            reference[x >> 3] |= 1 << (x & 7)
+        assert stamp_orbit(n, tuple(rows), loops, seen) == orbit
+    assert seen == reference
+
+
+@pytest.mark.parametrize("n, loops", [(7, True), (8, False)])
+def test_orbit_tables_stay_under_half_a_mebibyte(n, loops):
+    # 28 cells in 10-bit chunks, the largest universes stamp_orbit covers;
+    # the bound is the one oracle.BIP_SWEEP_MAX states
+    distinct = {id(table): table for step in iso_mod._orbit_steps(n, loops) for table in step}
+    assert sum(table.itemsize * len(table) for table in distinct.values()) < 1 << 19
 
 
 # ---------------------------------------------------------------------------

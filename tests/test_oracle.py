@@ -181,7 +181,7 @@ def test_cancellation_oracle_matches_the_index_product_purity(n):
         pure = index.product_pure(g.adj)
         assert cancellation_oracle(g) == pure
         assert (cancellation_counterexample(g) is None) == pure
-    assert numbered == len(index.class_canon)
+    assert numbered == max(index.class_of) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +530,7 @@ def test_pair_membership_faults_are_reported(monkeypatch, name, fake, expected):
     assert pair_membership_kinds() == expected
 
 
-def test_odd_power_fault_is_reported_by_the_main_pass(monkeypatch):
+def test_odd_power_fault_is_reported_by_the_main_pass():
     class LabeledIndex(oracle_mod._UniverseIndex):
         """Labeled rows as certificates, so G^a and G^(a^3) differ whenever
         their rows do; both oracles read pure."""
@@ -544,9 +544,8 @@ def test_odd_power_fault_is_reported_by_the_main_pass(monkeypatch):
         def product_pure(self, rows):
             return True
 
-    monkeypatch.setitem(oracle_mod._FORK_STATE, "index", LabeledIndex(3))
     violations = oracle_mod._Violations()
-    oracle_mod._main_pass_for_n(3, True, violations)
+    oracle_mod._main_pass_for_n(LabeledIndex(3), True, violations)
     assert violation_kinds(violations.items)["simplus2"] > 0
 
 
@@ -573,8 +572,7 @@ def test_ant_search_losing_the_identity_is_reported_by_the_main_pass(monkeypatch
     for n in range(1, 5):
         index = oracle_mod._UniverseIndex(n)
         index.build()
-        monkeypatch.setitem(oracle_mod._FORK_STATE, "index", index)
-        oracle_mod._main_pass_for_n(n, True, violations)
+        oracle_mod._main_pass_for_n(index, True, violations)
     assert kinds == {"strong_routes": 276, "simeqiso_closure": 1206, "simplus2": 272}
 
 
@@ -604,19 +602,35 @@ def labeled_purity(n: int) -> list[tuple[bool, bool]]:
 # OEIS A000666: graphs with loops allowed, n = 1..5
 @pytest.mark.parametrize("n, classes", [(1, 2), (2, 6), (3, 20), (4, 90), (5, 544)])
 def test_universe_index_classes_are_the_canon_rows_classes(n, classes):
+    # canon_of is equal on two graphs exactly when their canonical rows are
     index = oracle_mod._UniverseIndex(n)
     index.build()
-    assert len(index.class_canon) == len(index.class_product) == classes
     assert len(index.class_of) == enumerate_count(n, True)
-    class_of_canon: dict[int, int] = {}
+    class_of_canon: dict[tuple[int, ...], int] = {}
+    canon_of_class: dict[int, tuple[int, ...]] = {}
     purity = labeled_purity(n)
     for k, rows in enumerate(iter_adj_rows(n, True)):
         frozen = tuple(rows)
-        canon = adjacency_index(n, canon_rows(n, frozen)[0])
-        assert index.canon_of(frozen) == canon
-        assert class_of_canon.setdefault(canon, index.class_of[k]) == index.class_of[k]
+        canon = canon_rows(n, frozen)[0]
+        number = index.canon_of(frozen)
+        assert class_of_canon.setdefault(canon, number) == number
+        assert canon_of_class.setdefault(number, canon) == canon
         assert (index.neighborhood_pure(frozen), index.product_pure(frozen)) == purity[k]
-    assert len(class_of_canon) == classes
+    assert len(class_of_canon) == len(canon_of_class) == classes
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_universe_index_builds_without_canonical_forms(n, monkeypatch):
+    def no_canon_rows(*args):
+        raise AssertionError("the index build called canon_rows")
+
+    monkeypatch.setattr(oracle_mod, "canon_rows", no_canon_rows)
+    index = oracle_mod._UniverseIndex(n)
+    index.build()
+    purity = labeled_purity(n)
+    for k, rows in enumerate(iter_adj_rows(n, True)):
+        assert (index.neighborhood_pure(rows), index.product_pure(rows)) == purity[k]
+    assert not all(itertools.chain.from_iterable(purity))
 
 
 # ---------------------------------------------------------------------------
