@@ -201,35 +201,32 @@ def _reversing_involution(
     n: int, rows: tuple[int, ...], xs: list[int], ys: list[int]
 ) -> tuple[int, ...] | None:
     """Involutory automorphism swapping xs and ys (identity elsewhere), as a
-    pairing search: fixing sigma(x)=y also fixes sigma(y)=x."""
+    pairing search: fixing sigma(x)=y also fixes sigma(y)=x. The sides of a
+    bipartite component hold no edge and no loop, so each placed x' only
+    requires A[x][sigma(x')] == A[x'][y]: x' ANDs rows[x'] or its
+    complement into one mask of x's unused partners of x's degree, walked
+    from its lowest bit up."""
     image = list(range(n))
-    deg = [rows[v].bit_count() for v in range(n)]
+    by_deg: dict[int, int] = {}
+    for y in ys:
+        by_deg[rows[y].bit_count()] = by_deg.get(rows[y].bit_count(), 0) | 1 << y
 
     def extend(i: int, used: int) -> bool:
         if i == len(xs):
             return True
         x = xs[i]
         rx = rows[x]
-        for y in ys:
-            if used >> y & 1 or deg[y] != deg[x]:
-                continue
-            ry = rows[y]
-            ok = True
-            for j in range(i):
-                xj = xs[j]
-                yj = image[xj]
-                if (rx >> yj & 1) != (ry >> xj & 1) or (rx >> xj & 1) != (
-                    ry >> yj & 1
-                ):
-                    ok = False
-                    break
-            if ok:
-                image[x] = y
-                image[y] = x
-                if extend(i + 1, used | 1 << y):
-                    return True
-                image[x] = x
-                image[y] = y
+        cand = by_deg.get(rx.bit_count(), 0) & ~used
+        for placed in xs[:i]:
+            cand &= rows[placed] if rx >> image[placed] & 1 else ~rows[placed]
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            y = b.bit_length() - 1
+            image[x], image[y] = y, x
+            if extend(i + 1, used | b):
+                return True
+            image[x], image[y] = x, y
         return False
 
     if extend(0, 0):

@@ -254,16 +254,8 @@ def canonical_graph(g: Graph) -> Graph:
     return Graph(g.n, canon)
 
 
-def _quick_profile(g: Graph) -> tuple:
-    return (g.n, sorted((row >> v & 1, row.bit_count()) for v, row in enumerate(g.adj)))
-
-
 def is_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.n != h.n:
-        return False
-    if _quick_profile(g) != _quick_profile(h):
-        return False
-    return canonical_form(g) == canonical_form(h)
+    return g.n == h.n and canonical_form(g) == canonical_form(h)
 
 
 def find_isomorphism(g: Graph, h: Graph) -> Permutation | None:

@@ -5,9 +5,9 @@ producing a verdict: the neighborhood oracle builds every labeled graph on
 the same vertex set whose rows rearrange G's rows into a symmetric matrix,
 which is the definition of sharing G's neighborhood multiset; the
 cancellation oracle scans every labeled graph and compares product
-classes, the sorted component certificates of H x K2. Agreement with the
-decide module is then actual evidence, because the two routes share no
-theory beyond the isomorphism engine.
+classes, the certificate of H x K2. Agreement with the decide module is
+then actual evidence, because the two routes share no theory beyond the
+isomorphism engine.
 
 The verification suites read both oracles per isomorphism class instead of
 calling them once per graph: the universe index records whether every
@@ -44,6 +44,7 @@ from .graphs import (
     all_permutations,
     bits_of,
     component_masks,
+    disjoint_union,
     enumerate_count,
     invert,
     is_involution,
@@ -54,14 +55,7 @@ from .graphs import (
     perm_order,
     permute_mask,
 )
-from .iso import (
-    canon_connected,
-    canon_rows,
-    cert_bytes,
-    compact_rows,
-    iter_automorphism_images,
-    stamp_orbit,
-)
+from .iso import canon_rows, cert_bytes, iter_automorphism_images, stamp_orbit
 from .product import bipartition, direct_product
 
 ORACLE_MAX = 6
@@ -86,6 +80,12 @@ K3 = Graph(3, (6, 5, 3))
 def _oracle_guard(n: int, force: bool, work: str) -> None:
     if n > ORACLE_MAX and not force:
         raise CapacityError(f"{work}; guarded at n<={ORACLE_MAX}")
+
+
+def _certificate(n: int, rows) -> bytes:
+    """The isomorphism certificate of rows: equal exactly on isomorphic
+    graphs of order n."""
+    return cert_bytes(n, canon_rows(n, rows)[0])
 
 
 def _neighborhood_mates(n: int, rows) -> Iterator[tuple[int, ...]]:
@@ -125,9 +125,9 @@ def _cancellation_scan(g: Graph, force: bool) -> tuple[bool, Graph | None]:
     _oracle_guard(g.n, force, "cancellation oracle scans 2^(n(n+1)/2) graphs")
     n = g.n
     base_prod = direct_product(g, K2).adj
-    base_class = _component_class_multiset(2 * n, base_prod)
+    base_class = _certificate(2 * n, base_prod)
     base_sizes = sorted(m.bit_count() for m in component_masks(2 * n, base_prod))
-    own_cert = cert_bytes(n, canon_rows(n, g.adj)[0])
+    own_cert = _certificate(n, g.adj)
     degs = sorted(r.bit_count() for r in g.adj)
     offenders = []
     for rows in iter_adj_rows(n, True):
@@ -137,9 +137,9 @@ def _cancellation_scan(g: Graph, force: bool) -> tuple[bool, Graph | None]:
         prod = direct_product(Graph(n, frozen), K2).adj
         if sorted(m.bit_count() for m in component_masks(2 * n, prod)) != base_sizes:
             continue
-        if _component_class_multiset(2 * n, prod) != base_class:
+        if _certificate(2 * n, prod) != base_class:
             continue
-        if cert_bytes(n, canon_rows(n, frozen)[0]) != own_cert:
+        if _certificate(n, frozen) != own_cert:
             offenders.append(frozen)
     if not offenders:
         return True, None
@@ -307,14 +307,16 @@ class _UniverseIndex:
     each class's least index. Stamping each orbit makes the numbers exact,
     so canon_of reads them as certificates. class_nbhd_pure says every
     neighborhood mate of the class lies in it, class_product_pure that no
-    other class has its product class, the sorted component certificates of
-    G x K2 as direct_product builds it (relabeling G relabels the product,
-    so any member gives it).
+    other class has its product class, the certificate of G x K2 as
+    direct_product builds it (relabeling G relabels the product, so any
+    member gives it).
     """
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self.class_of = array("I")
+        # 16-bit class numbers while they fit: n=6 has 5096 loops-allowed
+        # classes, n=7 79264 (OEIS A000666); one too large raises OverflowError
+        self.class_of = array("H" if n <= 6 else "I")
         self.class_nbhd_pure: list[bool] = []
         self.class_product_pure: list[bool] = []
 
@@ -326,7 +328,7 @@ class _UniverseIndex:
         n = self.n
         total = enumerate_count(n, True)
         seen = bytearray((total + 7) // 8)
-        class_of = array("I", [0]) * total
+        class_of = array(self.class_of.typecode, [0]) * total
         least_rows = []
         for k in range(total):
             if not seen[k >> 3] >> (k & 7) & 1:
@@ -341,8 +343,7 @@ class _UniverseIndex:
             for number, rows in enumerate(least_rows)
         ]
         products = [
-            _component_class_multiset(2 * n, direct_product(Graph(n, rows), K2).adj)
-            for rows in least_rows
+            _certificate(2 * n, direct_product(Graph(n, rows), K2).adj) for rows in least_rows
         ]
         shared = Counter(products)
         self.class_product_pure = [shared[key] == 1 for key in products]
@@ -593,12 +594,12 @@ def _weichsel_pass(nmax: int, violations: _Violations) -> None:
 def _lovasz_pass(nmax: int, violations: _Violations) -> None:
     """G x K3 iso H x K3 forces G iso H over loopless graphs."""
     for n in range(1, min(nmax, SIDE_SUITE_MAX) + 1):
-        classes: dict[bytes, set[int]] = {}
+        classes: dict[bytes, set[bytes]] = {}
         for rows in iter_adj_rows(n, False):
             frozen = tuple(rows)
             prod = direct_product(Graph(n, frozen), K3)
-            key = cert_bytes(prod.n, canon_rows(prod.n, prod.adj)[0])
-            classes.setdefault(key, set()).add(adjacency_index(n, canon_rows(n, frozen)[0]))
+            key = _certificate(prod.n, prod.adj)
+            classes.setdefault(key, set()).add(_certificate(n, frozen))
         for canons in classes.values():
             if len(canons) > 1:
                 violations.add("lovasz_k3", n, note="product class contains non-isomorphic members")
@@ -620,23 +621,14 @@ def _roundtrip_pass(nmax: int, violations: _Violations) -> None:
                     continue
                 alpha, _mu = result
                 got = apply_anti_rows(frozen, alpha.image)
-                if got != target_rows and cert_bytes(n, canon_rows(n, got)[0]) != cert_bytes(
-                    n, canon_rows(n, target_rows)[0]
+                if got != target_rows and (
+                    _certificate(n, got) != _certificate(n, target_rows)
                 ):
                     violations.add(
                         "roundtrip_mismatch", n,
                         edges=_edges_of_rows(n, frozen),
                         alpha=list(img), recovered=list(alpha.image),
                     )
-
-
-def _component_class_multiset(n: int, rows) -> tuple[bytes, ...]:
-    parts = []
-    for mask in component_masks(n, rows):
-        local = compact_rows(rows, mask)
-        crows, _ = canon_connected(len(local), local)
-        parts.append(cert_bytes(len(local), crows))
-    return tuple(sorted(parts))
 
 
 def _fixed_bipartition_rows(n: int) -> Iterator[tuple[int, ...]]:
@@ -660,17 +652,14 @@ def _bip_class_checks(n: int, rows: tuple[int, ...]) -> tuple[bool, list[tuple[s
         raise InvariantViolationError(f"relabeled bipartite graph {rows} read as non-bipartite")
     found = []
     bip_verdict, _ = _bip_decide(g, bip)
-    slow = _full_route(
-        rows, _permuted(rows, iter_ant_images(n, rows)), lambda r: canon_rows(n, r)[0]
-    )
+    slow = _full_route(rows, _permuted(rows, iter_ant_images(n, rows)), partial(_certificate, n))
     if bip_verdict != slow:
         found.append(("biprevinv", {
             "edges": _edges_of_rows(n, rows),
             "reversal_decider": bip_verdict, "anti_route": slow,
         }))
-    doubled = _component_class_multiset(n, rows) * 2
-    cover = _component_class_multiset(2 * n, direct_product(g, K2).adj)
-    if tuple(sorted(doubled)) != cover:
+    doubled = _certificate(2 * n, disjoint_union(g, g).adj)
+    if doubled != _certificate(2 * n, direct_product(g, K2).adj):
         found.append(("double_cover", {"edges": _edges_of_rows(n, rows)}))
     return bip_verdict, found
 
@@ -752,7 +741,7 @@ def _bip_sweep_for_n(
 # universe index and the bipartite sweep work per iso class and take
 # seconds in one process. Workers rebuild iteration state from (start,
 # stop) and get the universe index as an argument, pickled once per shard:
-# mostly its class_of array, 8 MiB and about 15 ms each way at n=6.
+# mostly its class_of array, 4 MiB at n=6.
 # _worker_bip_sweep keeps the (n, start, stop) worker shape for callers
 # that time slices of the sweep.
 

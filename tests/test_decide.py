@@ -22,6 +22,7 @@ from cancelgraph import (
     UsageError,
     apply_anti,
     bipartite_cancellation_decider,
+    bipartition,
     bipartite_reversal_witness,
     classify,
     enumerate_ant,
@@ -36,6 +37,7 @@ from cancelgraph import (
 )
 from cancelgraph import decide
 from cancelgraph.graphs import adjacency_index, iter_adj_rows, multiset_key, perm_order
+from cancelgraph.oracle import _fixed_bipartition_rows
 
 from conftest import graph_and_permutation, graph_strategy
 
@@ -198,6 +200,58 @@ def test_bipartite_decider_matches_scan_exhaustively():
             if not is_bipartite(g):
                 continue
             assert bipartite_cancellation_decider(g) == scan_reconstructible(g)
+
+
+def pair_test_reversing_involution(n, rows, xs, ys):
+    """The reversal search as a pair test per candidate: y of x's degree,
+    unused, and A[x][x'] == A[y][y'], A[x][y'] == A[y][x'] for every placed
+    x' -> y'. The reference the candidate-mask search must reproduce."""
+    image = list(range(n))
+    deg = [rows[v].bit_count() for v in range(n)]
+
+    def extend(i, used):
+        if i == len(xs):
+            return True
+        x = xs[i]
+        for y in ys:
+            if used >> y & 1 or deg[y] != deg[x]:
+                continue
+            if all(
+                rows[x] >> image[xj] & 1 == rows[y] >> xj & 1
+                and rows[x] >> xj & 1 == rows[y] >> image[xj] & 1
+                for xj in xs[:i]
+            ):
+                image[x], image[y] = y, x
+                if extend(i + 1, used | 1 << y):
+                    return True
+                image[x], image[y] = x, y
+        return False
+
+    return tuple(image) if extend(0, 0) else None
+
+
+def check_reversal_searches_agree(n, rows):
+    for sides in bipartition(Graph(n, rows)).component_sides:
+        xs, ys = sorted(sides[0]), sorted(sides[1])
+        for a, b in ((xs, ys), (ys, xs)):
+            expected = pair_test_reversing_involution(n, rows, a, b)
+            assert decide._reversing_involution(n, rows, a, b) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_reversal_search_matches_the_pair_test_exhaustively(n):
+    # every side pair of every component, both ways round, of every loopless
+    # bipartite graph
+    for rows in iter_adj_rows(n, False):
+        frozen = tuple(rows)
+        if is_bipartite(Graph(n, frozen)):
+            check_reversal_searches_agree(n, frozen)
+
+
+def test_reversal_search_matches_the_pair_test_at_seven():
+    # every seed of the n=7 bipartite sweep, smaller colour class first
+    for rows in _fixed_bipartition_rows(7):
+        check_reversal_searches_agree(7, rows)
 
 
 # ---------------------------------------------------------------------------

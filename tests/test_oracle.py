@@ -23,6 +23,7 @@ from cancelgraph import (
     cancellation_counterexample,
     cancellation_oracle,
     direct_product,
+    disjoint_union,
     enumerate_ant,
     extract_anti_from_product_iso,
     is_anti_automorphism,
@@ -34,8 +35,14 @@ from cancelgraph import (
 )
 from cancelgraph.antiauto import apply_anti_rows, iter_ant_images
 from cancelgraph.decide import _full_route, _permuted
-from cancelgraph.graphs import adjacency_index, enumerate_count, iter_adj_rows, multiset_key
-from cancelgraph.iso import canon_rows
+from cancelgraph.graphs import (
+    adjacency_index,
+    component_masks,
+    enumerate_count,
+    iter_adj_rows,
+    multiset_key,
+)
+from cancelgraph.iso import canon_connected, canon_rows, cert_bytes, compact_rows
 from cancelgraph.product import bipartition
 
 from conftest import graph_strategy, load_fixture
@@ -576,6 +583,17 @@ def test_ant_search_losing_the_identity_is_reported_by_the_main_pass(monkeypatch
     assert kinds == {"strong_routes": 276, "simeqiso_closure": 1206, "simplus2": 272}
 
 
+def component_class_multiset(n: int, rows) -> tuple[bytes, ...]:
+    """The sorted certificates of the components: the reference product
+    class and double-cover key, computed apart from oracle._certificate."""
+    parts = []
+    for mask in component_masks(n, rows):
+        local = compact_rows(rows, mask)
+        crows, _ = canon_connected(len(local), local)
+        parts.append(cert_bytes(len(local), crows))
+    return tuple(sorted(parts))
+
+
 def labeled_purity(n: int) -> list[tuple[bool, bool]]:
     """The oracle buckets as a walk of every labeled graph, loops allowed:
     each graph is filed under its sorted rows and under its product class,
@@ -591,7 +609,7 @@ def labeled_purity(n: int) -> list[tuple[bool, bool]]:
         if canon not in cover_class:
             # relabeling G relabels G x K2, so one product class per iso class
             cover = direct_product(Graph(n, canon), K2).adj
-            cover_class[canon] = oracle_mod._component_class_multiset(2 * n, cover)
+            cover_class[canon] = component_class_multiset(2 * n, cover)
         nkey, pkey = multiset_key(frozen), cover_class[canon]
         nbhd.setdefault(nkey, set()).add(canon)
         product.setdefault(pkey, set()).add(canon)
@@ -606,6 +624,7 @@ def test_universe_index_classes_are_the_canon_rows_classes(n, classes):
     index = oracle_mod._UniverseIndex(n)
     index.build()
     assert len(index.class_of) == enumerate_count(n, True)
+    assert index.class_of.itemsize == 2
     class_of_canon: dict[tuple[int, ...], int] = {}
     canon_of_class: dict[int, tuple[int, ...]] = {}
     purity = labeled_purity(n)
@@ -621,8 +640,11 @@ def test_universe_index_classes_are_the_canon_rows_classes(n, classes):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_universe_index_builds_without_canonical_forms(n, monkeypatch):
-    def no_canon_rows(*args):
-        raise AssertionError("the index build called canon_rows")
+    # G x K2 on 2n vertices is canonicalized for its product class; G never is
+    def no_canon_rows(order, rows):
+        if order == n:
+            raise AssertionError("the index build called canon_rows on G")
+        return canon_rows(order, rows)
 
     monkeypatch.setattr(oracle_mod, "canon_rows", no_canon_rows)
     index = oracle_mod._UniverseIndex(n)
@@ -664,8 +686,8 @@ def labeled_bip_sweep(n, violations, start=0, stop=None):
                 edges=oracle_mod._edges_of_rows(n, frozen),
                 reversal_decider=bip_verdict, anti_route=slow,
             )
-        doubled = oracle_mod._component_class_multiset(n, frozen) * 2
-        cover = oracle_mod._component_class_multiset(2 * n, direct_product(g, K2).adj)
+        doubled = component_class_multiset(n, frozen) * 2
+        cover = component_class_multiset(2 * n, direct_product(g, K2).adj)
         if tuple(sorted(doubled)) != cover:
             violations.add("double_cover", n, edges=oracle_mod._edges_of_rows(n, frozen))
     return checked, failures
@@ -701,11 +723,13 @@ def test_class_sweep_matches_the_labeled_sweep(n):
 # OEIS A033995: bipartite graphs, n = 1..6
 @pytest.mark.parametrize("n, classes", [(1, 1), (2, 2), (3, 3), (4, 7), (5, 13), (6, 35)])
 def test_double_cover_fault_is_reported_once_per_class(n, classes, monkeypatch, fresh_bip_classes):
-    # a component-class key that reads only the vertex count tells G + G
-    # (two keys) from G x K2 (one key) on every bipartite class
-    monkeypatch.setattr(
-        oracle_mod, "_component_class_multiset", lambda order, rows: (bytes((order,)),)
-    )
+    # G + G with a loop at vertex 0 is never isomorphic to the loopless
+    # G x K2 of a bipartite G
+    def looped_union(g, h):
+        union = disjoint_union(g, h)
+        return Graph(union.n, (union.adj[0] | 1,) + union.adj[1:])
+
+    monkeypatch.setattr(oracle_mod, "disjoint_union", looped_union)
     *_, items, total = oracle_mod._worker_bip_sweep((n, 0, enumerate_count(n, False)))
     assert Counter(item["suite"] for item in items) == {"double_cover": classes}
     assert total == classes
