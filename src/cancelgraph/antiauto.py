@@ -81,9 +81,6 @@ def iter_ant_images(n: int, rows: tuple[int, ...]):
     pair, so u ANDs rows[u] or its complement into one mask of v's unused
     candidates of v's degree, walked from its lowest bit up.
     """
-    if n == 0:
-        yield ()
-        return
     by_deg: dict[int, int] = {}
     for w, r in enumerate(rows):
         by_deg[r.bit_count()] = by_deg.get(r.bit_count(), 0) | 1 << w
@@ -167,10 +164,7 @@ def iter_two_fold(src: tuple[int, ...], dst: tuple[int, ...]):
 
 def enumerate_ant(g: Graph, *, force: bool = False) -> list[Permutation]:
     """All of Ant(G), lexicographically ascending; always contains the identity."""
-    if g.n > ANT_MAX and not force:
-        raise CapacityError(
-            f"anti-automorphism listing guarded at n<={ANT_MAX}; pass force=True"
-        )
+    CapacityError.check(g.n, ANT_MAX, force, "anti-automorphism listing")
     out = []
     for image in iter_ant_images(g.n, g.adj):
         p = Permutation(image)
@@ -207,10 +201,7 @@ def is_two_fold(g: Graph, pair: TwoFoldPair) -> bool:
 
 def enumerate_aut_tf(g: Graph, *, force: bool = False) -> list[TwoFoldPair]:
     """All of Aut^TF(G). Can reach (n!)^2 pairs on degenerate inputs."""
-    if g.n > TF_MAX and not force:
-        raise CapacityError(
-            f"two-fold listing guarded at n<={TF_MAX}; pass force=True"
-        )
+    CapacityError.check(g.n, TF_MAX, force, "two-fold listing")
     classes = list(row_classes(g.adj).values())
     out = []
     for lam, mu in iter_two_fold(g.adj, g.adj):
@@ -329,10 +320,7 @@ def _orbit_partition(n: int, rows: tuple[int, ...], ant: list[tuple[int, ...]], 
 
 
 def ant_orbits(g: Graph, *, force: bool = False) -> AntOrbitPartition:
-    if g.n > TF_MAX and not force:
-        raise CapacityError(
-            f"orbit computation uses the two-fold machinery, guarded at n<={TF_MAX}"
-        )
+    CapacityError.check(g.n, TF_MAX, force, "orbit computation uses the two-fold machinery")
     ant = enumerate_ant(g, force=force)
     images = [p.image for p in ant]
     certs = [_canonical(g.n, apply_anti_rows(g.adj, img))[0] for img in images]

@@ -37,13 +37,6 @@ def _has_two_power_order(image: tuple[int, ...]) -> bool:
     return order & (order - 1) == 0
 
 
-def _guard(g: Graph, force: bool) -> None:
-    if g.n > ANT_MAX and not force:
-        raise CapacityError(
-            f"decider needs the anti-automorphism listing, guarded at n<={ANT_MAX}"
-        )
-
-
 def _permuted(rows: tuple[int, ...], images):
     """(a, rows of G^a) for each image a, lazily."""
     for img in images:
@@ -129,7 +122,7 @@ def _ant_pass(g: Graph, force: bool):
 
 
 def is_neighborhood_reconstructible(g: Graph, *, force: bool = False) -> bool:
-    _guard(g, force)
+    CapacityError.check(g.n, ANT_MAX, force, "decider needs the anti-automorphism listing")
     if involution_witness(g) is None:
         return True
     bp = bipartition(g)
@@ -146,7 +139,6 @@ def reconstruction_counterexample(
 ) -> tuple[Permutation, Graph] | None:
     """The non-isomorphic permuted graph with the least adjacency encoding,
     with its anti-automorphism; ties broken by least image vector."""
-    _guard(g, force)
     found = _ant_pass(g, force)[2]
     if found is None:
         return None
@@ -156,7 +148,6 @@ def reconstruction_counterexample(
 def is_strongly_reconstructible(g: Graph, *, force: bool = False) -> bool:
     """True when every permuted graph equals G exactly, confirmed by the
     classwise route; disagreement is an engine bug."""
-    _guard(g, force)
     ant = [p.image for p in enumerate_ant(g, force=force)]
     found = next(_distinct_images(g.adj, _permuted(g.adj, ant)), None)
     return _strong_verdict(g.adj, ant, found is None)
@@ -164,7 +155,6 @@ def is_strongly_reconstructible(g: Graph, *, force: bool = False) -> bool:
 
 def strong_counterexample(g: Graph, *, force: bool = False) -> Permutation | None:
     """Least anti-automorphism whose permuted graph differs from G."""
-    _guard(g, force)
     images = (p.image for p in enumerate_ant(g, force=force))
     found = next(_distinct_images(g.adj, _permuted(g.adj, images)), None)
     return None if found is None else Permutation(found[0])
@@ -297,7 +287,7 @@ class AnalysisReport:
 
 
 def classify(g: Graph, *, force: bool = False) -> AnalysisReport:
-    _guard(g, force)
+    CapacityError.check(g.n, ANT_MAX, force, "decider needs the anti-automorphism listing")
     bp = bipartition(g)
     reversal = _bip_decide(g, bp)[1] if bp.is_bipartite else None
     ant, certs, counterexample, strong_witness = _ant_pass(g, force)

@@ -16,6 +16,12 @@ class UsageError(CancelGraphError):
 class CapacityError(CancelGraphError):
     """Size or budget guard exceeded without an explicit override."""
 
+    @classmethod
+    def check(cls, n: int, limit: int, force: bool, work: str) -> None:
+        """Refuse n above limit unless forced; work says what n bounds."""
+        if n > limit and not force:
+            raise cls(f"{work}; guarded at n<={limit}; pass force=True")
+
 
 class ParseError(CancelGraphError):
     """Malformed graph or permutation text. Carries the offending line number."""

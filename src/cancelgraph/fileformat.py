@@ -60,8 +60,11 @@ def parse_graph(text: str) -> Graph:
 
 
 def parse_graph_file(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_graph(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", None)
 
 
 def serialize_graph(g: Graph, comment: str | None = None) -> str:

@@ -142,15 +142,20 @@ class Permutation:
         return all(w == v for v, w in enumerate(self.image))
 
 
-def _check_rows(n: int, adj: tuple[int, ...]) -> None:
+def _check_shape(n: int, rows: tuple[int, ...]) -> None:
+    """n in 0..MAX_N, n rows, every row inside 0..n-1."""
     if not 0 <= n <= MAX_N:
         raise CapacityError(f"vertex count {n} outside 0..{MAX_N}")
-    if len(adj) != n:
-        raise UsageError(f"expected {n} adjacency rows, got {len(adj)}")
+    if len(rows) != n:
+        raise UsageError(f"expected {n} adjacency rows, got {len(rows)}")
     full = (1 << n) - 1
-    for x, row in enumerate(adj):
+    for x, row in enumerate(rows):
         if row & ~full:
             raise UsageError(f"row {x} references vertices outside 0..{n - 1}")
+
+
+def _check_rows(n: int, adj: tuple[int, ...]) -> None:
+    _check_shape(n, adj)
     for x in range(n):
         for y in bits_of(adj[x]):
             if y > x and not adj[y] >> x & 1:
@@ -226,14 +231,7 @@ class Digraph:
     def __post_init__(self):
         rows = tuple(self.arcs)
         object.__setattr__(self, "arcs", rows)
-        if not 0 <= self.n <= MAX_N:
-            raise CapacityError(f"vertex count {self.n} outside 0..{MAX_N}")
-        if len(rows) != self.n:
-            raise UsageError(f"expected {self.n} arc rows, got {len(rows)}")
-        full = (1 << self.n) - 1
-        for x, row in enumerate(rows):
-            if row & ~full:
-                raise UsageError(f"arc row {x} out of range")
+        _check_shape(self.n, rows)
 
     def is_symmetric(self) -> bool:
         for x in range(self.n):
@@ -378,11 +376,10 @@ def adjacency_index(n: int, rows, loops_allowed: bool = True) -> int:
 
 def iter_adj_rows(
     n: int, loops_allowed: bool, *, start: int = 0, stop: int | None = None
-) -> Iterator[list[int]]:
+) -> Iterator[tuple[int, ...]]:
     """Every labeled graph on n vertices, in lexicographic order over the
     upper-triangle bit vector (cell (0,0) or (0,1) is the most significant bit).
 
-    Yields one shared, mutable row list; callers must copy what they keep.
     start/stop select a slice of enumeration indices, for sharded scans.
     """
     cells = upper_cells(n, loops_allowed)
@@ -407,7 +404,7 @@ def iter_adj_rows(
             j = cell_j[bpos]
             rows[i] |= 1 << j
             rows[j] |= 1 << i
-    yield rows
+    yield tuple(rows)
     for k in range(start + 1, stop):
         changed = k ^ (k - 1)
         # inline bit loop, not bits_of: runs once per enumerated graph
@@ -420,7 +417,7 @@ def iter_adj_rows(
             if i != j:
                 rows[j] ^= 1 << i
             changed ^= b
-        yield rows
+        yield tuple(rows)
 
 
 def enumerate_count(n: int, loops_allowed: bool) -> int:
@@ -432,13 +429,10 @@ def enumerate_labeled_graphs(
 ) -> Iterator[Graph]:
     """Stream of all labeled graphs on 0..n-1, lexicographic (see iter_adj_rows)."""
     limit = ENUM_MAX_LOOPS if loops_allowed else ENUM_MAX_SIMPLE
-    if n > limit and not force:
-        raise CapacityError(
-            f"enumeration of n={n} ({'loops' if loops_allowed else 'loopless'}) "
-            f"exceeds the guard n<={limit}; pass force=True to override"
-        )
+    mode = "loops" if loops_allowed else "loopless"
+    CapacityError.check(n, limit, force, f"enumeration of n={n} ({mode})")
     for rows in iter_adj_rows(n, loops_allowed):
-        yield Graph(n, tuple(rows))
+        yield Graph(n, rows)
 
 
 def all_permutations(n: int) -> Iterator[tuple[int, ...]]:

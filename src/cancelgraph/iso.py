@@ -277,9 +277,6 @@ def iter_automorphism_images(n: int, rows: tuple[int, ...]) -> Iterator[tuple[in
     ascending: img[v] ranges over one mask, the unused vertices of v's colour
     cell (which fixes the loop bit), ANDed with rows[img[u]] or its
     complement for each u < v as bit u of rows[v] is set or not."""
-    if n == 0:
-        yield ()
-        return
     colors = refine(n, rows, initial_colors(n, rows))
     cells: dict[int, int] = {}
     for v in range(n):
@@ -307,10 +304,7 @@ def iter_automorphism_images(n: int, rows: tuple[int, ...]) -> Iterator[tuple[in
 
 
 def automorphisms(g: Graph, *, force: bool = False) -> list[Permutation]:
-    if g.n > AUT_MAX and not force:
-        raise CapacityError(
-            f"automorphism listing guarded at n<={AUT_MAX}; pass force=True to override"
-        )
+    CapacityError.check(g.n, AUT_MAX, force, "automorphism listing")
     return [Permutation(img) for img in iter_automorphism_images(g.n, g.adj)]
 
 

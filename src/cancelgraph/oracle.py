@@ -77,11 +77,6 @@ K2 = Graph(2, (2, 1))
 K3 = Graph(3, (6, 5, 3))
 
 
-def _oracle_guard(n: int, force: bool, work: str) -> None:
-    if n > ORACLE_MAX and not force:
-        raise CapacityError(f"{work}; guarded at n<={ORACLE_MAX}")
-
-
 def _certificate(n: int, rows) -> bytes:
     """The isomorphism certificate of rows: equal exactly on isomorphic
     graphs of order n."""
@@ -116,13 +111,15 @@ def _neighborhood_mates(n: int, rows) -> Iterator[tuple[int, ...]]:
 def neighborhood_oracle(g: Graph, *, force: bool = False) -> list[Graph]:
     """Every labeled graph on V(G) (loops allowed) with the same neighborhood
     multiset, in enumeration order. Contains g itself."""
-    _oracle_guard(g.n, force, "neighborhood oracle lists up to n! rearrangements of G's rows")
+    CapacityError.check(
+        g.n, ORACLE_MAX, force, "neighborhood oracle lists up to n! rearrangements of G's rows"
+    )
     mates = sorted(_neighborhood_mates(g.n, g.adj), key=partial(adjacency_index, g.n))
     return [Graph(g.n, rows) for rows in mates]
 
 
 def _cancellation_scan(g: Graph, force: bool) -> tuple[bool, Graph | None]:
-    _oracle_guard(g.n, force, "cancellation oracle scans 2^(n(n+1)/2) graphs")
+    CapacityError.check(g.n, ORACLE_MAX, force, "cancellation oracle scans 2^(n(n+1)/2) graphs")
     n = g.n
     base_prod = direct_product(g, K2).adj
     base_class = _certificate(2 * n, base_prod)
@@ -133,14 +130,13 @@ def _cancellation_scan(g: Graph, force: bool) -> tuple[bool, Graph | None]:
     for rows in iter_adj_rows(n, True):
         if sorted(r.bit_count() for r in rows) != degs:
             continue
-        frozen = tuple(rows)
-        prod = direct_product(Graph(n, frozen), K2).adj
+        prod = direct_product(Graph(n, rows), K2).adj
         if sorted(m.bit_count() for m in component_masks(2 * n, prod)) != base_sizes:
             continue
         if _certificate(2 * n, prod) != base_class:
             continue
-        if _certificate(n, frozen) != own_cert:
-            offenders.append(frozen)
+        if _certificate(n, rows) != own_cert:
+            offenders.append(rows)
     if not offenders:
         return True, None
     best = min(offenders, key=lambda r: adjacency_index(n, r))
@@ -202,7 +198,9 @@ def extract_anti_from_product_iso(
     """
     if g.n != h.n:
         raise UsageError(f"vertex counts differ: {g.n} vs {h.n}")
-    _oracle_guard(g.n, force, "product-isomorphism search tries up to (n!)^2 pairs")
+    CapacityError.check(
+        g.n, ORACLE_MAX, force, "product-isomorphism search tries up to (n!)^2 pairs"
+    )
     found = next(iter_two_fold(g.adj, h.adj), None)
     if found is None:
         return None
@@ -332,7 +330,7 @@ class _UniverseIndex:
         least_rows = []
         for k in range(total):
             if not seen[k >> 3] >> (k & 7) & 1:
-                rows = tuple(next(iter_adj_rows(n, True, start=k, stop=k + 1)))
+                rows = next(iter_adj_rows(n, True, start=k, stop=k + 1))
                 for member in stamp_orbit(n, rows, True, seen):
                     class_of[member] = len(least_rows)
                 least_rows.append(rows)
@@ -378,23 +376,22 @@ def _main_pass_for_n(
     non_strong = 0
     bip_failures = 0
     for rows in iter_adj_rows(n, loops_allowed, start=start, stop=stop):
-        frozen = tuple(rows)
         graphs += 1
-        ant = list(iter_ant_images(n, frozen))
-        moved = [apply_anti_rows(frozen, img) for img in ant]
-        mkey = multiset_key(frozen)
+        ant = list(iter_ant_images(n, rows))
+        moved = [apply_anti_rows(rows, img) for img in ant]
+        mkey = multiset_key(rows)
         direct = True
         for img, arows in zip(ant, moved):
-            direct = direct and arows == frozen
+            direct = direct and arows == rows
             if multiset_key(arows) != mkey:
                 violations.add(
                     "eq1_multiset", n,
-                    edges=_edges_of_rows(n, frozen), alpha=list(img),
+                    edges=_edges_of_rows(n, rows), alpha=list(img),
                 )
-        slow = _full_route(frozen, zip(ant, moved), index.canon_of)
+        slow = _full_route(rows, zip(ant, moved), index.canon_of)
         if not slow:
             non_rec += 1
-        g = Graph(n, frozen)
+        g = Graph(n, rows)
         bip = bipartition(g)
         bip_verdict = _bip_decide(g, bip)[0] if bip.is_bipartite else None
         if bip_verdict is False:
@@ -408,30 +405,30 @@ def _main_pass_for_n(
         if fast != slow:
             violations.add(
                 "fast_paths", n,
-                edges=_edges_of_rows(n, frozen), fast=fast, slow=slow,
+                edges=_edges_of_rows(n, rows), fast=fast, slow=slow,
             )
-        oracle_n = index.neighborhood_pure(frozen)
+        oracle_n = index.neighborhood_pure(rows)
         if oracle_n != slow:
             violations.add(
                 "theorem_vs_neighborhood_oracle", n,
-                edges=_edges_of_rows(n, frozen), decider=slow, oracle=oracle_n,
+                edges=_edges_of_rows(n, rows), decider=slow, oracle=oracle_n,
             )
-        oracle_p = index.product_pure(frozen)
+        oracle_p = index.product_pure(rows)
         if oracle_p != slow:
             violations.add(
                 "theorem_vs_cancellation_oracle", n,
-                edges=_edges_of_rows(n, frozen), decider=slow, oracle=oracle_p,
+                edges=_edges_of_rows(n, rows), decider=slow, oracle=oracle_p,
             )
-        classwise = _classwise_strong(frozen, ant)
+        classwise = _classwise_strong(rows, ant)
         if direct != classwise:
             violations.add(
                 "strong_routes", n,
-                edges=_edges_of_rows(n, frozen), direct=direct, classwise=classwise,
+                edges=_edges_of_rows(n, rows), direct=direct, classwise=classwise,
             )
         if not direct:
             non_strong += 1
         if n <= ORBIT_CHECK_MAX and len(ant) > 1:
-            _orbit_checks(n, frozen, ant, [index.canon_of(r) for r in moved], violations)
+            _orbit_checks(n, rows, ant, [index.canon_of(r) for r in moved], violations)
     return graphs, non_rec, non_strong, bip_failures
 
 
@@ -470,18 +467,17 @@ def _neighborhood_prop_pass(nmax: int, violations: _Violations) -> None:
     for n in range(1, min(nmax, SIDE_SUITE_MAX) + 1):
         groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         for rows in iter_adj_rows(n, True):
-            frozen = tuple(rows)
-            groups.setdefault(multiset_key(frozen), []).append(frozen)
+            groups.setdefault(multiset_key(rows), []).append(rows)
         for members in groups.values():
             member_set = set(members)
-            for frozen in members:
+            for rows in members:
                 images = {
-                    apply_anti_rows(frozen, img) for img in iter_ant_images(n, frozen)
+                    apply_anti_rows(rows, img) for img in iter_ant_images(n, rows)
                 }
                 if images != member_set:
                     violations.add(
                         "neighborhood_prop", n,
-                        edges=_edges_of_rows(n, frozen),
+                        edges=_edges_of_rows(n, rows),
                         missing=len(member_set - images),
                         extra=len(images - member_set),
                     )
@@ -494,25 +490,24 @@ def _pair_membership_pass(nmax: int, violations: _Violations) -> None:
     for n in range(1, min(nmax, SIDE_SUITE_MAX) + 1):
         perms = list(all_permutations(n))
         for rows in iter_adj_rows(n, True):
-            frozen = tuple(rows)
-            g = Graph(n, frozen)
+            g = Graph(n, rows)
             by_rows: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
             for mu in perms:
-                by_rows.setdefault(tuple(frozen[x] for x in mu), []).append(mu)
+                by_rows.setdefault(tuple(rows[x] for x in mu), []).append(mu)
             brute = {
                 (lam, mu)
                 for lam in perms
-                for mu in by_rows.get(tuple(permute_mask(row, lam) for row in frozen), ())
+                for mu in by_rows.get(tuple(permute_mask(row, lam) for row in rows), ())
             }
             listed = {
                 (pair.lam.image, pair.mu.image) for pair in enumerate_aut_tf(g)
             }
             if brute != listed:
                 violations.add(
-                    "aut_tf_enumeration", n, edges=_edges_of_rows(n, frozen),
+                    "aut_tf_enumeration", n, edges=_edges_of_rows(n, rows),
                 )
-            ant = set(iter_ant_images(n, frozen))
-            aut = set(iter_automorphism_images(n, frozen))
+            ant = set(iter_ant_images(n, rows))
+            aut = set(iter_automorphism_images(n, rows))
             from_pairs_anti = set()
             from_pairs_auto = set()
             for lam, mu in brute:
@@ -525,17 +520,17 @@ def _pair_membership_pass(nmax: int, violations: _Violations) -> None:
                     if tuple(lam[a[u]] for u in inv) not in ant:
                         violations.add(
                             "action_closure", n,
-                            edges=_edges_of_rows(n, frozen),
+                            edges=_edges_of_rows(n, rows),
                             pair=[list(lam), list(mu)], alpha=list(a),
                         )
                         break
             if from_pairs_anti != ant:
                 violations.add(
-                    "anti_pair_embedding", n, edges=_edges_of_rows(n, frozen),
+                    "anti_pair_embedding", n, edges=_edges_of_rows(n, rows),
                 )
             if from_pairs_auto != aut:
                 violations.add(
-                    "auto_pair_embedding", n, edges=_edges_of_rows(n, frozen),
+                    "auto_pair_embedding", n, edges=_edges_of_rows(n, rows),
                 )
 
 
@@ -545,7 +540,7 @@ def _digraph_symmetry_pass(nmax: int, violations: _Violations) -> None:
     for n in range(1, min(nmax, SIDE_SUITE_MAX) + 1):
         perms = [Permutation(p) for p in all_permutations(n)]
         for rows in iter_adj_rows(n, True):
-            g = Graph(n, tuple(rows))
+            g = Graph(n, rows)
             for p in perms:
                 if permuted_digraph(g, p).is_symmetric() != is_anti_automorphism(g, p):
                     violations.add(
@@ -558,7 +553,7 @@ def _connected_row_sets(n: int, loops_allowed: bool) -> list[tuple[int, ...]]:
     out = []
     for rows in iter_adj_rows(n, loops_allowed):
         if len(component_masks(n, rows)) == 1:
-            out.append(tuple(rows))
+            out.append(rows)
     return out
 
 
@@ -596,10 +591,9 @@ def _lovasz_pass(nmax: int, violations: _Violations) -> None:
     for n in range(1, min(nmax, SIDE_SUITE_MAX) + 1):
         classes: dict[bytes, set[bytes]] = {}
         for rows in iter_adj_rows(n, False):
-            frozen = tuple(rows)
-            prod = direct_product(Graph(n, frozen), K3)
+            prod = direct_product(Graph(n, rows), K3)
             key = _certificate(prod.n, prod.adj)
-            classes.setdefault(key, set()).add(_certificate(n, frozen))
+            classes.setdefault(key, set()).add(_certificate(n, rows))
         for canons in classes.values():
             if len(canons) > 1:
                 violations.add("lovasz_k3", n, note="product class contains non-isomorphic members")
@@ -608,25 +602,24 @@ def _lovasz_pass(nmax: int, violations: _Violations) -> None:
 def _roundtrip_pass(nmax: int, violations: _Violations) -> None:
     for n in range(1, min(nmax, SIDE_SUITE_MAX) + 1):
         for rows in iter_adj_rows(n, True):
-            frozen = tuple(rows)
-            g = Graph(n, frozen)
-            for img in iter_ant_images(n, frozen):
-                target_rows = apply_anti_rows(frozen, img)
+            g = Graph(n, rows)
+            for img in iter_ant_images(n, rows):
+                target_rows = apply_anti_rows(rows, img)
                 result = extract_anti_from_product_iso(g, Graph(n, target_rows))
                 if result is None:
                     violations.add(
                         "roundtrip_missing", n,
-                        edges=_edges_of_rows(n, frozen), alpha=list(img),
+                        edges=_edges_of_rows(n, rows), alpha=list(img),
                     )
                     continue
                 alpha, _mu = result
-                got = apply_anti_rows(frozen, alpha.image)
+                got = apply_anti_rows(rows, alpha.image)
                 if got != target_rows and (
                     _certificate(n, got) != _certificate(n, target_rows)
                 ):
                     violations.add(
                         "roundtrip_mismatch", n,
-                        edges=_edges_of_rows(n, frozen),
+                        edges=_edges_of_rows(n, rows),
                         alpha=list(img), recovered=list(alpha.image),
                     )
 
@@ -680,7 +673,7 @@ def _bip_classes(n: int) -> tuple[bytearray, bytearray, tuple]:
         if not members:
             continue
         least = min(members)
-        rep = tuple(next(iter_adj_rows(n, False, start=least, stop=least + 1)))
+        rep = next(iter_adj_rows(n, False, start=least, stop=least + 1))
         verdict, found = _bip_class_checks(n, rep)
         if not verdict:
             for k in members:
@@ -813,13 +806,9 @@ def verify_theorems(
     loopless up to bip_max, independent of mode).
     """
     limit = VERIFY_MAX_LOOPS if loops_allowed else VERIFY_MAX_SIMPLE
-    if nmax > limit and not force:
-        raise CapacityError(
-            f"verification guarded at nmax<={limit} "
-            f"({'loops' if loops_allowed else 'loopless'}); pass force=True"
-        )
-    if bip_max > BIP_SWEEP_MAX and not force:
-        raise CapacityError(f"bipartite sweep guarded at n<={BIP_SWEEP_MAX}")
+    mode = "loops" if loops_allowed else "loopless"
+    CapacityError.check(nmax, limit, force, f"verification ({mode})")
+    CapacityError.check(bip_max, BIP_SWEEP_MAX, force, "bipartite sweep")
     if nmax < 1:
         raise UsageError("nmax must be at least 1")
     if bip_max < 0:

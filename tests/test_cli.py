@@ -115,6 +115,13 @@ def test_malformed_file_exits_usage(capsys, tmp_path):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_non_utf8_file_exits_usage(capsys, tmp_path):
+    bad = tmp_path / "bad.graph"
+    bad.write_bytes(b"p graph 2\ne 0 \xff1\n")
+    assert run(["analyze", str(bad)]) == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+
+
 def test_argparse_errors(capsys):
     assert run(["frobnicate"]) == 2
     capsys.readouterr()
@@ -138,6 +145,7 @@ def test_verify_guard_exits_usage(capsys):
     assert run(["verify", "--max-n", "1", "--jobs", "0"]) == EXIT_USAGE
     negative_bip = ["verify", "--max-n", "1", "--loops", "--bip-max", "-2", "--jobs", "1"]
     assert run(negative_bip) == EXIT_USAGE
+    assert "guarded at n<=6; pass force=True" in capsys.readouterr().err
 
 
 def test_verify_reports_violations_with_exit_3(capsys, monkeypatch):

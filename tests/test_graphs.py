@@ -210,6 +210,20 @@ def test_digraph_symmetry():
         Digraph(65, (0,) * 65)
 
 
+@pytest.mark.parametrize("n, rows, error", [
+    (65, (0,) * 65, CapacityError),
+    (-1, (), CapacityError),
+    (2, (0,), UsageError),
+    (1, (0b10,), UsageError),
+])
+def test_graph_and_digraph_refuse_a_bad_shape_alike(n, rows, error):
+    with pytest.raises(error) as as_graph:
+        Graph(n, rows)
+    with pytest.raises(error) as as_digraph:
+        Digraph(n, rows)
+    assert str(as_digraph.value) == str(as_graph.value)
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
@@ -218,7 +232,8 @@ def test_digraph_symmetry():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("loops", [False, True])
 def test_enumeration_is_complete_and_duplicate_free(n, loops):
-    seen = {tuple(rows) for rows in iter_adj_rows(n, loops)}
+    # each graph comes as its own tuple, so the graphs can be kept as they come
+    seen = set(iter_adj_rows(n, loops))
     assert len(seen) == enumerate_count(n, loops)
     assert (0,) * n in seen
     full = (1 << n) - 1
@@ -306,6 +321,14 @@ def test_enumerate_labeled_graphs_guard():
         next(enumerate_labeled_graphs(8, False))
     # force only overrides the guard, nothing else
     assert sum(1 for _ in enumerate_labeled_graphs(2, True, force=True)) == 8
+
+
+def test_capacity_check_refuses_only_unforced_n_above_the_limit():
+    with pytest.raises(CapacityError) as refused:
+        CapacityError.check(7, 6, False, "work")
+    assert str(refused.value) == "work; guarded at n<=6; pass force=True"
+    assert CapacityError.check(6, 6, False, "work") is None
+    assert CapacityError.check(7, 6, True, "work") is None
 
 
 def test_all_permutations_count():

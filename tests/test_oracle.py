@@ -406,23 +406,52 @@ def test_verify_sharded_run_matches_serial(monkeypatch):
     assert sharded.jobs == 2
 
 
-def test_verify_clamps_jobs_to_the_cpu_count(monkeypatch):
+@pytest.fixture
+def in_process_pools(monkeypatch):
+    """(shards, jobs) of each pool the verifier asks for, run in-process,
+    with fork available and every range large enough to shard."""
     pools = []
 
     def in_process_pool(worker, argslist, jobs):
         pools.append((len(argslist), jobs))
         return [worker(args) for args in argslist]
 
-    monkeypatch.setattr(oracle_mod.os, "cpu_count", lambda: 3)
     monkeypatch.setattr(oracle_mod, "_fork_available", lambda: True)
     monkeypatch.setattr(oracle_mod, "_run_pool", in_process_pool)
     monkeypatch.setattr(oracle_mod, "_POOL_THRESHOLD", 1)
+    return pools
+
+
+def test_verify_clamps_jobs_to_the_cpu_count(monkeypatch, in_process_pools):
+    monkeypatch.setattr(oracle_mod.os, "cpu_count", lambda: 3)
     report = verify_theorems(2, True, bip_max=2, jobs=10000)
     assert report.jobs == 3
-    assert pools and all(shards <= 3 and jobs == 3 for shards, jobs in pools)
+    assert in_process_pools
+    assert all(shards <= 3 and jobs == 3 for shards, jobs in in_process_pools)
     assert without_timings(report) == without_timings(
         verify_theorems(2, True, bip_max=2, jobs=1)
     )
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_verify_defaults_jobs_to_the_cpu_count(monkeypatch, in_process_pools, cpus):
+    monkeypatch.setattr(oracle_mod.os, "cpu_count", lambda: cpus)
+    report = verify_theorems(2, True, bip_max=2)
+    assert report.jobs == cpus
+    assert all(jobs == cpus for _, jobs in in_process_pools)
+    # one job runs every shard in-process, without a pool
+    assert bool(in_process_pools) == (cpus > 1)
+    assert without_timings(report) == without_timings(
+        verify_theorems(2, True, bip_max=2, jobs=1)
+    )
+
+
+def test_verify_runs_in_process_without_fork(monkeypatch, in_process_pools):
+    monkeypatch.setattr(oracle_mod.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(oracle_mod, "_fork_available", lambda: False)
+    report = verify_theorems(2, True, bip_max=2, jobs=2)
+    assert report.jobs == 1
+    assert in_process_pools == []
 
 
 @pytest.mark.parametrize("split", [0, 150, 200, 250])
@@ -498,9 +527,9 @@ def test_lovasz_pass_reports_a_mixed_product_class(monkeypatch):
     ]
 
 
-def pair_membership_kinds() -> Counter:
-    """Violations per suite of the pair-membership pass at n = 1..4, counted
-    past the cap on recorded items."""
+def counting_violations() -> tuple[Counter, oracle_mod._Violations]:
+    """A collector and its violations per suite, counted past the cap on
+    recorded items."""
     kinds: Counter = Counter()
 
     class Counting(oracle_mod._Violations):
@@ -508,8 +537,22 @@ def pair_membership_kinds() -> Counter:
             kinds[suite] += 1
             super().add(suite, n, **detail)
 
-    violations = Counting()
-    oracle_mod._pair_membership_pass(4, violations)
+    return kinds, Counting()
+
+
+def side_pass_kinds(suite, nmax: int) -> Counter:
+    kinds, violations = counting_violations()
+    suite(nmax, violations)
+    return kinds
+
+
+def main_pass_kinds(nmax: int) -> Counter:
+    """Violations per suite of the loops-allowed main pass at n = 1..nmax."""
+    kinds, violations = counting_violations()
+    for n in range(1, nmax + 1):
+        index = oracle_mod._UniverseIndex(n)
+        index.build()
+        oracle_mod._main_pass_for_n(index, True, violations)
     return kinds
 
 
@@ -534,7 +577,7 @@ def with_reversal_pair(g):
 ])
 def test_pair_membership_faults_are_reported(monkeypatch, name, fake, expected):
     monkeypatch.setattr(oracle_mod, name, fake)
-    assert pair_membership_kinds() == expected
+    assert side_pass_kinds(oracle_mod._pair_membership_pass, 4) == expected
 
 
 def test_odd_power_fault_is_reported_by_the_main_pass():
@@ -568,19 +611,41 @@ def test_ant_search_losing_the_identity_is_reported_by_the_main_pass(monkeypatch
     # G is then no G^a, so the full route reads G's certificate from the
     # index rather than from the images' certificates
     monkeypatch.setattr(oracle_mod, "iter_ant_images", ant_without_identity)
-    kinds: Counter = Counter()
+    assert main_pass_kinds(4) == {"strong_routes": 276, "simeqiso_closure": 1206, "simplus2": 272}
 
-    class Counting(oracle_mod._Violations):
-        def add(self, suite, n, **detail):
-            kinds[suite] += 1
-            super().add(suite, n, **detail)
 
-    violations = Counting()
-    for n in range(1, 5):
-        index = oracle_mod._UniverseIndex(n)
-        index.build()
-        oracle_mod._main_pass_for_n(index, True, violations)
-    assert kinds == {"strong_routes": 276, "simeqiso_closure": 1206, "simplus2": 272}
+def test_multiset_fault_is_reported_by_the_main_pass(monkeypatch):
+    # rows in vertex order as the multiset key: every image with G^a != G,
+    # 38 of them up to n=3, now reads as changing the multiset
+    monkeypatch.setattr(oracle_mod, "multiset_key", tuple)
+    assert main_pass_kinds(3) == {"eq1_multiset": 38}
+
+
+def identity_pair(g, h):
+    return Permutation.identity(g.n), Permutation.identity(g.n)
+
+
+# each fake breaks the fact its pass checks, and the pass reports each case
+# the fact then fails on: graphs with a neighborhood mate (neighborhood_prop),
+# non-anti permutations (digraph_symmetry), pairs of bipartite factors with
+# an edge (weichsel), anti-automorphisms (roundtrip_missing) and those with
+# G^a not isomorphic to G (roundtrip_mismatch)
+@pytest.mark.parametrize("name, fake, suite, nmax, expected", [
+    ("iter_ant_images", lambda n, rows: iter([tuple(range(n))]),
+     oracle_mod._neighborhood_prop_pass, 3, {"neighborhood_prop": 22}),
+    ("is_anti_automorphism", lambda g, p: True,
+     oracle_mod._digraph_symmetry_pass, 3, {"digraph_symmetry": 260}),
+    ("component_masks", lambda n, rows: [(1 << n) - 1],
+     oracle_mod._weichsel_pass, 3, {"weichsel": 49}),
+    ("extract_anti_from_product_iso", lambda g, h: None,
+     oracle_mod._roundtrip_pass, 3, {"roundtrip_missing": 142}),
+    ("extract_anti_from_product_iso", identity_pair,
+     oracle_mod._roundtrip_pass, 4, {"roundtrip_mismatch": 590}),
+], ids=["neighborhood_prop", "digraph_symmetry", "weichsel", "roundtrip_missing",
+        "roundtrip_mismatch"])
+def test_side_pass_faults_are_reported(monkeypatch, name, fake, suite, nmax, expected):
+    monkeypatch.setattr(oracle_mod, name, fake)
+    assert side_pass_kinds(suite, nmax) == expected
 
 
 def component_class_multiset(n: int, rows) -> tuple[bytes, ...]:
