@@ -181,14 +181,14 @@ def _bip_decide(g: Graph, bp: Bipartition) -> tuple[bool, Permutation | None]:
         xs, ys = sides
         if not ys or len(xs) != len(ys):
             continue
-        image = _reversing_involution(g.n, g.adj, sorted(xs), sorted(ys))
+        image = _reversing_involution(g.n, g.adj, xs, ys)
         if image is not None:
             return False, Permutation(image)
     return True, None
 
 
 def _reversing_involution(
-    n: int, rows: tuple[int, ...], xs: list[int], ys: list[int]
+    n: int, rows: tuple[int, ...], xs: tuple[int, ...], ys: tuple[int, ...]
 ) -> tuple[int, ...] | None:
     """Involutory automorphism swapping xs and ys (identity elsewhere), as a
     pairing search: fixing sigma(x)=y also fixes sigma(y)=x. The sides of a

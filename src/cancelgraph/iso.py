@@ -361,16 +361,22 @@ def _swap_tables(n: int, loops_allowed: bool, a: int, b: int) -> tuple[array, ..
     return tuple(tables)
 
 
-@lru_cache(maxsize=2)
-def _orbit_steps(n: int, loops_allowed: bool) -> tuple[tuple[array, ...], ...]:
-    """The tables of each Heap swap, in order. There are at most n(n-1)/2
-    distinct swaps, so at most 28 x 3 x 4 KiB of tables at 28 cells (n=7
-    with loops, n=8 loopless); the step tuple shares them."""
+def check_orbit_reach(n: int, loops_allowed: bool) -> None:
+    """Refuse a universe that stamp_orbit cannot cover, whatever force says;
+    callers that allocate a bitset over it check first."""
     m = len(upper_cells(n, loops_allowed))
     if m > ORBIT_MAX_CELLS:
         raise CapacityError(
             f"orbit stamping covers at most {ORBIT_MAX_CELLS} cells, not {m}"
         )
+
+
+@lru_cache(maxsize=2)
+def _orbit_steps(n: int, loops_allowed: bool) -> tuple[tuple[array, ...], ...]:
+    """The tables of each Heap swap, in order. There are at most n(n-1)/2
+    distinct swaps, so at most 28 x 3 x 4 KiB of tables at 28 cells (n=7
+    with loops, n=8 loopless); the step tuple shares them."""
+    check_orbit_reach(n, loops_allowed)
     tables: dict[tuple[int, int], tuple[array, ...]] = {}
     steps = []
     for pair in _heap_swaps(n):

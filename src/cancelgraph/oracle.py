@@ -55,7 +55,7 @@ from .graphs import (
     perm_order,
     permute_mask,
 )
-from .iso import canon_rows, cert_bytes, iter_automorphism_images, stamp_orbit
+from .iso import canon_rows, cert_bytes, check_orbit_reach, iter_automorphism_images, stamp_orbit
 from .product import bipartition, direct_product
 
 ORACLE_MAX = 6
@@ -324,6 +324,7 @@ class _UniverseIndex:
         read once every orbit is stamped, since class_of reads 0 on
         unstamped indices."""
         n = self.n
+        check_orbit_reach(n, True)
         total = enumerate_count(n, True)
         seen = bytearray((total + 7) // 8)
         class_of = array(self.class_of.typecode, [0]) * total
@@ -463,24 +464,20 @@ def _orbit_checks(
 
 
 def _neighborhood_prop_pass(nmax: int, violations: _Violations) -> None:
-    """Oracle members must be exactly the permuted graphs, both directions."""
+    """Each graph's Ant images against its neighbourhood mates, the search
+    the universe index and neighborhood_oracle use: the same set, both
+    directions."""
     for n in range(1, min(nmax, SIDE_SUITE_MAX) + 1):
-        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         for rows in iter_adj_rows(n, True):
-            groups.setdefault(multiset_key(rows), []).append(rows)
-        for members in groups.values():
-            member_set = set(members)
-            for rows in members:
-                images = {
-                    apply_anti_rows(rows, img) for img in iter_ant_images(n, rows)
-                }
-                if images != member_set:
-                    violations.add(
-                        "neighborhood_prop", n,
-                        edges=_edges_of_rows(n, rows),
-                        missing=len(member_set - images),
-                        extra=len(images - member_set),
-                    )
+            images = {apply_anti_rows(rows, img) for img in iter_ant_images(n, rows)}
+            mates = set(_neighborhood_mates(n, rows))
+            if images != mates:
+                violations.add(
+                    "neighborhood_prop", n,
+                    edges=_edges_of_rows(n, rows),
+                    missing=len(mates - images),
+                    extra=len(images - mates),
+                )
 
 
 def _pair_membership_pass(nmax: int, violations: _Violations) -> None:
@@ -664,6 +661,7 @@ def _bip_classes(n: int) -> tuple[bytearray, bytearray, tuple]:
     reversal decider says no, and (least index, found) for each class with
     a failed check, ascending. Every check runs once per class, on its
     least labeled member. See BIP_SWEEP_MAX for the memory this holds."""
+    check_orbit_reach(n, False)
     total = enumerate_count(n, False)
     bipartite = bytearray((total + 7) // 8)
     failing = bytearray(len(bipartite))
@@ -809,6 +807,10 @@ def verify_theorems(
     mode = "loops" if loops_allowed else "loopless"
     CapacityError.check(nmax, limit, force, f"verification ({mode})")
     CapacityError.check(bip_max, BIP_SWEEP_MAX, force, "bipartite sweep")
+    # the main pass indexes the loops-allowed universe whatever the mode;
+    # refuse what stamping cannot cover before any smaller n does its work
+    check_orbit_reach(nmax, True)
+    check_orbit_reach(bip_max, False)
     if nmax < 1:
         raise UsageError("nmax must be at least 1")
     if bip_max < 0:

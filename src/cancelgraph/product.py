@@ -43,7 +43,8 @@ def components(g: Graph) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class Bipartition:
-    """Per-component partite sets; sides is None for a non-bipartite component.
+    """Per-component partite sets, each a sorted tuple; sides is None for a
+    non-bipartite component.
 
     Each bipartite component's X side contains its lowest vertex. odd_walk is
     a closed walk of odd length (first vertex repeated last) from the first

@@ -626,12 +626,15 @@ def identity_pair(g, h):
 
 
 # each fake breaks the fact its pass checks, and the pass reports each case
-# the fact then fails on: graphs with a neighborhood mate (neighborhood_prop),
-# non-anti permutations (digraph_symmetry), pairs of bipartite factors with
-# an edge (weichsel), anti-automorphisms (roundtrip_missing) and those with
-# G^a not isomorphic to G (roundtrip_mismatch)
+# the fact then fails on: graphs with a neighborhood mate, lost by the Ant
+# search or by the mates search (neighborhood_prop), non-anti permutations
+# (digraph_symmetry), pairs of bipartite factors with an edge (weichsel),
+# anti-automorphisms (roundtrip_missing) and those with G^a not isomorphic
+# to G (roundtrip_mismatch)
 @pytest.mark.parametrize("name, fake, suite, nmax, expected", [
     ("iter_ant_images", lambda n, rows: iter([tuple(range(n))]),
+     oracle_mod._neighborhood_prop_pass, 3, {"neighborhood_prop": 22}),
+    ("_neighborhood_mates", lambda n, rows: iter([rows]),
      oracle_mod._neighborhood_prop_pass, 3, {"neighborhood_prop": 22}),
     ("is_anti_automorphism", lambda g, p: True,
      oracle_mod._digraph_symmetry_pass, 3, {"digraph_symmetry": 260}),
@@ -641,8 +644,8 @@ def identity_pair(g, h):
      oracle_mod._roundtrip_pass, 3, {"roundtrip_missing": 142}),
     ("extract_anti_from_product_iso", identity_pair,
      oracle_mod._roundtrip_pass, 4, {"roundtrip_mismatch": 590}),
-], ids=["neighborhood_prop", "digraph_symmetry", "weichsel", "roundtrip_missing",
-        "roundtrip_mismatch"])
+], ids=["neighborhood_prop", "neighborhood_prop_mates", "digraph_symmetry", "weichsel",
+        "roundtrip_missing", "roundtrip_mismatch"])
 def test_side_pass_faults_are_reported(monkeypatch, name, fake, suite, nmax, expected):
     monkeypatch.setattr(oracle_mod, name, fake)
     assert side_pass_kinds(suite, nmax) == expected
@@ -813,6 +816,32 @@ def test_corrupted_transposition_table_stops_index_and_sweep(monkeypatch, fresh_
         oracle_mod._UniverseIndex(4).build()
     with pytest.raises(InvariantViolationError):
         oracle_mod._worker_bip_sweep((5, 0, enumerate_count(5, False)))
+
+
+def unreachable(*args):
+    raise AssertionError("reached work or allocation past the reach of orbit stamping")
+
+
+# the universe index allows loops whatever the mode; the sweep is loopless.
+# Past 32 cells either would allocate gigabytes before stamping refused.
+@pytest.mark.parametrize("nmax, loops, bip_max", [(8, True, 1), (8, False, 1), (1, True, 9)])
+def test_verify_refuses_past_stamping_reach_up_front(monkeypatch, nmax, loops, bip_max):
+    monkeypatch.setattr(oracle_mod._UniverseIndex, "build", unreachable)
+    monkeypatch.setattr(oracle_mod, "_bip_classes", unreachable)
+    with pytest.raises(CapacityError, match="covers at most 32 cells, not 36"):
+        verify_theorems(nmax, loops, bip_max=bip_max, jobs=1, force=True)
+
+
+def test_index_and_sweep_refuse_past_stamping_reach_before_allocating(
+    monkeypatch, fresh_bip_classes
+):
+    iso_mod.check_orbit_reach(7, True)
+    iso_mod.check_orbit_reach(8, False)
+    monkeypatch.setattr(oracle_mod, "enumerate_count", unreachable)
+    with pytest.raises(CapacityError, match="not 36"):
+        oracle_mod._UniverseIndex(8).build()
+    with pytest.raises(CapacityError, match="not 36"):
+        oracle_mod._bip_classes(9)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

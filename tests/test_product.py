@@ -121,6 +121,8 @@ def test_bipartition_certificates_check_out(g):
         side = {}
         for sides in bp.component_sides:
             assert sides is not None
+            # the reversal search takes the sides as they come
+            assert all(list(part) == sorted(part) for part in sides)
             for v in sides[0]:
                 side[v] = 0
             for v in sides[1]:
