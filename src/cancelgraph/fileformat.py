@@ -61,7 +61,7 @@ def parse_graph(text: str) -> Graph:
 
 def parse_graph_file(path: str) -> Graph:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return parse_graph(fh.read())
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", None)

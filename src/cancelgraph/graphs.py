@@ -274,10 +274,7 @@ class RPartition:
         object.__setattr__(self, "classes", canon)
 
     def same_block(self, x: int, y: int) -> bool:
-        for block in self.classes:
-            if x in block:
-                return y in block
-        raise UsageError(f"vertex {x} not covered by partition")
+        return self.block_of(x) is self.block_of(y)
 
     def block_of(self, x: int) -> tuple[int, ...]:
         for block in self.classes:

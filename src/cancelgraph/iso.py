@@ -12,9 +12,10 @@ Automorphisms discovered at equal-encoding leaves prune sibling branches: a
 cell vertex is skipped when it lies in the orbit of a tried vertex under the
 group the found automorphisms that fix the prefix generate.
 
-stamp_orbit enumerates an isomorphism class the other way round: it walks
-all n! relabelings of one labeled graph, acting on enumeration indices, so
-that an exhaustive scan can visit each class once instead of each graph.
+stamp_orbit enumerates an isomorphism class the other way round: it closes
+one labeled graph's enumeration index under two relabelings that generate
+every permutation, so that an exhaustive scan can visit each class once
+instead of each graph.
 """
 from __future__ import annotations
 
@@ -320,31 +321,14 @@ def has_involution(g: Graph) -> bool:
     return involution_witness(g) is not None
 
 
-def _heap_swaps(n: int) -> Iterator[tuple[int, int]]:
-    """The n! - 1 transpositions of Heap's algorithm: applied in turn, they
-    run a relabeling through every permutation of 0..n-1 once."""
-    count = [0] * n
-    i = 1
-    while i < n:
-        if count[i] < i:
-            yield (0 if i % 2 == 0 else count[i]), i
-            count[i] += 1
-            i = 1
-        else:
-            count[i] = 0
-            i += 1
-
-
-def _swap_tables(n: int, loops_allowed: bool, a: int, b: int) -> tuple[array, ...]:
+def _relabel_tables(n: int, loops_allowed: bool, label: list[int]) -> tuple[array, ...]:
     """Per chunk of an enumeration index, the bits its cells occupy once
-    vertices a and b swap labels. The m cells split into three chunks of
-    ceil(m/3) bits, the last one shorter; an empty chunk gets a one-entry
-    zero table."""
+    each vertex v takes the label label[v]. The m cells split into three
+    chunks of ceil(m/3) bits, the last one shorter; an empty chunk gets a
+    one-entry zero table."""
     cells = upper_cells(n, loops_allowed)
     m = len(cells)
     bit_of = {cell: m - 1 - p for p, cell in enumerate(cells)}
-    label = list(range(n))
-    label[a], label[b] = b, a
     moved = []
     for bit in range(m):
         i, j = cells[m - 1 - bit]
@@ -372,18 +356,17 @@ def check_orbit_reach(n: int, loops_allowed: bool) -> None:
 
 
 @lru_cache(maxsize=2)
-def _orbit_steps(n: int, loops_allowed: bool) -> tuple[tuple[array, ...], ...]:
-    """The tables of each Heap swap, in order. There are at most n(n-1)/2
-    distinct swaps, so at most 28 x 3 x 4 KiB of tables at 28 cells (n=7
-    with loops, n=8 loopless); the step tuple shares them."""
+def _orbit_generators(n: int, loops_allowed: bool) -> tuple[tuple[array, ...], ...]:
+    """The tables of the transposition (0 1) and of the cycle v -> v+1
+    (mod n), which together generate every permutation of 0..n-1; none for
+    n < 2. That is 2 x 9 KiB of tables at 28 cells (n=7 with loops, n=8
+    loopless)."""
     check_orbit_reach(n, loops_allowed)
-    tables: dict[tuple[int, int], tuple[array, ...]] = {}
-    steps = []
-    for pair in _heap_swaps(n):
-        if pair not in tables:
-            tables[pair] = _swap_tables(n, loops_allowed, *pair)
-        steps.append(tables[pair])
-    return tuple(steps)
+    if n < 2:
+        return ()
+    swap = [1, 0] + list(range(2, n))
+    cycle = [(v + 1) % n for v in range(n)]
+    return tuple(_relabel_tables(n, loops_allowed, label) for label in (swap, cycle))
 
 
 def stamp_orbit(n: int, rows, loops_allowed: bool, seen: bytearray) -> list[int]:
@@ -392,28 +375,31 @@ def stamp_orbit(n: int, rows, loops_allowed: bool, seen: bytearray) -> list[int]
     of rows, and return the indices newly set, rows' own first; none when
     rows' own bit was already set.
 
-    The relabelings are walked in Heap's order, one vertex swap per step.
-    The class must come out with n!/|Aut(rows)| members, the automorphisms
-    counted by iter_automorphism_images; anything else raises
-    InvariantViolationError."""
+    The orbit is closed under the two generators of _orbit_generators:
+    each member's images under both are stamped in turn until no new index
+    turns up. The class must come out with n!/|Aut(rows)| members, the
+    automorphisms counted by iter_automorphism_images; anything else
+    raises InvariantViolationError."""
     k = adjacency_index(n, rows, loops_allowed)
     if seen[k >> 3] >> (k & 7) & 1:
         return []
     seen[k >> 3] |= 1 << (k & 7)
     members = [k]
-    x = k
     width = -(-len(upper_cells(n, loops_allowed)) // 3)
     low = (1 << width) - 1
     top = 2 * width
-    # one loop body for every n, unrolled over the 3 chunks: a loop over
-    # the chunks took 1.3x as long on the n=6 loops-allowed universe
-    for t0, t1, t2 in _orbit_steps(n, loops_allowed):
-        x = t0[x & low] | t1[x >> width & low] | t2[x >> top]
-        byte = x >> 3
-        bit = 1 << (x & 7)
-        if not seen[byte] & bit:
-            seen[byte] |= bit
-            members.append(x)
+    generators = _orbit_generators(n, loops_allowed)
+    # the loop over members also visits the members it appends. One body
+    # for every n, unrolled over the 3 chunks: a loop over the chunks took
+    # 1.3x as long on the n=6 loops-allowed universe
+    for x in members:
+        for t0, t1, t2 in generators:
+            y = t0[x & low] | t1[x >> width & low] | t2[x >> top]
+            byte = y >> 3
+            bit = 1 << (y & 7)
+            if not seen[byte] & bit:
+                seen[byte] |= bit
+                members.append(y)
     automorphisms = sum(1 for _ in iter_automorphism_images(n, tuple(rows)))
     if len(members) * automorphisms != factorial(n):
         raise InvariantViolationError(

@@ -66,8 +66,8 @@ BIP_SWEEP_MAX = 7
 data for one n at a time stays cached (_bip_classes, built on first use):
 two bitsets over the 2^(n(n-1)/2) loopless enumeration indices, bipartite
 and reversal failure, plus the failed checks of any faulty class. That is
-2 x 256 KiB at n=7 and 2 x 32 MiB at n=8 under force; stamp_orbit's
-transposition tables add under 0.5 MiB."""
+2 x 256 KiB at n=7 and 2 x 32 MiB at n=8 under force; the tables of
+stamp_orbit's two generators add under 0.5 MiB."""
 ORBIT_CHECK_MAX = 5
 SIDE_SUITE_MAX = 4
 """Largest n of the side suites that run per n: neighborhood_prop,

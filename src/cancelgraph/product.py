@@ -74,6 +74,8 @@ class Bipartition:
         return frozenset(acc)
 
     def sides_of_component(self, index: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        if not 0 <= index < len(self.component_sides):
+            raise UsageError(f"no component {index}")
         sides = self.component_sides[index]
         if sides is None:
             raise UsageError(f"component {index} is not bipartite")

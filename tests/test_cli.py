@@ -122,6 +122,14 @@ def test_non_utf8_file_exits_usage(capsys, tmp_path):
     assert "error:" in capsys.readouterr().err
 
 
+def test_file_with_byte_order_mark_analyzes_like_the_fixture(capsys, tmp_path):
+    with open(fixture_path("c6"), "rb") as fh:
+        data = fh.read()
+    bom = tmp_path / "c6.graph"
+    bom.write_bytes(b"\xef\xbb\xbf" + data)
+    assert run_json(capsys, ["analyze", str(bom)]) == run_json(capsys, ["analyze", fixture_path("c6")])
+
+
 def test_argparse_errors(capsys):
     assert run(["frobnicate"]) == 2
     capsys.readouterr()

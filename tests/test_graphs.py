@@ -170,6 +170,13 @@ def test_neighborhood_and_partition(c6):
     assert part.block_of(1) == (1,)
 
 
+@pytest.mark.parametrize("x, y", [(0, 5), (5, 0), (-1, 0)])
+def test_same_block_refuses_an_uncovered_vertex(x, y):
+    part = r_partition(Graph.from_edges(3, [(0, 1), (1, 2)]))
+    with pytest.raises(UsageError):
+        part.same_block(x, y)
+
+
 @settings(max_examples=100)
 @given(graph_and_permutation(max_n=5, loops=True))
 def test_multiset_key_is_relabeling_covariant(gp):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -427,11 +428,10 @@ def test_corrupted_transposition_table_trips_the_orbit_size_check(monkeypatch):
     rows = (2, 5, 14, 4)
     size = enumerate_count(4, True) // 8
     assert len(stamp_orbit(4, rows, True, bytearray(size))) == 24
-    # the first swap's tables replaced by the identity's
-    steps = iso_mod._orbit_steps(4, True)
-    identity = iso_mod._swap_tables(4, True, 0, 0)
-    corrupted = tuple(identity if tables is steps[0] else tables for tables in steps)
-    monkeypatch.setattr(iso_mod, "_orbit_steps", lambda n, loops: corrupted)
+    # the cycle's tables replaced by the identity's: the swap alone reaches 2
+    swap, _ = iso_mod._orbit_generators(4, True)
+    identity = iso_mod._relabel_tables(4, True, [0, 1, 2, 3])
+    monkeypatch.setattr(iso_mod, "_orbit_generators", lambda n, loops: (swap, identity))
     with pytest.raises(InvariantViolationError):
         stamp_orbit(4, rows, True, bytearray(size))
 
@@ -441,14 +441,55 @@ def test_orbit_stamping_guard():
         stamp_orbit(8, (0,) * 8, True, bytearray(1))
 
 
-def seven_bit_tables(n: int, loops: bool, a: int, b: int) -> list[list[int]]:
-    """The reference transposition tables: per 7-bit chunk of an enumeration
-    index, the bits its cells occupy once vertices a and b swap labels."""
+@pytest.mark.parametrize("loops", [True, False])
+def test_orbit_stamping_below_three_vertices(loops):
+    # n <= 1 has no generator and stamps only G; at n=2 the swap (0 1) and
+    # the cycle v -> v+1 (mod 2) are the same relabeling
+    for n in (0, 1):
+        assert iso_mod._orbit_generators(n, loops) == ()
+        seen = bytearray(1)
+        for k, rows in enumerate(iter_adj_rows(n, loops)):
+            assert stamp_orbit(n, tuple(rows), loops, seen) == [k]
+    swap, cycle = iso_mod._orbit_generators(2, loops)
+    assert swap == cycle
+    classes = []
+    seen = bytearray(1)
+    for rows in iter_adj_rows(2, loops):
+        members = stamp_orbit(2, tuple(rows), loops, seen)
+        if members:
+            classes.append(sorted(members))
+    # loops allowed: one loop and the edge with one loop have 2 labelings
+    # each, the other 4 graphs one; loopless: empty and the edge
+    assert classes == ([[0], [1, 4], [2], [3, 6], [5], [7]] if loops else [[0], [1]])
+
+
+def heap_swaps(n: int) -> Iterator[tuple[int, int]]:
+    """The n! - 1 transpositions of Heap's algorithm: applied in turn, they
+    run a relabeling through every permutation of 0..n-1 once."""
+    count = [0] * n
+    i = 1
+    while i < n:
+        if count[i] < i:
+            yield (0 if i % 2 == 0 else count[i]), i
+            count[i] += 1
+            i = 1
+        else:
+            count[i] = 0
+            i += 1
+
+
+def transposition(n: int, a: int, b: int) -> list[int]:
+    label = list(range(n))
+    label[a], label[b] = b, a
+    return label
+
+
+def seven_bit_tables(n: int, loops: bool, label: list[int]) -> list[list[int]]:
+    """The reference relabeling tables: per 7-bit chunk of an enumeration
+    index, the bits its cells occupy once each vertex v takes label[v]."""
     cells = upper_cells(n, loops)
     m = len(cells)
     bit_of = {cell: m - 1 - p for p, cell in enumerate(cells)}
-    label = list(range(n))
-    label[a], label[b] = b, a
     moved = [bit_of[tuple(sorted((label[i], label[j])))] for i, j in reversed(cells)]
     return [
         [sum(1 << moved[lo + t] for t in range(min(7, m - lo)) if chunk >> t & 1)
@@ -472,21 +513,30 @@ def test_three_chunk_tables_match_the_seven_bit_tables(n, loops):
     m = len(upper_cells(n, loops))
     width = -(-m // 3)
     low = (1 << width) - 1
-    for a, b in set(iso_mod._heap_swaps(n)):
-        t0, t1, t2 = iso_mod._swap_tables(n, loops, a, b)
-        reference = seven_bit_tables(n, loops, a, b)
+    cycle = [(v + 1) % n for v in range(n)]
+    labels = [cycle] + [transposition(n, a, b) for a, b in itertools.combinations(range(n), 2)]
+    for label in labels:
+        t0, t1, t2 = iso_mod._relabel_tables(n, loops, label)
+        reference = seven_bit_tables(n, loops, label)
         for bit in range(m):
             x = 1 << bit
             got = t0[x & low] | t1[x >> width & low] | t2[x >> 2 * width]
             assert got == seven_bit_image(reference, x)
+    if n >= 2:
+        assert iso_mod._orbit_generators(n, loops) == tuple(
+            iso_mod._relabel_tables(n, loops, label) for label in (transposition(n, 0, 1), cycle)
+        )
 
 
 @pytest.mark.parametrize(
     "n, loops", [(n, True) for n in range(1, 6)] + [(n, False) for n in range(1, 7)]
 )
 def test_stamp_orbit_matches_seven_bit_stamping(n, loops):
-    tables = {pair: seven_bit_tables(n, loops, *pair) for pair in set(iso_mod._heap_swaps(n))}
-    steps = [tables[pair] for pair in iso_mod._heap_swaps(n)]
+    # the reference walks all n! relabelings in Heap's order, one swap a step
+    tables = {
+        pair: seven_bit_tables(n, loops, transposition(n, *pair)) for pair in set(heap_swaps(n))
+    }
+    steps = [tables[pair] for pair in heap_swaps(n)]
     seen = bytearray((enumerate_count(n, loops) + 7) // 8)
     reference = bytearray(len(seen))
     for k, rows in enumerate(iter_adj_rows(n, loops)):
@@ -498,7 +548,10 @@ def test_stamp_orbit_matches_seven_bit_stamping(n, loops):
         orbit = list(dict.fromkeys(walk))
         for x in orbit:
             reference[x >> 3] |= 1 << (x & 7)
-        assert stamp_orbit(n, tuple(rows), loops, seen) == orbit
+        members = stamp_orbit(n, tuple(rows), loops, seen)
+        assert members[0] == k
+        assert len(set(members)) == len(members)
+        assert sorted(members) == sorted(orbit)
     assert seen == reference
 
 
@@ -506,8 +559,9 @@ def test_stamp_orbit_matches_seven_bit_stamping(n, loops):
 def test_orbit_tables_stay_under_half_a_mebibyte(n, loops):
     # 28 cells in 10-bit chunks, the largest universes stamp_orbit covers;
     # the bound is the one oracle.BIP_SWEEP_MAX states
-    distinct = {id(table): table for step in iso_mod._orbit_steps(n, loops) for table in step}
-    assert sum(table.itemsize * len(table) for table in distinct.values()) < 1 << 19
+    generators = iso_mod._orbit_generators(n, loops)
+    assert len(generators) == 2
+    assert sum(table.itemsize * len(table) for tables in generators for table in tables) < 1 << 19
 
 
 # ---------------------------------------------------------------------------

@@ -804,14 +804,14 @@ def test_double_cover_fault_is_reported_once_per_class(n, classes, monkeypatch, 
 
 
 def test_corrupted_transposition_table_stops_index_and_sweep(monkeypatch, fresh_bip_classes):
-    real = iso_mod._orbit_steps
+    real = iso_mod._orbit_generators
 
     def corrupted(n, loops):
-        steps = real(n, loops)
-        identity = iso_mod._swap_tables(n, loops, 0, 0)
-        return tuple(identity if tables is steps[0] else tables for tables in steps)
+        # the cycle's tables replaced by the identity's
+        swap, _ = real(n, loops)
+        return swap, iso_mod._relabel_tables(n, loops, list(range(n)))
 
-    monkeypatch.setattr(iso_mod, "_orbit_steps", corrupted)
+    monkeypatch.setattr(iso_mod, "_orbit_generators", corrupted)
     with pytest.raises(InvariantViolationError):
         oracle_mod._UniverseIndex(4).build()
     with pytest.raises(InvariantViolationError):

@@ -100,6 +100,15 @@ def test_bipartition_mixed_components(two_k3):
     assert not is_bipartite(two_k3)
 
 
+@pytest.mark.parametrize("index", [2, 5, -1])
+def test_sides_of_an_absent_component_are_refused(index):
+    # a triangle, then an edge whose sides index -1 would wrap round to
+    bp = bipartition(Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (3, 4)]))
+    assert bp.sides_of_component(1) == ((3,), (4,))
+    with pytest.raises(UsageError):
+        bp.sides_of_component(index)
+
+
 def test_odd_walk_is_a_real_closed_odd_walk():
     looped = Graph.from_edges(3, [(0, 1), (2, 2)])
     assert bipartition(looped).odd_walk == (2, 2)
