@@ -66,7 +66,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the exhaustive verification suites (JSON report)")
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
     p.add_argument("--loops", action="store_true", help="verify the loops-allowed universe")
-    p.add_argument("--jobs", type=int, default=None, help="worker processes (default: all cores)")
+    p.add_argument(
+        "--jobs", type=int, default=None,
+        help="accepted for compatibility; every suite runs in one process (must be at least 1)",
+    )
     p.add_argument(
         "--bip-max", type=int, default=BIP_SWEEP_MAX, dest="bip_max",
         help="cap for the bipartite-only sweep",

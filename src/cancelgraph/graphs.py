@@ -377,7 +377,8 @@ def iter_adj_rows(
     """Every labeled graph on n vertices, in lexicographic order over the
     upper-triangle bit vector (cell (0,0) or (0,1) is the most significant bit).
 
-    start/stop select a slice of enumeration indices, for sharded scans.
+    start/stop select a slice of enumeration indices, such as the one graph
+    at a given index.
     """
     cells = upper_cells(n, loops_allowed)
     m = len(cells)

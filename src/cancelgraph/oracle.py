@@ -18,7 +18,6 @@ because a loopless graph can have loopy product mates.
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from array import array
 from collections import Counter
@@ -275,22 +274,12 @@ class _Violations:
         self.items: list[dict] = []
         self.total = 0
 
-    def _keep(self, item: dict) -> None:
-        if len(self.items) < MAX_RECORDED_VIOLATIONS:
-            self.items.append(item)
-        elif len(self.items) == MAX_RECORDED_VIOLATIONS:
-            self.items.append({"suite": "truncated", "n": 0, "note": "further violations omitted"})
-
     def add(self, suite: str, n: int, **detail) -> None:
         self.total += 1
-        self._keep({"suite": suite, "n": n, **detail})
-
-    def absorb(self, items: list[dict], total: int) -> None:
-        """Fold in another collector's items and count, with the same cap and
-        marker as if its violations had been added here in order."""
-        for item in items:
-            self._keep(item)
-        self.total += total
+        if len(self.items) < MAX_RECORDED_VIOLATIONS:
+            self.items.append({"suite": suite, "n": n, **detail})
+        elif len(self.items) == MAX_RECORDED_VIOLATIONS:
+            self.items.append({"suite": "truncated", "n": 0, "note": "further violations omitted"})
 
 
 def _edges_of_rows(n: int, rows) -> list[list[int]]:
@@ -303,11 +292,12 @@ class _UniverseIndex:
 
     class_of[k] numbers the iso class of enumeration index k, in order of
     each class's least index. Stamping each orbit makes the numbers exact,
-    so canon_of reads them as certificates. class_nbhd_pure says every
-    neighborhood mate of the class lies in it, class_product_pure that no
-    other class has its product class, the certificate of G x K2 as
-    direct_product builds it (relabeling G relabels the product, so any
-    member gives it).
+    so canon_of reads them as certificates. class_rows holds each class's
+    least member, its representative, and class_size its member count,
+    n!/|Aut|. class_nbhd_pure says every neighborhood mate of the class lies
+    in it, class_product_pure that no other class has its product class,
+    the certificate of G x K2 as direct_product builds it (relabeling G
+    relabels the product, so any member gives it).
     """
 
     def __init__(self, n: int) -> None:
@@ -315,6 +305,8 @@ class _UniverseIndex:
         # 16-bit class numbers while they fit: n=6 has 5096 loops-allowed
         # classes, n=7 79264 (OEIS A000666); one too large raises OverflowError
         self.class_of = array("H" if n <= 6 else "I")
+        self.class_rows: list[tuple[int, ...]] = []
+        self.class_size: list[int] = []
         self.class_nbhd_pure: list[bool] = []
         self.class_product_pure: list[bool] = []
 
@@ -328,21 +320,26 @@ class _UniverseIndex:
         total = enumerate_count(n, True)
         seen = bytearray((total + 7) // 8)
         class_of = array(self.class_of.typecode, [0]) * total
-        least_rows = []
+        class_rows = []
+        class_size = []
         for k in range(total):
             if not seen[k >> 3] >> (k & 7) & 1:
                 rows = next(iter_adj_rows(n, True, start=k, stop=k + 1))
-                for member in stamp_orbit(n, rows, True, seen):
-                    class_of[member] = len(least_rows)
-                least_rows.append(rows)
+                members = stamp_orbit(n, rows, True, seen)
+                for member in members:
+                    class_of[member] = len(class_rows)
+                class_rows.append(rows)
+                class_size.append(len(members))
         self.class_of = class_of
+        self.class_rows = class_rows
+        self.class_size = class_size
         self.class_nbhd_pure = [
             all(class_of[adjacency_index(n, mate)] == number
                 for mate in _neighborhood_mates(n, rows))
-            for number, rows in enumerate(least_rows)
+            for number, rows in enumerate(class_rows)
         ]
         products = [
-            _certificate(2 * n, direct_product(Graph(n, rows), K2).adj) for rows in least_rows
+            _certificate(2 * n, direct_product(Graph(n, rows), K2).adj) for rows in class_rows
         ]
         shared = Counter(products)
         self.class_product_pure = [shared[key] == 1 for key in products]
@@ -358,26 +355,27 @@ class _UniverseIndex:
 
 
 def _main_pass_for_n(
-    index: _UniverseIndex,
-    loops_allowed: bool,
-    violations: _Violations,
-    start: int = 0,
-    stop: int | None = None,
+    index: _UniverseIndex, loops_allowed: bool, violations: _Violations
 ) -> tuple[int, int, int, int]:
-    """The decider's routes against both oracles, graph by graph, plus the
-    orbit checks up to ORBIT_CHECK_MAX, all from one Ant search and one G^a
-    per image, with every certificate read off the universe index; the
-    involution test reads the Ant list, since the involutions in Ant(G) are
-    the involutory automorphisms. The index is the loops-allowed one at the
-    pass's n, so it holds every G^a, which may have loops whatever the
-    mode."""
+    """The decider's routes against both oracles, once per iso class of the
+    mode's universe on the index's representative, plus the orbit checks up
+    to ORBIT_CHECK_MAX, all from one Ant search and one G^a per image, with
+    every certificate read off the universe index; the involution test reads
+    the Ant list, since the involutions in Ant(G) are the involutory
+    automorphisms. Every check is invariant under relabeling, so the graph
+    counts add the class size and a faulty class is reported once, at its
+    representative. The index is the loops-allowed one at the pass's n, so
+    it holds every G^a, which may have loops whatever the mode; a loopless
+    class is one whose representative has no loop."""
     n = index.n
     graphs = 0
     non_rec = 0
     non_strong = 0
     bip_failures = 0
-    for rows in iter_adj_rows(n, loops_allowed, start=start, stop=stop):
-        graphs += 1
+    for rows, size in zip(index.class_rows, index.class_size):
+        if not loops_allowed and any(rows[v] >> v & 1 for v in range(n)):
+            continue
+        graphs += size
         ant = list(iter_ant_images(n, rows))
         moved = [apply_anti_rows(rows, img) for img in ant]
         mkey = multiset_key(rows)
@@ -391,12 +389,12 @@ def _main_pass_for_n(
                 )
         slow = _full_route(rows, zip(ant, moved), index.canon_of)
         if not slow:
-            non_rec += 1
+            non_rec += size
         g = Graph(n, rows)
         bip = bipartition(g)
         bip_verdict = _bip_decide(g, bip)[0] if bip.is_bipartite else None
         if bip_verdict is False:
-            bip_failures += 1
+            bip_failures += size
         if not any(map(is_involution, ant)):
             fast = True
         elif bip_verdict is not None:
@@ -427,7 +425,7 @@ def _main_pass_for_n(
                 edges=_edges_of_rows(n, rows), direct=direct, classwise=classwise,
             )
         if not direct:
-            non_strong += 1
+            non_strong += size
         if n <= ORBIT_CHECK_MAX and len(ant) > 1:
             _orbit_checks(n, rows, ant, [index.canon_of(r) for r in moved], violations)
     return graphs, non_rec, non_strong, bip_failures
@@ -724,66 +722,20 @@ def _bip_sweep_for_n(
     return _count_bits(bipartite, start, stop), _count_bits(failing, start, stop)
 
 
-# ---------------------------------------------------------------------------
-# parallel plumbing
-# ---------------------------------------------------------------------------
-#
-# Only the main pass, which stays per labeled graph, is sharded: the
-# universe index and the bipartite sweep work per iso class and take
-# seconds in one process. Workers rebuild iteration state from (start,
-# stop) and get the universe index as an argument, pickled once per shard:
-# mostly its class_of array, 4 MiB at n=6.
-# _worker_bip_sweep keeps the (n, start, stop) worker shape for callers
-# that time slices of the sweep.
-
-_POOL_THRESHOLD = 1 << 12
+# Every suite runs in the calling process: the main pass, the universe index
+# and the bipartite sweep all work per iso class and take seconds at the
+# default limits. _worker_bip_sweep keeps the (n, start, stop) worker shape
+# for callers that time slices of the sweep.
 
 
-def _run_pool(worker, argslist: list, jobs: int) -> list:
-    import multiprocessing as mp
-
-    ctx = mp.get_context("fork")
-    with ctx.Pool(min(jobs, len(argslist))) as pool:
-        return pool.map(worker, argslist)
-
-
-def _fork_available() -> bool:
-    import multiprocessing as mp
-
-    try:
-        mp.get_context("fork")
-    except ValueError:
-        return False
-    return True
-
-
-def _pass_worker(pass_fn, args: tuple) -> tuple:
-    """pass_fn(*head, violations, start=lo, stop=hi) for args = (*head, lo, hi),
-    as (*counts, violation items, violation total)."""
-    *head, start, stop = args
+def _worker_bip_sweep(args: tuple[int, int, int]) -> tuple[int, int, list[dict], int]:
+    """_bip_sweep_for_n(n, violations, start, stop) for args = (n, start,
+    stop), as (bipartite graphs, reversal failures, violation items,
+    violation total)."""
+    n, start, stop = args
     violations = _Violations()
-    counts = pass_fn(*head, violations, start=start, stop=stop) or ()
-    return (*counts, violations.items, violations.total)
-
-
-def _worker_bip_sweep(args: tuple[int, int, int]):
-    return _pass_worker(_bip_sweep_for_n, args)
-
-
-def _shards(total: int, jobs: int) -> list[tuple[int, int]]:
-    chunk = (total + jobs - 1) // jobs
-    return [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-
-
-def _run_shards(worker, total: int, args: tuple, jobs: int) -> list:
-    """worker((*args, lo, hi)) for each shard of range(total): in a fresh
-    fork pool when jobs > 1 and the range is large, else once in-process
-    over the whole range."""
-    if jobs > 1 and total >= _POOL_THRESHOLD:
-        return _run_pool(
-            worker, [(*args, lo, hi) for lo, hi in _shards(total, jobs)], jobs
-        )
-    return [worker((*args, 0, total))]
+    checked, failures = _bip_sweep_for_n(n, violations, start, stop)
+    return checked, failures, violations.items, violations.total
 
 
 def verify_theorems(
@@ -797,11 +749,16 @@ def verify_theorems(
     """Run every exhaustive invariant suite up to nmax and report violations.
 
     The main suite compares the decider against both oracles, read per class
-    from the universe index, for every graph of the mode's universe and, up to ORBIT_CHECK_MAX, checks
+    from the universe index, once per iso class of the mode's universe, with
+    each class counted by its size, and, up to ORBIT_CHECK_MAX, checks
     orbit/isomorphism agreement and odd powers on the same Ant search; side
     suites cover the multiset identity, two-fold membership, digraph
     symmetry, product structure, and the bipartite sweep (which always runs
     loopless up to bip_max, independent of mode).
+
+    Every suite runs in the calling process. jobs is accepted for
+    compatibility and has no effect beyond refusing values below 1; the
+    report's jobs is always 1.
     """
     limit = VERIFY_MAX_LOOPS if loops_allowed else VERIFY_MAX_SIMPLE
     mode = "loops" if loops_allowed else "loopless"
@@ -815,14 +772,8 @@ def verify_theorems(
         raise UsageError("nmax must be at least 1")
     if bip_max < 0:
         raise UsageError("bip_max must be at least 0")
-    cpus = os.cpu_count() or 1
-    if jobs is None:
-        jobs = cpus
-    elif jobs < 1:
+    if jobs is not None and jobs < 1:
         raise UsageError(f"jobs must be at least 1, got {jobs}")
-    jobs = min(jobs, cpus)
-    if jobs > 1 and not _fork_available():
-        jobs = 1
 
     violations = _Violations()
     census = []
@@ -839,15 +790,9 @@ def verify_theorems(
             index = _UniverseIndex(n)
             index.build()
             mode_total = enumerate_count(n, loops_allowed)
-            shards = _run_shards(
-                partial(_pass_worker, _main_pass_for_n), mode_total,
-                (index, loops_allowed), jobs,
+            graphs, non_rec, non_strong, bipf = _main_pass_for_n(
+                index, loops_allowed, violations
             )
-            sums = [0, 0, 0, 0]
-            for *counts, items, total in shards:
-                violations.absorb(items, total)
-                sums = [a + b for a, b in zip(sums, counts)]
-            graphs, non_rec, non_strong, bipf = sums
             if graphs != mode_total:
                 raise InvariantViolationError(
                     f"census covered {graphs} graphs, expected {mode_total}"
@@ -876,7 +821,7 @@ def verify_theorems(
         nmax=nmax,
         loops_allowed=loops_allowed,
         bip_max=bip_max,
-        jobs=jobs,
+        jobs=1,
         census=tuple(census),
         bipartite_census=tuple(bip_census),
         violations=tuple(violations.items),

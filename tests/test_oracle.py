@@ -392,82 +392,26 @@ def test_verify_report_json_shape():
 
 def without_timings(report):
     data = report.to_json_dict()
-    del data["suite_seconds"], data["jobs"]
+    del data["suite_seconds"]
     return data
 
 
-def test_verify_sharded_run_matches_serial(monkeypatch):
-    monkeypatch.setattr(oracle_mod.os, "cpu_count", lambda: 2)
-    serial = verify_theorems(2, True, bip_max=3, jobs=1)
-    monkeypatch.setattr(oracle_mod, "_POOL_THRESHOLD", 1)
-    sharded = verify_theorems(2, True, bip_max=3, jobs=2)
-    assert sharded.ok
-    assert without_timings(sharded) == without_timings(serial)
-    assert sharded.jobs == 2
+def test_verify_jobs_has_no_effect():
+    # every suite runs in the calling process, whatever jobs asks for
+    reports = [verify_theorems(2, True, bip_max=3, jobs=jobs) for jobs in (None, 1, 2)]
+    first, *rest = map(without_timings, reports)
+    assert first["jobs"] == 1
+    assert all(data == first for data in rest)
 
 
-@pytest.fixture
-def in_process_pools(monkeypatch):
-    """(shards, jobs) of each pool the verifier asks for, run in-process,
-    with fork available and every range large enough to shard."""
-    pools = []
-
-    def in_process_pool(worker, argslist, jobs):
-        pools.append((len(argslist), jobs))
-        return [worker(args) for args in argslist]
-
-    monkeypatch.setattr(oracle_mod, "_fork_available", lambda: True)
-    monkeypatch.setattr(oracle_mod, "_run_pool", in_process_pool)
-    monkeypatch.setattr(oracle_mod, "_POOL_THRESHOLD", 1)
-    return pools
-
-
-def test_verify_clamps_jobs_to_the_cpu_count(monkeypatch, in_process_pools):
-    monkeypatch.setattr(oracle_mod.os, "cpu_count", lambda: 3)
-    report = verify_theorems(2, True, bip_max=2, jobs=10000)
-    assert report.jobs == 3
-    assert in_process_pools
-    assert all(shards <= 3 and jobs == 3 for shards, jobs in in_process_pools)
-    assert without_timings(report) == without_timings(
-        verify_theorems(2, True, bip_max=2, jobs=1)
-    )
-
-
-@pytest.mark.parametrize("cpus", [1, 3])
-def test_verify_defaults_jobs_to_the_cpu_count(monkeypatch, in_process_pools, cpus):
-    monkeypatch.setattr(oracle_mod.os, "cpu_count", lambda: cpus)
-    report = verify_theorems(2, True, bip_max=2)
-    assert report.jobs == cpus
-    assert all(jobs == cpus for _, jobs in in_process_pools)
-    # one job runs every shard in-process, without a pool
-    assert bool(in_process_pools) == (cpus > 1)
-    assert without_timings(report) == without_timings(
-        verify_theorems(2, True, bip_max=2, jobs=1)
-    )
-
-
-def test_verify_runs_in_process_without_fork(monkeypatch, in_process_pools):
-    monkeypatch.setattr(oracle_mod.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(oracle_mod, "_fork_available", lambda: False)
-    report = verify_theorems(2, True, bip_max=2, jobs=2)
-    assert report.jobs == 1
-    assert in_process_pools == []
-
-
-@pytest.mark.parametrize("split", [0, 150, 200, 250])
-def test_violation_fold_matches_one_collector(split):
-    serial = oracle_mod._Violations()
-    shards = [oracle_mod._Violations(), oracle_mod._Violations()]
+def test_violations_keep_the_first_ones_and_count_all():
+    violations = oracle_mod._Violations()
     for i in range(300):
-        serial.add("main", 1, i=i)
-        shards[i >= split].add("main", 1, i=i)
-    merged = oracle_mod._Violations()
-    for shard in shards:
-        merged.absorb(shard.items, shard.total)
-    assert len(serial.items) == oracle_mod.MAX_RECORDED_VIOLATIONS + 1
-    assert serial.items[-1]["suite"] == "truncated"
-    assert merged.items == serial.items
-    assert merged.total == serial.total == 300
+        violations.add("main", 1, i=i)
+    cap = oracle_mod.MAX_RECORDED_VIOLATIONS
+    assert [item["i"] for item in violations.items[:-1]] == list(range(cap))
+    assert violations.items[-1]["suite"] == "truncated"
+    assert violations.total == 300
 
 
 def test_verify_guards():
@@ -494,26 +438,33 @@ def test_orbit_fault_is_reported_by_the_main_pass(monkeypatch):
     # no generators, so every image is its own orbit: graphs with isomorphic
     # G^a for two images now have fewer classes than orbits
     monkeypatch.setattr(antiauto_mod, "_tf_generators", lambda n, rows: [])
+    labeled, per_class = labeled_main_pass_kinds(3)
+    assert labeled == {"simeqiso_across_orbits": 30}
     report = verify_theorems(3, True, bip_max=1, jobs=1)
-    assert violation_kinds(report.violations) == {"simeqiso_across_orbits": 30}
+    assert violation_kinds(report.violations) == per_class == {"simeqiso_across_orbits": 14}
 
 
 def test_oracle_purity_fault_is_reported_by_the_main_pass(monkeypatch):
     # every graph reads reconstructible: the 0 + 2 + 20 non-reconstructible
-    # graphs up to n=3 now disagree with both oracles
+    # graphs up to n=3, in 0 + 2 + 8 classes, now disagree with both oracles
     monkeypatch.setattr(oracle_mod, "_full_route", lambda *args: True)
+    labeled, per_class = labeled_main_pass_kinds(3)
     kinds = violation_kinds(verify_theorems(3, True, bip_max=1, jobs=1).violations)
-    assert kinds["theorem_vs_neighborhood_oracle"] == 22
-    assert kinds["theorem_vs_cancellation_oracle"] == 22
+    assert kinds == per_class
+    for suite in ("theorem_vs_neighborhood_oracle", "theorem_vs_cancellation_oracle"):
+        assert labeled[suite] == 22
+        assert kinds[suite] == 10
 
 
 def test_fast_path_fault_is_reported_by_the_main_pass(monkeypatch):
     # an involution test that never finds one sends every graph down the
     # "reconstructible outright" route: the 0 + 2 + 20 non-reconstructible
-    # graphs up to n=3 now disagree with the full route
+    # graphs up to n=3, in 0 + 2 + 8 classes, now disagree with the full route
     monkeypatch.setattr(oracle_mod, "is_involution", lambda image: False)
+    labeled, per_class = labeled_main_pass_kinds(3)
+    assert labeled == {"fast_paths": 22}
     report = verify_theorems(3, True, bip_max=1, jobs=1)
-    assert violation_kinds(report.violations) == {"fast_paths": 22}
+    assert violation_kinds(report.violations) == per_class == {"fast_paths": 10}
 
 
 def test_lovasz_pass_reports_a_mixed_product_class(monkeypatch):
@@ -556,6 +507,116 @@ def main_pass_kinds(nmax: int) -> Counter:
     return kinds
 
 
+def labeled_main_pass(index, loops_allowed, violations):
+    """The main pass over every labeled graph of the mode's universe: the
+    reference the per-class pass must reproduce, counts and verdicts. It
+    calls the library through oracle_mod, so a patched fault reaches both."""
+    n = index.n
+    graphs = non_rec = non_strong = bip_failures = 0
+    for rows in iter_adj_rows(n, loops_allowed):
+        graphs += 1
+        edges = oracle_mod._edges_of_rows(n, rows)
+        ant = list(oracle_mod.iter_ant_images(n, rows))
+        moved = [oracle_mod.apply_anti_rows(rows, img) for img in ant]
+        mkey = oracle_mod.multiset_key(rows)
+        direct = True
+        for img, arows in zip(ant, moved):
+            direct = direct and arows == rows
+            if oracle_mod.multiset_key(arows) != mkey:
+                violations.add("eq1_multiset", n, edges=edges, alpha=list(img))
+        slow = oracle_mod._full_route(rows, zip(ant, moved), index.canon_of)
+        non_rec += not slow
+        g = Graph(n, rows)
+        bip = oracle_mod.bipartition(g)
+        bip_verdict = oracle_mod._bip_decide(g, bip)[0] if bip.is_bipartite else None
+        bip_failures += bip_verdict is False
+        if not any(map(oracle_mod.is_involution, ant)):
+            fast = True
+        elif bip_verdict is not None:
+            fast = bip_verdict
+        else:
+            fast = slow
+        if fast != slow:
+            violations.add("fast_paths", n, edges=edges, fast=fast, slow=slow)
+        oracle_n = index.neighborhood_pure(rows)
+        if oracle_n != slow:
+            violations.add(
+                "theorem_vs_neighborhood_oracle", n, edges=edges, decider=slow, oracle=oracle_n
+            )
+        oracle_p = index.product_pure(rows)
+        if oracle_p != slow:
+            violations.add(
+                "theorem_vs_cancellation_oracle", n, edges=edges, decider=slow, oracle=oracle_p
+            )
+        classwise = oracle_mod._classwise_strong(rows, ant)
+        if direct != classwise:
+            violations.add("strong_routes", n, edges=edges, direct=direct, classwise=classwise)
+        non_strong += not direct
+        if n <= oracle_mod.ORBIT_CHECK_MAX and len(ant) > 1:
+            oracle_mod._orbit_checks(n, rows, ant, [index.canon_of(r) for r in moved], violations)
+    return graphs, non_rec, non_strong, bip_failures
+
+
+def labeled_main_pass_kinds(nmax: int) -> tuple[Counter, Counter]:
+    """Violations per suite of labeled_main_pass over the loops-allowed
+    graphs at n = 1..nmax: over every labeled graph, and over the least
+    labeled member of each iso class alone, which is what the per-class pass
+    reports. Classes are told apart by component_class_multiset."""
+    every: Counter = Counter()
+    least_only: Counter = Counter()
+    for n in range(1, nmax + 1):
+        found = []
+
+        class Recording(oracle_mod._Violations):
+            def add(self, suite, n, **detail):
+                found.append((suite, detail["edges"]))
+
+        index = oracle_mod._UniverseIndex(n)
+        index.build()
+        labeled_main_pass(index, True, Recording())
+        least: dict[tuple[bytes, ...], tuple[int, ...]] = {}
+        for rows in iter_adj_rows(n, True):
+            least.setdefault(component_class_multiset(n, rows), rows)
+        representatives = set(least.values())
+        for suite, edges in found:
+            every[suite] += 1
+            if Graph.from_edges(n, edges).adj in representatives:
+                least_only[suite] += 1
+    return every, least_only
+
+
+@pytest.mark.parametrize(
+    "n, loops", [(n, True) for n in range(1, 5)] + [(n, False) for n in range(1, 6)]
+)
+def test_class_main_pass_matches_the_labeled_pass(n, loops):
+    # no verdict depends on the labeling: one representative per class,
+    # weighted by class size, gives the labeled census row
+    index = oracle_mod._UniverseIndex(n)
+    index.build()
+    per_class = oracle_mod._Violations()
+    labeled = oracle_mod._Violations()
+    counts = oracle_mod._main_pass_for_n(index, loops, per_class)
+    assert counts == labeled_main_pass(index, loops, labeled)
+    assert counts[0] == enumerate_count(n, loops)
+    assert per_class.total == labeled.total == 0
+
+
+@pytest.mark.parametrize("loops", [True, False])
+def test_census_guard_catches_a_wrong_class_size(monkeypatch, loops):
+    real = oracle_mod._UniverseIndex.build
+
+    def short_build(self):
+        real(self)
+        self.class_size[0] -= 1
+
+    monkeypatch.setattr(oracle_mod._UniverseIndex, "build", short_build)
+    expected = enumerate_count(1, loops)
+    with pytest.raises(
+        InvariantViolationError, match=f"census covered {expected - 1} graphs, expected {expected}"
+    ):
+        verify_theorems(1, loops, bip_max=1, jobs=1)
+
+
 LIST_AUT_TF = oracle_mod.enumerate_aut_tf
 
 
@@ -594,8 +655,10 @@ def test_odd_power_fault_is_reported_by_the_main_pass():
         def product_pure(self, rows):
             return True
 
+    index = LabeledIndex(3)
+    index.build()
     violations = oracle_mod._Violations()
-    oracle_mod._main_pass_for_n(LabeledIndex(3), True, violations)
+    oracle_mod._main_pass_for_n(index, True, violations)
     assert violation_kinds(violations.items)["simplus2"] > 0
 
 
@@ -611,14 +674,21 @@ def test_ant_search_losing_the_identity_is_reported_by_the_main_pass(monkeypatch
     # G is then no G^a, so the full route reads G's certificate from the
     # index rather than from the images' certificates
     monkeypatch.setattr(oracle_mod, "iter_ant_images", ant_without_identity)
-    assert main_pass_kinds(4) == {"strong_routes": 276, "simeqiso_closure": 1206, "simplus2": 272}
+    labeled, per_class = labeled_main_pass_kinds(4)
+    assert labeled == {"strong_routes": 276, "simeqiso_closure": 1206, "simplus2": 272}
+    assert main_pass_kinds(4) == per_class == {
+        "strong_routes": 38, "simeqiso_closure": 268, "simplus2": 56,
+    }
 
 
 def test_multiset_fault_is_reported_by_the_main_pass(monkeypatch):
     # rows in vertex order as the multiset key: every image with G^a != G,
-    # 38 of them up to n=3, now reads as changing the multiset
+    # 38 of them on the labeled graphs up to n=3 and 18 on one graph per
+    # class, now reads as changing the multiset
     monkeypatch.setattr(oracle_mod, "multiset_key", tuple)
-    assert main_pass_kinds(3) == {"eq1_multiset": 38}
+    labeled, per_class = labeled_main_pass_kinds(3)
+    assert labeled == {"eq1_multiset": 38}
+    assert main_pass_kinds(3) == per_class == {"eq1_multiset": 18}
 
 
 def identity_pair(g, h):
@@ -704,6 +774,11 @@ def test_universe_index_classes_are_the_canon_rows_classes(n, classes):
         assert canon_of_class.setdefault(number, canon) == canon
         assert (index.neighborhood_pure(frozen), index.product_pure(frozen)) == purity[k]
     assert len(class_of_canon) == len(canon_of_class) == classes
+    # each class's representative is its least member, its size its member count
+    assert index.class_size == [size for _, size in sorted(Counter(index.class_of).items())]
+    assert [adjacency_index(n, rows) for rows in index.class_rows] == [
+        index.class_of.index(number) for number in range(classes)
+    ]
 
 
 @pytest.mark.parametrize("n", [3, 4])
