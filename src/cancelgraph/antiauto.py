@@ -163,17 +163,18 @@ def iter_two_fold(src: tuple[int, ...], dst: tuple[int, ...]):
 
 
 def enumerate_ant(g: Graph, *, force: bool = False) -> list[Permutation]:
-    """All of Ant(G), lexicographically ascending; always contains the identity."""
+    """All of Ant(G), lexicographically ascending; always contains the identity.
+    The checked listing is made once per Graph; each call copies it."""
     CapacityError.check(g.n, ANT_MAX, force, "anti-automorphism listing")
-    out = []
+    return list(g._kept("_ant", lambda: tuple(_checked_ant(g))))
+
+
+def _checked_ant(g: Graph):
     for image in iter_ant_images(g.n, g.adj):
         p = Permutation(image)
         if not is_anti_automorphism(g, p):
-            raise InvariantViolationError(
-                f"search produced a non-anti-automorphism {image}"
-            )
-        out.append(p)
-    return out
+            raise InvariantViolationError(f"search produced a non-anti-automorphism {image}")
+        yield p
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,11 @@ The decider takes one fixed route:
   full        every distinct G^a must share G's certificate, checked over
               the 2-power-order a only: a and a^(odd) give isomorphic G^a
 
-classify makes one pass over Ant(G) that certifies each distinct G^a and
-yields the verdict, the orbit classes, the counterexample, the strong
-witness and whether G has an involution. The verdict is checked against
-both public deciders; they repeat the Ant search for graphs that neither
-fast test settles.
+classify makes one pass over Ant(G) that certifies each distinct G^a, one
+canonical form per class of relabelings, and yields the verdict, the orbit
+classes, the counterexample, the strong witness and whether G has an
+involution. The verdict is checked against both public deciders, which
+read the Ant listing and the involution that the Graph keeps.
 """
 from __future__ import annotations
 
@@ -27,7 +27,8 @@ from math import factorial
 
 from .antiauto import ANT_MAX, apply_anti_rows, enumerate_ant
 from .errors import CapacityError, InvariantViolationError, UsageError
-from .graphs import Graph, Permutation, adjacency_index, is_involution, perm_order, row_classes
+from .graphs import (Graph, Permutation, adjacency_index, invert, is_involution, perm_order,
+                     relabel_rows, row_classes)
 from .iso import _canonical, involution_witness
 from .product import Bipartition, bipartition
 
@@ -95,30 +96,53 @@ def _strong_verdict(rows: tuple[int, ...], images, direct: bool) -> bool:
     return direct
 
 
-def _ant_pass(g: Graph, force: bool):
-    """One pass over Ant(G) certifying each distinct G^a.
+def _spread_certificates(n: int, moved: dict, autos: list) -> dict:
+    """The certificate of each G^a in moved (rows of G^a -> a), one canonical
+    form per relabeling class: each certified G^a is relabeled by a^-1 and by
+    the automorphisms in autos that join two orbits of those kept before, and
+    results found in moved take its certificate. Exact for any relabeling; for
+    s in Aut(G), s(G^a) = G^(s a s^-1) and a^-1(G^a) = G^(a^-1) say why."""
+    gens, orbit = [], list(range(n))
+    for s in autos if len(moved) > 1 else ():
+        if any(orbit[v] != orbit[w] for v, w in enumerate(s)):
+            gens.append(s)
+            for v, w in enumerate(s):
+                orbit = [orbit[v] if o == orbit[w] else o for o in orbit]
+    cert_of: dict = {}
+    for arows in moved:
+        if arows in cert_of:
+            continue
+        cert_of[arows] = _canonical(n, arows)[0]
+        todo = [arows]
+        for cur in todo:  # visits what it appends
+            for s in (*gens, invert(moved[cur])):
+                nxt = relabel_rows(cur, s)
+                if nxt in moved and nxt not in cert_of:
+                    cert_of[nxt] = cert_of[arows]
+                    todo.append(nxt)
+    return cert_of
 
-    Returns the Ant images, the set of certificates of all G^a, the
-    counterexample as (a, rows of G^a) or None, and the least a with
-    G^a != G or None. The counterexample is the G^a not isomorphic to G with
-    the least adjacency encoding, ties broken by least image.
-    """
+
+def _ant_pass(g: Graph, force: bool):
+    """One pass over Ant(G) certifying each distinct G^a: the Ant images,
+    the set of certificates of all G^a, the counterexample (the G^a not
+    isomorphic to G with the least adjacency encoding) as (a, rows of G^a)
+    or None, and the least a with G^a != G or None."""
     n, rows = g.n, g.adj
     ant = [p.image for p in enumerate_ant(g, force=force)]
+    moved: dict[tuple[int, ...], tuple[int, ...]] = {}
+    autos = []
+    for img, arows in _permuted(rows, ant):
+        # a is an automorphism iff row x of G^a is row a(x) of G
+        if arows == tuple(rows[w] for w in img):
+            autos.append(img)
+        if arows != rows:
+            moved.setdefault(arows, img)
     base = _canonical(n, rows)[0]
-    certs = {base}
-    best = None
-    strong_witness = None
-    for img, arows in _distinct_images(rows, _permuted(rows, ant)):
-        if strong_witness is None:
-            strong_witness = img
-        cert = _canonical(n, arows)[0]
-        certs.add(cert)
-        if cert != base:
-            key = adjacency_index(n, arows)
-            if best is None or key < best[0]:
-                best = (key, img, arows)
-    return ant, certs, None if best is None else best[1:], strong_witness
+    cert_of = _spread_certificates(n, moved, autos)
+    not_iso = [(adjacency_index(n, r), a, r) for r, a in moved.items() if cert_of[r] != base]
+    best = min(not_iso)[1:] if not_iso else None
+    return ant, {base, *cert_of.values()}, best, next(iter(moved.values()), None)
 
 
 def is_neighborhood_reconstructible(g: Graph, *, force: bool = False) -> bool:
@@ -149,8 +173,7 @@ def is_strongly_reconstructible(g: Graph, *, force: bool = False) -> bool:
     """True when every permuted graph equals G exactly, confirmed by the
     classwise route; disagreement is an engine bug."""
     ant = [p.image for p in enumerate_ant(g, force=force)]
-    found = next(_distinct_images(g.adj, _permuted(g.adj, ant)), None)
-    return _strong_verdict(g.adj, ant, found is None)
+    return _strong_verdict(g.adj, ant, strong_counterexample(g, force=force) is None)
 
 
 def strong_counterexample(g: Graph, *, force: bool = False) -> Permutation | None:
@@ -293,9 +316,9 @@ def classify(g: Graph, *, force: bool = False) -> AnalysisReport:
     ant, certs, counterexample, strong_witness = _ant_pass(g, force)
     reconstructible = len(certs) == 1
     # The decider's fixed route answers from the involution or bipartite
-    # test when one applies, else from the 2-power-order images only; it
-    # must agree with the pass over all of Ant(G). Both public deciders are
-    # called because perfbench counts decision routes inside their calls.
+    # test when one applies, else from the 2-power-order images only, and
+    # must agree with the pass over all of Ant(G). Both deciders, which reuse
+    # g's kept listings, are called so that perfbench counts routes in them.
     decided = is_neighborhood_reconstructible(g, force=force)
     if decided != reconstructible:
         raise InvariantViolationError(

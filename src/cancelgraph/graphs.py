@@ -50,6 +50,14 @@ def permute_mask(mask: int, image: tuple[int, ...]) -> int:
     return out
 
 
+def relabel_rows(rows: tuple[int, ...], image) -> tuple[int, ...]:
+    """Rows of the same graph with each vertex v renamed image[v]."""
+    out = [0] * len(rows)
+    for v, row in enumerate(rows):
+        out[image[v]] = permute_mask(row, image)
+    return tuple(out)
+
+
 def maps_neighborhoods(src, dst, lam: tuple[int, ...], mu: tuple[int, ...]) -> bool:
     """xy in E(src) iff lam(x)mu(y) in E(dst), tested as lam(N(x)) = N(mu(x)).
 
@@ -212,11 +220,13 @@ class Graph:
     def relabel(self, p: Permutation) -> "Graph":
         if len(p) != self.n:
             raise UsageError("permutation length does not match vertex count")
-        img = p.image
-        rows = [0] * self.n
-        for x in range(self.n):
-            rows[img[x]] = permute_mask(self.adj[x], img)
-        return Graph(self.n, tuple(rows))
+        return Graph(self.n, relabel_rows(self.adj, p.image))
+
+    def _kept(self, name: str, compute):
+        """compute(), run once per Graph object and kept in its __dict__,
+        which ==, hash, repr and asdict (the fields only) do not read."""
+        kept = self.__dict__
+        return kept[name] if name in kept else kept.setdefault(name, compute())
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:

@@ -36,6 +36,7 @@ from .graphs import (
     is_involution,
     maps_neighborhoods,
     permute_mask,
+    relabel_rows,
     upper_cells,
 )
 
@@ -167,11 +168,7 @@ def canon_connected(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], tup
             orbit = _orbit_mask(orbit | 1 << v, gens)
 
     descend(_refine(n, nbrs, initial_colors(n, rows)), [])
-    perm = best_perm[0]
-    canon = [0] * n
-    for v in range(n):
-        canon[perm[v]] = permute_mask(rows[v], perm)  # type: ignore[arg-type]
-    return tuple(canon), tuple(perm)
+    return relabel_rows(rows, best_perm[0]), tuple(best_perm[0])
 
 
 def compact_rows(rows, mask: int) -> tuple[int, ...]:
@@ -310,11 +307,10 @@ def automorphisms(g: Graph, *, force: bool = False) -> list[Permutation]:
 
 
 def involution_witness(g: Graph) -> Permutation | None:
-    """Lexicographically least order-2 automorphism, or None."""
-    for img in iter_automorphism_images(g.n, g.adj):
-        if is_involution(img):
-            return Permutation(img)
-    return None
+    """Lexicographically least order-2 automorphism, or None; searched once per Graph."""
+    img = g._kept("_involution", lambda: next(
+        filter(is_involution, iter_automorphism_images(g.n, g.adj)), None))
+    return None if img is None else Permutation(img)
 
 
 def has_involution(g: Graph) -> bool:

@@ -7,8 +7,10 @@ the deciders beyond the Graph container.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,11 +37,14 @@ from cancelgraph import (
     reconstruction_counterexample,
     strong_counterexample,
 )
+import cancelgraph.antiauto as antiauto_mod
+import cancelgraph.iso as iso_mod
 from cancelgraph import decide
 from cancelgraph.graphs import adjacency_index, iter_adj_rows, multiset_key, perm_order
-from cancelgraph.oracle import _fixed_bipartition_rows
+from cancelgraph.iso import _canonical
+from cancelgraph.oracle import _UniverseIndex, _fixed_bipartition_rows
 
-from conftest import graph_and_permutation, graph_strategy
+from conftest import graph_and_permutation, graph_strategy, load_fixture
 
 
 def scan_reconstructible(g: Graph) -> bool:
@@ -419,3 +424,154 @@ def power_order(image: tuple[int, ...]) -> int:
         cur = tuple(image[v] for v in cur)
         k += 1
     return k
+
+
+# ---------------------------------------------------------------------------
+# the Ant pass against the pass with one canonical form per distinct G^a
+# ---------------------------------------------------------------------------
+
+
+def reference_ant_pass(g: Graph, force: bool):
+    """decide._ant_pass as it was before certificates were shared across
+    relabelings: one canonical form for every distinct G^a."""
+    n, rows = g.n, g.adj
+    ant = [p.image for p in enumerate_ant(g, force=force)]
+    base = _canonical(n, rows)[0]
+    certs = {base}
+    best = None
+    strong_witness = None
+    for img, arows in decide._distinct_images(rows, decide._permuted(rows, ant)):
+        if strong_witness is None:
+            strong_witness = img
+        cert = _canonical(n, arows)[0]
+        certs.add(cert)
+        if cert != base:
+            key = adjacency_index(n, arows)
+            if best is None or key < best[0]:
+                best = (key, img, arows)
+    return ant, certs, None if best is None else best[1:], strong_witness
+
+
+def assert_pass_matches_reference(g: Graph) -> None:
+    # fresh Graph objects, so neither pass reads a listing the other kept
+    got = decide._ant_pass(Graph(g.n, g.adj), False)
+    assert got == reference_ant_pass(Graph(g.n, g.adj), False)
+
+
+def circulant(n: int, jumps, loops: bool) -> Graph:
+    edges = [(v, (v + s) % n) for v in range(n) for s in jumps]
+    return Graph.from_edges(n, edges + [(v, v) for v in range(n)] * loops)
+
+
+def complete(n: int) -> Graph:
+    return Graph.from_edges(n, itertools.combinations(range(n), 2))
+
+
+def complete_bipartite(a: int) -> Graph:
+    return Graph.from_edges(2 * a, [(x, a + y) for x in range(a) for y in range(a)])
+
+
+CUBE = Graph.from_edges(8, [(v, v ^ 1 << i) for v in range(8) for i in range(3)])
+FIXTURES = ("2k3", "asym7", "c6", "lp", "p_reconstruct", "q3", "sql", "sql_alpha")
+
+
+def symmetric_graphs() -> list[Graph]:
+    """C6-C8 circulants (every jump set) with and without loops, K3,3, K4,4,
+    Q3, K6-K8 and the fixtures."""
+    out = [
+        circulant(n, jumps, loops)
+        for n in (6, 7, 8)
+        for size in range(1, n // 2 + 1)
+        for jumps in itertools.combinations(range(1, n // 2 + 1), size)
+        for loops in (False, True)
+    ]
+    out += [complete_bipartite(3), complete_bipartite(4), CUBE]
+    out += [complete(n) for n in (6, 7, 8)]
+    return out + [load_fixture(name) for name in FIXTURES]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ant_pass_matches_reference_exhaustively(n):
+    for rows in iter_adj_rows(n, True):
+        assert_pass_matches_reference(Graph(n, rows))
+
+
+def test_ant_pass_matches_reference_on_the_n5_classes():
+    index = _UniverseIndex(5)
+    index.build()
+    assert len(index.class_rows) == 544
+    for rows in index.class_rows:
+        assert_pass_matches_reference(Graph(5, rows))
+
+
+def test_ant_pass_matches_reference_on_symmetric_graphs():
+    rng = random.Random(5)
+    for g in symmetric_graphs():
+        assert_pass_matches_reference(g)
+        img = list(range(g.n))
+        rng.shuffle(img)
+        assert_pass_matches_reference(g.relabel(Permutation(tuple(img))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph_strategy(max_n=8, loops=True))
+def test_ant_pass_matches_reference_sampled(g):
+    assert_pass_matches_reference(g)
+
+
+@pytest.mark.parametrize("g, forms", [
+    (CUBE, 15),  # 124 with one canonical form per distinct G^a
+    (complete(7), 4),  # 232
+    (circulant(8, (1, 3), True), 7),  # 124
+], ids=["Q3", "K7", "C8(1,3)+loops"])
+def test_classify_canonical_form_count(g, forms):
+    _canonical.cache_clear()
+    classify(Graph(g.n, g.adj))
+    assert _canonical.cache_info().misses == forms
+
+
+# ---------------------------------------------------------------------------
+# Ant(G) and the least involution, computed once per Graph
+# ---------------------------------------------------------------------------
+
+
+def counting(monkeypatch, module, name: str) -> list[int]:
+    calls = [0]
+    search = getattr(module, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return search(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_classify_searches_once_per_graph(monkeypatch):
+    ant = counting(monkeypatch, antiauto_mod, "iter_ant_images")
+    aut = counting(monkeypatch, iso_mod, "iter_automorphism_images")
+    classify(complete(6))
+    assert (ant[0], aut[0]) == (1, 1)
+
+
+def test_enumerate_ant_returns_a_new_list_each_call(c6):
+    g = Graph(c6.n, c6.adj)
+    first, second = enumerate_ant(g), enumerate_ant(g)
+    assert first == second and first is not second
+    first.clear()
+    assert enumerate_ant(g) == second
+
+
+def test_kept_listings_leave_equality_hash_and_repr(c6):
+    g = Graph(c6.n, c6.adj)
+    before = (hash(g), repr(g), dataclasses.asdict(g))
+    classify(g)
+    assert (hash(g), repr(g), dataclasses.asdict(g)) == before
+    assert g == c6 and g == Graph(c6.n, c6.adj)
+
+
+def test_kept_listing_does_not_lift_the_capacity_guard():
+    path = Graph.from_edges(9, [(v, v + 1) for v in range(8)] + [(0, 0)])
+    assert len(enumerate_ant(path, force=True)) == 1
+    with pytest.raises(CapacityError):
+        enumerate_ant(path)
