@@ -164,17 +164,39 @@ def iter_two_fold(src: tuple[int, ...], dst: tuple[int, ...]):
 
 def enumerate_ant(g: Graph, *, force: bool = False) -> list[Permutation]:
     """All of Ant(G), lexicographically ascending; always contains the identity.
-    The checked listing is made once per Graph; each call copies it."""
+    The checked listing is made once per Graph, with the rows of each G^a
+    (permuted_rows); each call copies it."""
     CapacityError.check(g.n, ANT_MAX, force, "anti-automorphism listing")
-    return list(g._kept("_ant", lambda: tuple(_checked_ant(g))))
+    return list(g._kept("_ant", lambda: _checked_ant(g))[0])
+
+
+def permuted_rows(g: Graph, *, force: bool = False) -> tuple[tuple[int, ...], ...]:
+    """The rows of G^a for each a of enumerate_ant(g), in its order. Equal G^a
+    are one tuple, and G^a = G is g.adj itself."""
+    CapacityError.check(g.n, ANT_MAX, force, "anti-automorphism listing")
+    return g._kept("_ant", lambda: _checked_ant(g))[1]
+
+
+def _reverses(rows: tuple[int, ...], image: tuple[int, ...], arows: tuple[int, ...]) -> bool:
+    """a(N(a(x))) = N(x) for every x, the definition of a in Ant(G), read off
+    arows, the rows of G^a: row a(x) of G^a is a(N(a(x)))."""
+    return tuple(map(arows.__getitem__, image)) == rows
 
 
 def _checked_ant(g: Graph):
-    for image in iter_ant_images(g.n, g.adj):
+    """The Permutations of iter_ant_images and the rows of each G^a, as two
+    parallel tuples, every image checked against the definition."""
+    rows = g.adj
+    interned = {rows: rows}
+    perms, permuted = [], []
+    for image in iter_ant_images(g.n, rows):
         p = Permutation(image)
-        if not is_anti_automorphism(g, p):
+        arows = apply_anti_rows(rows, image)
+        if not _reverses(rows, image, arows):
             raise InvariantViolationError(f"search produced a non-anti-automorphism {image}")
-        yield p
+        perms.append(p)
+        permuted.append(interned.setdefault(arows, arows))
+    return tuple(perms), tuple(permuted)
 
 
 @dataclass(frozen=True)
@@ -323,9 +345,8 @@ def _orbit_partition(n: int, rows: tuple[int, ...], ant: list[tuple[int, ...]], 
 def ant_orbits(g: Graph, *, force: bool = False) -> AntOrbitPartition:
     CapacityError.check(g.n, TF_MAX, force, "orbit computation uses the two-fold machinery")
     ant = enumerate_ant(g, force=force)
-    images = [p.image for p in ant]
-    certs = [_canonical(g.n, apply_anti_rows(g.adj, img))[0] for img in images]
-    labels, faults = _orbit_partition(g.n, g.adj, images, certs)
+    certs = [_canonical(g.n, arows)[0] for arows in permuted_rows(g, force=force)]
+    labels, faults = _orbit_partition(g.n, g.adj, [p.image for p in ant], certs)
     if faults:
         raise InvariantViolationError(
             f"Aut^TF(G) orbits are not the isomorphism classes of the permuted graphs: {faults[0]}"

@@ -14,18 +14,20 @@ The decider takes one fixed route:
   full        every distinct G^a must share G's certificate, checked over
               the 2-power-order a only: a and a^(odd) give isomorphic G^a
 
-classify makes one pass over Ant(G) that certifies each distinct G^a, one
-canonical form per class of relabelings, and yields the verdict, the orbit
-classes, the counterexample, the strong witness and whether G has an
-involution. The verdict is checked against both public deciders, which
-read the Ant listing and the involution that the Graph keeps.
+classify makes one pass over the kept Ant listing and its rows of each G^a
+(antiauto.permuted_rows), certifies each distinct G^a with one canonical
+form per class of relabelings, and yields the verdict, the orbit classes,
+the counterexample and the strong witness; the least involution is the
+first one in that listing. The verdict is checked against both public
+deciders, which read the G^a rows, the involution and the bipartition that
+the Graph keeps.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
 
-from .antiauto import ANT_MAX, apply_anti_rows, enumerate_ant
+from .antiauto import ANT_MAX, enumerate_ant, permuted_rows
 from .errors import CapacityError, InvariantViolationError, UsageError
 from .graphs import (Graph, Permutation, adjacency_index, invert, is_involution, perm_order,
                      relabel_rows, row_classes)
@@ -36,12 +38,6 @@ from .product import Bipartition, bipartition
 def _has_two_power_order(image: tuple[int, ...]) -> bool:
     order = perm_order(image)
     return order & (order - 1) == 0
-
-
-def _permuted(rows: tuple[int, ...], images):
-    """(a, rows of G^a) for each image a, lazily."""
-    for img in images:
-        yield img, apply_anti_rows(rows, img)
 
 
 def _distinct_images(rows: tuple[int, ...], permuted):
@@ -96,7 +92,7 @@ def _strong_verdict(rows: tuple[int, ...], images, direct: bool) -> bool:
     return direct
 
 
-def _spread_certificates(n: int, moved: dict, autos: list) -> dict:
+def _spread_certificates(n: int, moved: dict, autos) -> dict:
     """The certificate of each G^a in moved (rows of G^a -> a), one canonical
     form per relabeling class: each certified G^a is relabeled by a^-1 and by
     the automorphisms in autos that join two orbits of those kept before, and
@@ -115,7 +111,11 @@ def _spread_certificates(n: int, moved: dict, autos: list) -> dict:
         cert_of[arows] = _canonical(n, arows)[0]
         todo = [arows]
         for cur in todo:  # visits what it appends
-            for s in (*gens, invert(moved[cur])):
+            a = moved[cur]
+            # an involution is its own inverse: a^-1 would give G^a back
+            for s in gens if is_involution(a) else (*gens, invert(a)):
+                if len(cert_of) == len(moved):
+                    return cert_of
                 nxt = relabel_rows(cur, s)
                 if nxt in moved and nxt not in cert_of:
                     cert_of[nxt] = cert_of[arows]
@@ -130,14 +130,14 @@ def _ant_pass(g: Graph, force: bool):
     or None, and the least a with G^a != G or None."""
     n, rows = g.n, g.adj
     ant = [p.image for p in enumerate_ant(g, force=force)]
+    permuted = permuted_rows(g, force=force)
     moved: dict[tuple[int, ...], tuple[int, ...]] = {}
-    autos = []
-    for img, arows in _permuted(rows, ant):
-        # a is an automorphism iff row x of G^a is row a(x) of G
-        if arows == tuple(rows[w] for w in img):
-            autos.append(img)
+    for img, arows in zip(ant, permuted):
         if arows != rows:
             moved.setdefault(arows, img)
+    # a is an automorphism iff row x of G^a is row a(x) of G; read only
+    # when more than one G^a differs from G
+    autos = (a for a, arows in zip(ant, permuted) if arows == tuple(map(rows.__getitem__, a)))
     base = _canonical(n, rows)[0]
     cert_of = _spread_certificates(n, moved, autos)
     not_iso = [(adjacency_index(n, r), a, r) for r, a in moved.items() if cert_of[r] != base]
@@ -154,7 +154,7 @@ def is_neighborhood_reconstructible(g: Graph, *, force: bool = False) -> bool:
         return _bip_decide(g, bp)[0]
     images = (p.image for p in enumerate_ant(g, force=force))
     return _full_route(
-        g.adj, _permuted(g.adj, images), lambda rows: _canonical(g.n, rows)[0]
+        g.adj, zip(images, permuted_rows(g, force=force)), lambda rows: _canonical(g.n, rows)[0]
     )
 
 
@@ -178,9 +178,8 @@ def is_strongly_reconstructible(g: Graph, *, force: bool = False) -> bool:
 
 def strong_counterexample(g: Graph, *, force: bool = False) -> Permutation | None:
     """Least anti-automorphism whose permuted graph differs from G."""
-    images = (p.image for p in enumerate_ant(g, force=force))
-    found = next(_distinct_images(g.adj, _permuted(g.adj, images)), None)
-    return None if found is None else Permutation(found[0])
+    pairs = zip(enumerate_ant(g, force=force), permuted_rows(g, force=force))
+    return next((a for a, arows in pairs if arows != g.adj), None)
 
 
 def is_cancellation_graph(g: Graph, *, force: bool = False) -> bool:
@@ -314,11 +313,14 @@ def classify(g: Graph, *, force: bool = False) -> AnalysisReport:
     bp = bipartition(g)
     reversal = _bip_decide(g, bp)[1] if bp.is_bipartite else None
     ant, certs, counterexample, strong_witness = _ant_pass(g, force)
+    # the involutions in Ant(G) are the involutory automorphisms and the
+    # listing ascends, so this is the key iso.involution_witness keeps
+    involution = g._kept("_involution", lambda: next(filter(is_involution, ant), None))
     reconstructible = len(certs) == 1
     # The decider's fixed route answers from the involution or bipartite
     # test when one applies, else from the 2-power-order images only, and
     # must agree with the pass over all of Ant(G). Both deciders, which reuse
-    # g's kept listings, are called so that perfbench counts routes in them.
+    # g's kept facts, are called so that perfbench counts routes in them.
     decided = is_neighborhood_reconstructible(g, force=force)
     if decided != reconstructible:
         raise InvariantViolationError(
@@ -330,8 +332,7 @@ def classify(g: Graph, *, force: bool = False) -> AnalysisReport:
         strongly=_strong_verdict(g.adj, ant, strong_witness is None),
         cancellation=is_cancellation_graph(g, force=force),
         bipartite=bp.is_bipartite,
-        # the involutions in Ant(G) are the involutory automorphisms
-        has_involution=any(map(is_involution, ant)),
+        has_involution=involution is not None,
         orbit_count=len(certs),
         orbit_classes=tuple(sorted(c.hex() for c in certs)),
         counterexample_alpha=None if counterexample is None else Permutation(counterexample[0]),

@@ -34,7 +34,7 @@ from .antiauto import (
     iter_two_fold,
     permuted_digraph,
 )
-from .decide import _bip_decide, _classwise_strong, _full_route, _permuted
+from .decide import _bip_decide, _classwise_strong, _full_route
 from .errors import CapacityError, InvariantViolationError, UsageError
 from .graphs import (
     Graph,
@@ -628,6 +628,12 @@ def _fixed_bipartition_rows(n: int) -> Iterator[tuple[int, ...]]:
             rows = [side << k for side in sides]
             rows.extend(mask_of(a for a in range(k) if sides[a] >> b & 1) for b in range(n - k))
             yield tuple(rows)
+
+
+def _permuted(rows: tuple[int, ...], images):
+    """(a, rows of G^a) for each image a, lazily."""
+    for img in images:
+        yield img, apply_anti_rows(rows, img)
 
 
 def _bip_class_checks(n: int, rows: tuple[int, ...]) -> tuple[bool, list[tuple[str, dict]]]:

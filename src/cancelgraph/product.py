@@ -83,9 +83,12 @@ class Bipartition:
 
 
 def bipartition(g: Graph) -> Bipartition:
-    """2-color every component; report the first odd closed walk found."""
-    n = g.n
-    rows = g.adj
+    """2-color every component; report the first odd closed walk found.
+    Computed once per Graph."""
+    return g._kept("_bipartition", lambda: _bipartition(g.n, g.adj))
+
+
+def _bipartition(n: int, rows: tuple[int, ...]) -> Bipartition:
     color = [-1] * n
     parent = [-1] * n
     per_comp: list[tuple[tuple[int, ...], tuple[int, ...]] | None] = []

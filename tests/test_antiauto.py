@@ -15,6 +15,7 @@ from cancelgraph import (
     Graph,
     InvalidActionError,
     InvalidAntiError,
+    InvariantViolationError,
     Permutation,
     TwoFoldPair,
     UsageError,
@@ -29,11 +30,13 @@ from cancelgraph import (
     is_two_fold,
     permuted_digraph,
 )
-from cancelgraph.antiauto import _tf_generators, apply_anti_rows, iter_ant_images, iter_two_fold
+import cancelgraph.antiauto as antiauto_mod
+from cancelgraph.antiauto import (_tf_generators, apply_anti_rows, iter_ant_images, iter_two_fold,
+                                  permuted_rows)
 from cancelgraph.graphs import iter_adj_rows, multiset_key
 from cancelgraph.iso import involution_witness
 
-from conftest import graph_and_permutation, graph_strategy
+from conftest import graph_and_permutation, graph_strategy, load_fixture
 
 
 def anti_by_definition(g: Graph, a: Permutation) -> bool:
@@ -120,6 +123,60 @@ def test_ant_guard():
         tuple(range(9)),
         tuple(reversed(range(9))),
     ]
+
+
+def test_rows_recheck_is_the_anti_automorphism_test_exhaustively():
+    # every (graph, permutation) pair with n <= 4, loops allowed
+    pairs = 0
+    for n in range(1, 5):
+        perms = list(itertools.permutations(range(n)))
+        for rows in iter_adj_rows(n, True):
+            g = Graph(n, rows)
+            for img in perms:
+                by_rows = antiauto_mod._reverses(rows, img, apply_anti_rows(rows, img))
+                assert by_rows == is_anti_automorphism(g, Permutation(img))
+                pairs += 1
+    assert pairs == 24978
+
+
+def test_enumerate_ant_rejects_a_search_image_outside_ant(monkeypatch):
+    hexagon = Graph.from_edges(6, [(v, (v + 1) % 6) for v in range(6)])
+    rotation = (1, 2, 3, 4, 5, 0)
+    assert not is_anti_automorphism(hexagon, Permutation(rotation))
+    monkeypatch.setattr(antiauto_mod, "iter_ant_images", lambda n, rows: iter([rotation]))
+    with pytest.raises(InvariantViolationError):
+        enumerate_ant(hexagon)
+
+
+def check_permuted_rows(g: Graph) -> None:
+    g = Graph(g.n, g.adj)  # fresh, so the listing is made here
+    ant, permuted = enumerate_ant(g), permuted_rows(g)
+    assert len(permuted) == len(ant)
+    assert permuted[0] is g.adj  # the identity
+    first: dict = {}
+    for a, arows in zip(ant, permuted):
+        assert arows == apply_anti_rows(g.adj, a.image)
+        assert first.setdefault(arows, arows) is arows
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_permuted_rows_are_the_permuted_graphs_exhaustively(n):
+    for rows in iter_adj_rows(n, True):
+        check_permuted_rows(Graph(n, rows))
+
+
+@pytest.mark.parametrize("name", ["2k3", "asym7", "c6", "lp", "p_reconstruct", "q3", "sql",
+                                  "sql_alpha"])
+def test_permuted_rows_are_the_permuted_graphs_on_the_fixtures(name):
+    check_permuted_rows(load_fixture(name))
+
+
+def test_permuted_rows_guard():
+    path = Graph.from_edges(9, [(i, i + 1) for i in range(8)])
+    with pytest.raises(CapacityError):
+        permuted_rows(path)
+    reflection = tuple(reversed(range(9)))
+    assert permuted_rows(path, force=True) == (path.adj, apply_anti_rows(path.adj, reflection))
 
 
 def test_length_mismatch_rejected(c6):

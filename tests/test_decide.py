@@ -39,9 +39,11 @@ from cancelgraph import (
 )
 import cancelgraph.antiauto as antiauto_mod
 import cancelgraph.iso as iso_mod
+import cancelgraph.product as product_mod
 from cancelgraph import decide
+from cancelgraph.antiauto import apply_anti_rows
 from cancelgraph.graphs import adjacency_index, iter_adj_rows, multiset_key, perm_order
-from cancelgraph.iso import _canonical
+from cancelgraph.iso import _canonical, involution_witness
 from cancelgraph.oracle import _UniverseIndex, _fixed_bipartition_rows
 
 from conftest import graph_and_permutation, graph_strategy, load_fixture
@@ -440,7 +442,8 @@ def reference_ant_pass(g: Graph, force: bool):
     certs = {base}
     best = None
     strong_witness = None
-    for img, arows in decide._distinct_images(rows, decide._permuted(rows, ant)):
+    permuted = zip(ant, (apply_anti_rows(rows, img) for img in ant))
+    for img, arows in decide._distinct_images(rows, permuted):
         if strong_witness is None:
             strong_witness = img
         cert = _canonical(n, arows)[0]
@@ -550,8 +553,18 @@ def counting(monkeypatch, module, name: str) -> list[int]:
 def test_classify_searches_once_per_graph(monkeypatch):
     ant = counting(monkeypatch, antiauto_mod, "iter_ant_images")
     aut = counting(monkeypatch, iso_mod, "iter_automorphism_images")
+    bip = counting(monkeypatch, product_mod, "_bipartition")
     classify(complete(6))
-    assert (ant[0], aut[0]) == (1, 1)
+    # the least involution is read off the Ant listing
+    assert (ant[0], aut[0], bip[0]) == (1, 0, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_classify_keeps_the_searched_involution(n):
+    for rows in iter_adj_rows(n, True):
+        g = Graph(n, rows)
+        classify(g)
+        assert involution_witness(g) == involution_witness(Graph(n, rows))
 
 
 def test_enumerate_ant_returns_a_new_list_each_call(c6):

@@ -34,7 +34,7 @@ from cancelgraph import (
     verify_theorems,
 )
 from cancelgraph.antiauto import apply_anti_rows, iter_ant_images
-from cancelgraph.decide import _full_route, _permuted
+from cancelgraph.decide import _full_route
 from cancelgraph.graphs import (
     adjacency_index,
     component_masks,
@@ -822,7 +822,7 @@ def labeled_bip_sweep(n, violations, start=0, stop=None):
         bip_verdict, _ = oracle_mod._bip_decide(g, bip)
         if not bip_verdict:
             failures += 1
-        slow = _full_route(frozen, _permuted(frozen, iter_ant_images(n, frozen)), cert)
+        slow = _full_route(frozen, oracle_mod._permuted(frozen, iter_ant_images(n, frozen)), cert)
         if bip_verdict != slow:
             violations.add(
                 "biprevinv", n,
