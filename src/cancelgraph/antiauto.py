@@ -71,7 +71,7 @@ def apply_anti(g: Graph, a: Permutation) -> Graph:
     return Graph(g.n, apply_anti_rows(g.adj, a.image))
 
 
-def iter_ant_images(n: int, rows: tuple[int, ...]):
+def iter_ant_images(n: int, rows: tuple[int, ...], *, cosets: bool = False):
     """Anti-automorphism image vectors, lexicographically ascending, of
     symmetric rows (a Graph's).
 
@@ -80,6 +80,13 @@ def iter_ant_images(n: int, rows: tuple[int, ...]):
     A[v][img[u]] == A[w][u] and A[u][w] == A[img[u]][v]. Both read one cell
     pair, so u ANDs rows[u] or its complement into one mask of v's unused
     candidates of v's degree, walked from its lowest bit up.
+
+    With cosets, the search yields only the least member of each coset aP,
+    P the permutations that move vertices inside their equal-row classes
+    (G^(ap) = G^a): a vertex whose row equals an earlier vertex's row takes
+    only images above that vertex's image. The bound has its own copy of the
+    walk, taken only when G has twins, so that the default path, which the
+    verify suites run, makes no per-node lookup.
     """
     by_deg: dict[int, int] = {}
     for w, r in enumerate(rows):
@@ -102,7 +109,32 @@ def iter_ant_images(n: int, rows: tuple[int, ...]):
             yield from extend(v + 1, used | b)
         img[v] = -1
 
-    yield from extend(0, 0)
+    if not cosets or len(set(rows)) == n:  # without twins, P is trivial
+        yield from extend(0, 0)
+        return
+    prev_same = [-1] * n
+    last: dict[int, int] = {}
+    for v, row in enumerate(rows):
+        prev_same[v] = last.get(row, -1)
+        last[row] = v
+
+    def extend_least(v: int, used: int):
+        if v == n:
+            yield tuple(img)
+            return
+        rv = rows[v]
+        p = prev_same[v]
+        cand = same_deg[v] & ~used & (-2 << img[p] if p >= 0 else -1)
+        for u in range(v):
+            cand &= rows[u] if rv >> img[u] & 1 else ~rows[u]
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            img[v] = b.bit_length() - 1
+            yield from extend_least(v + 1, used | b)
+        img[v] = -1
+
+    yield from extend_least(0, 0)
 
 
 def iter_two_fold(src: tuple[int, ...], dst: tuple[int, ...]):
@@ -167,14 +199,23 @@ def enumerate_ant(g: Graph, *, force: bool = False) -> list[Permutation]:
     The checked listing is made once per Graph, with the rows of each G^a
     (permuted_rows); each call copies it."""
     CapacityError.check(g.n, ANT_MAX, force, "anti-automorphism listing")
-    return list(g._kept("_ant", lambda: _checked_ant(g))[0])
+    return list(g._kept("_ant", lambda: _checked_listing(g, False))[0])
 
 
 def permuted_rows(g: Graph, *, force: bool = False) -> tuple[tuple[int, ...], ...]:
     """The rows of G^a for each a of enumerate_ant(g), in its order. Equal G^a
     are one tuple, and G^a = G is g.adj itself."""
     CapacityError.check(g.n, ANT_MAX, force, "anti-automorphism listing")
-    return g._kept("_ant", lambda: _checked_ant(g))[1]
+    return g._kept("_ant", lambda: _checked_listing(g, False))[1]
+
+
+def _ant_cosets(g: Graph, force: bool = False):
+    """The least member of each coset aP of Ant(G), ascending, as image
+    tuples, and the rows of each G^a, as two parallel tuples (see
+    iter_ant_images; the least member of a coset is the least a for its
+    G^a). Made once per Graph, apart from enumerate_ant's listing."""
+    CapacityError.check(g.n, ANT_MAX, force, "anti-automorphism listing")
+    return g._kept("_cosets", lambda: _checked_listing(g, True))
 
 
 def _reverses(rows: tuple[int, ...], image: tuple[int, ...], arows: tuple[int, ...]) -> bool:
@@ -183,20 +224,27 @@ def _reverses(rows: tuple[int, ...], image: tuple[int, ...], arows: tuple[int, .
     return tuple(map(arows.__getitem__, image)) == rows
 
 
-def _checked_ant(g: Graph):
-    """The Permutations of iter_ant_images and the rows of each G^a, as two
+def _bijection(image: tuple[int, ...]) -> tuple[int, ...]:
+    if sorted(image) != list(range(len(image))):
+        raise InvariantViolationError(f"search produced a non-bijection {image}")
+    return image
+
+
+def _checked_listing(g: Graph, cosets: bool):
+    """The images of iter_ant_images(cosets=cosets), as Permutations or, for
+    the cosets, as checked image tuples, and the rows of each G^a, as two
     parallel tuples, every image checked against the definition."""
     rows = g.adj
+    keep = _bijection if cosets else Permutation
     interned = {rows: rows}
-    perms, permuted = [], []
-    for image in iter_ant_images(g.n, rows):
-        p = Permutation(image)
+    kept, permuted = [], []
+    for image in iter_ant_images(g.n, rows, cosets=cosets):
+        kept.append(keep(image))
         arows = apply_anti_rows(rows, image)
         if not _reverses(rows, image, arows):
             raise InvariantViolationError(f"search produced a non-anti-automorphism {image}")
-        perms.append(p)
         permuted.append(interned.setdefault(arows, arows))
-    return tuple(perms), tuple(permuted)
+    return tuple(kept), tuple(permuted)
 
 
 @dataclass(frozen=True)

@@ -14,20 +14,25 @@ The decider takes one fixed route:
   full        every distinct G^a must share G's certificate, checked over
               the 2-power-order a only: a and a^(odd) give isomorphic G^a
 
-classify makes one pass over the kept Ant listing and its rows of each G^a
-(antiauto.permuted_rows), certifies each distinct G^a with one canonical
-form per class of relabelings, and yields the verdict, the orbit classes,
-the counterexample and the strong witness; the least involution is the
-first one in that listing. The verdict is checked against both public
-deciders, which read the G^a rows, the involution and the bipartition that
-the Graph keeps.
+Every a in Ant(G) gives the same G^a as each member of its coset aP, P the
+permutations that move vertices only inside their equal-row classes, so
+classify, both public deciders and the witnesses read one member per coset:
+the least, which is also the least a for its G^a, from the checked coset
+listing the Graph keeps (antiauto._ant_cosets) with the rows of each G^a.
+classify makes one pass over it, certifies each distinct G^a with one
+canonical form per class of relabelings, and yields the verdict, the orbit
+classes, the counterexample and the strong witness. The least involution is
+the first one in that listing when G has no twins (P is trivial), and
+otherwise the first one of the full Ant search, walked lazily. The verdict is
+checked against both public deciders, which read the coset listing, the
+involution and the bipartition that the Graph keeps.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
 
-from .antiauto import ANT_MAX, enumerate_ant, permuted_rows
+from .antiauto import ANT_MAX, _ant_cosets, iter_ant_images
 from .errors import CapacityError, InvariantViolationError, UsageError
 from .graphs import (Graph, Permutation, adjacency_index, invert, is_involution, perm_order,
                      relabel_rows, row_classes)
@@ -50,14 +55,39 @@ def _distinct_images(rows: tuple[int, ...], permuted):
             yield img, arows
 
 
-def _full_route(rows: tuple[int, ...], permuted, cert) -> bool:
-    """True when every distinct G^a over the 2-power-order a among the
-    (a, rows of G^a) pairs of permuted shares G's certificate. cert maps
-    rows to a value equal exactly on isomorphic graphs; G's own is computed
-    only once some G^a differs from G."""
+def _two_power_coset(rows: tuple[int, ...]):
+    """A test of whether the coset aP of an image a in Ant(G) holds a member
+    of 2-power order. a maps each equal-row class onto one, and every member
+    of aP permutes the classes as a does. Each cycle of a member is a
+    multiple of its class cycle in length, and the member that returns each
+    class to itself pointwise after one class cycle has exactly the class
+    cycle lengths, so the coset holds one iff the class permutation has
+    2-power order. a itself is tested first."""
+    number: dict[int, int] = {}
+    cls = [number.setdefault(row, len(number)) for row in rows]
+    if len(number) == len(rows):
+        return _has_two_power_order
+
+    def two_power(image: tuple[int, ...]) -> bool:
+        if _has_two_power_order(image):
+            return True
+        moved = [0] * len(number)
+        for v, w in enumerate(image):
+            moved[cls[v]] = cls[w]
+        return _has_two_power_order(moved)
+
+    return two_power
+
+
+def _full_route(rows: tuple[int, ...], permuted, cert, two_power=_has_two_power_order) -> bool:
+    """True when every distinct G^a over the (a, rows of G^a) pairs of
+    permuted whose a passes two_power shares G's certificate: the
+    2-power-order a, or for a coset listing the a whose coset holds one
+    (_two_power_coset). cert maps rows to a value equal exactly on isomorphic
+    graphs; G's own is computed only once some G^a differs from G."""
     base = None
-    two_power = (pair for pair in permuted if _has_two_power_order(pair[0]))
-    for _, arows in _distinct_images(rows, two_power):
+    kept = (pair for pair in permuted if two_power(pair[0]))
+    for _, arows in _distinct_images(rows, kept):
         if base is None:
             base = cert(rows)
         if cert(arows) != base:
@@ -65,26 +95,29 @@ def _full_route(rows: tuple[int, ...], permuted, cert) -> bool:
     return True
 
 
-def _classwise_strong(rows: tuple[int, ...], images) -> bool:
+def _classwise_strong(rows: tuple[int, ...], images, cosets: bool = False) -> bool:
     """Strong reconstructibility by its characterization: Ant(G) is exactly
-    the permutations fixing every equal-neighborhood class setwise. Those
+    P, the permutations fixing every equal-neighborhood class setwise. Those
     permutations are always anti-automorphisms, so it suffices that every
-    image preserves the classes and |Ant(G)| is the product of the
-    class-size factorials."""
-    count = 0
-    for img in images:
-        count += 1
-        if any(rows[w] != rows[v] for v, w in enumerate(img)):
-            return False
+    image preserves the classes and |Ant(G)| is |P|, the product of the
+    class-size factorials. images is all of Ant(G), or with cosets one member
+    of each coset aP, counted |P| times."""
     expected = 1
     for verts in row_classes(rows).values():
         expected *= factorial(len(verts))
+    step = expected if cosets else 1
+    count = 0
+    for img in images:
+        count += step
+        if any(rows[w] != rows[v] for v, w in enumerate(img)):
+            return False
     return count == expected
 
 
-def _strong_verdict(rows: tuple[int, ...], images, direct: bool) -> bool:
-    """direct (every G^a equals G), confirmed by the classwise route."""
-    classwise = _classwise_strong(rows, images)
+def _strong_verdict(rows: tuple[int, ...], cosets, direct: bool) -> bool:
+    """direct (every G^a equals G), confirmed by the classwise route over
+    the coset listing."""
+    classwise = _classwise_strong(rows, cosets, True)
     if direct != classwise:
         raise InvariantViolationError(
             f"strong-reconstructibility routes disagree: direct={direct} classwise={classwise}"
@@ -124,25 +157,27 @@ def _spread_certificates(n: int, moved: dict, autos) -> dict:
 
 
 def _ant_pass(g: Graph, force: bool):
-    """One pass over Ant(G) certifying each distinct G^a: the Ant images,
-    the set of certificates of all G^a, the counterexample (the G^a not
-    isomorphic to G with the least adjacency encoding) as (a, rows of G^a)
-    or None, and the least a with G^a != G or None."""
+    """One pass over the coset listing of Ant(G) certifying each distinct
+    G^a: the coset images, the set of certificates of all G^a, the
+    counterexample (the G^a not isomorphic to G with the least adjacency
+    encoding) as (a, rows of G^a) or None, and the least a with G^a != G or
+    None."""
     n, rows = g.n, g.adj
-    ant = [p.image for p in enumerate_ant(g, force=force)]
-    permuted = permuted_rows(g, force=force)
+    cosets, permuted = _ant_cosets(g, force)
     moved: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for img, arows in zip(ant, permuted):
+    for img, arows in zip(cosets, permuted):
         if arows != rows:
             moved.setdefault(arows, img)
     # a is an automorphism iff row x of G^a is row a(x) of G; read only
-    # when more than one G^a differs from G
-    autos = (a for a, arows in zip(ant, permuted) if arows == tuple(map(rows.__getitem__, a)))
+    # when more than one G^a differs from G. The listed ones act on the G^a
+    # as all of Aut(G) n Ant(G) does: P fixes every G^a, as twins in G are
+    # twins in G^a
+    autos = (a for a, arows in zip(cosets, permuted) if arows == tuple(map(rows.__getitem__, a)))
     base = _canonical(n, rows)[0]
     cert_of = _spread_certificates(n, moved, autos)
     not_iso = [(adjacency_index(n, r), a, r) for r, a in moved.items() if cert_of[r] != base]
     best = min(not_iso)[1:] if not_iso else None
-    return ant, {base, *cert_of.values()}, best, next(iter(moved.values()), None)
+    return cosets, {base, *cert_of.values()}, best, next(iter(moved.values()), None)
 
 
 def is_neighborhood_reconstructible(g: Graph, *, force: bool = False) -> bool:
@@ -152,10 +187,9 @@ def is_neighborhood_reconstructible(g: Graph, *, force: bool = False) -> bool:
     bp = bipartition(g)
     if bp.is_bipartite:
         return _bip_decide(g, bp)[0]
-    images = (p.image for p in enumerate_ant(g, force=force))
-    return _full_route(
-        g.adj, zip(images, permuted_rows(g, force=force)), lambda rows: _canonical(g.n, rows)[0]
-    )
+    cosets, permuted = _ant_cosets(g, force)
+    return _full_route(g.adj, zip(cosets, permuted), lambda rows: _canonical(g.n, rows)[0],
+                       _two_power_coset(g.adj))
 
 
 def reconstruction_counterexample(
@@ -172,14 +206,14 @@ def reconstruction_counterexample(
 def is_strongly_reconstructible(g: Graph, *, force: bool = False) -> bool:
     """True when every permuted graph equals G exactly, confirmed by the
     classwise route; disagreement is an engine bug."""
-    ant = [p.image for p in enumerate_ant(g, force=force)]
-    return _strong_verdict(g.adj, ant, strong_counterexample(g, force=force) is None)
+    cosets = _ant_cosets(g, force)[0]
+    return _strong_verdict(g.adj, cosets, strong_counterexample(g, force=force) is None)
 
 
 def strong_counterexample(g: Graph, *, force: bool = False) -> Permutation | None:
     """Least anti-automorphism whose permuted graph differs from G."""
-    pairs = zip(enumerate_ant(g, force=force), permuted_rows(g, force=force))
-    return next((a for a, arows in pairs if arows != g.adj), None)
+    found = next((a for a, arows in zip(*_ant_cosets(g, force)) if arows != g.adj), None)
+    return None if found is None else Permutation(found)
 
 
 def is_cancellation_graph(g: Graph, *, force: bool = False) -> bool:
@@ -312,15 +346,18 @@ def classify(g: Graph, *, force: bool = False) -> AnalysisReport:
     CapacityError.check(g.n, ANT_MAX, force, "decider needs the anti-automorphism listing")
     bp = bipartition(g)
     reversal = _bip_decide(g, bp)[1] if bp.is_bipartite else None
-    ant, certs, counterexample, strong_witness = _ant_pass(g, force)
-    # the involutions in Ant(G) are the involutory automorphisms and the
-    # listing ascends, so this is the key iso.involution_witness keeps
-    involution = g._kept("_involution", lambda: next(filter(is_involution, ant), None))
+    cosets, certs, counterexample, strong_witness = _ant_pass(g, force)
+    # the involutions in Ant(G) are the involutory automorphisms and both
+    # searches ascend, so this is the key iso.involution_witness keeps; with
+    # twins, the coset listing need not hold the least one
+    involution = g._kept("_involution", lambda: next(filter(is_involution, (
+        cosets if len(set(g.adj)) == g.n else iter_ant_images(g.n, g.adj))), None))
     reconstructible = len(certs) == 1
     # The decider's fixed route answers from the involution or bipartite
-    # test when one applies, else from the 2-power-order images only, and
-    # must agree with the pass over all of Ant(G). Both deciders, which reuse
-    # g's kept facts, are called so that perfbench counts routes in them.
+    # test when one applies, else from the cosets that hold a 2-power-order
+    # image only, and must agree with the pass over every coset. Both
+    # deciders, which reuse g's kept facts, are called so that perfbench
+    # counts routes in them.
     decided = is_neighborhood_reconstructible(g, force=force)
     if decided != reconstructible:
         raise InvariantViolationError(
@@ -329,7 +366,7 @@ def classify(g: Graph, *, force: bool = False) -> AnalysisReport:
     return AnalysisReport(
         n=g.n,
         reconstructible=reconstructible,
-        strongly=_strong_verdict(g.adj, ant, strong_witness is None),
+        strongly=_strong_verdict(g.adj, cosets, strong_witness is None),
         cancellation=is_cancellation_graph(g, force=force),
         bipartite=bp.is_bipartite,
         has_involution=involution is not None,

@@ -97,7 +97,7 @@ def is_involution(image: tuple[int, ...]) -> bool:
     return any(image[v] != v for v in range(n)) and all(image[image[v]] == v for v in range(n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Permutation:
     image: tuple[int, ...]
 

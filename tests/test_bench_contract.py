@@ -44,7 +44,7 @@ def run_analyze() -> None:
 @pytest.mark.parametrize("workload, small_run, silent", [
     ("verify-loops5", run_verify, {"antiauto.tf_generators"}),
     ("sweep-n7", run_sweep, {"iso.canon_connected"}),
-    ("analyze-mix", run_analyze, {"antiauto.ant_orbits"}),
+    ("analyze-mix", run_analyze, {"antiauto.ant_orbits", "antiauto.enumerate_ant"}),
 ], ids=["verify-loops5", "sweep-n7", "analyze-mix"])
 def test_expected_boundaries_that_record_no_call(workload, small_run, silent):
     # cached classes or certificates would hide the calls that make them

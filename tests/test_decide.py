@@ -11,6 +11,8 @@ import dataclasses
 import itertools
 import json
 import random
+import tracemalloc
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,8 +43,8 @@ import cancelgraph.antiauto as antiauto_mod
 import cancelgraph.iso as iso_mod
 import cancelgraph.product as product_mod
 from cancelgraph import decide
-from cancelgraph.antiauto import apply_anti_rows
-from cancelgraph.graphs import adjacency_index, iter_adj_rows, multiset_key, perm_order
+from cancelgraph.antiauto import apply_anti_rows, permuted_rows
+from cancelgraph.graphs import adjacency_index, iter_adj_rows, multiset_key, perm_order, row_classes
 from cancelgraph.iso import _canonical, involution_witness
 from cancelgraph.oracle import _UniverseIndex, _fixed_bipartition_rows
 
@@ -429,13 +431,30 @@ def power_order(image: tuple[int, ...]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the Ant pass against the pass with one canonical form per distinct G^a
+# the coset listing, the Ant pass and the full route against the full listing
 # ---------------------------------------------------------------------------
+
+
+def cosets_of(rows: tuple[int, ...], ant) -> list[list[tuple[int, ...]]]:
+    """The ascending listing ant of Ant(G) cut into its cosets aP, P the
+    permutations inside the equal-row classes T: a and b share a coset iff
+    a(T) = b(T) for every T. Members ascend within each coset."""
+    classes = list(row_classes(rows).values())
+    groups: dict = {}
+    for img in ant:
+        groups.setdefault(tuple(frozenset(img[v] for v in verts) for verts in classes), []).append(img)
+    return list(groups.values())
+
+
+def twin_group_order(rows: tuple[int, ...]) -> int:
+    """|P|, the product of the class-size factorials."""
+    return prod(factorial(len(verts)) for verts in row_classes(rows).values())
 
 
 def reference_ant_pass(g: Graph, force: bool):
     """decide._ant_pass as it was before certificates were shared across
-    relabelings: one canonical form for every distinct G^a."""
+    relabelings and before it read one member per coset: one canonical form
+    for every distinct G^a, over the full listing, which comes first."""
     n, rows = g.n, g.adj
     ant = [p.image for p in enumerate_ant(g, force=force)]
     base = _canonical(n, rows)[0]
@@ -455,10 +474,52 @@ def reference_ant_pass(g: Graph, force: bool):
     return ant, certs, None if best is None else best[1:], strong_witness
 
 
+def reference_full_route(g: Graph) -> bool:
+    """The decider's full route as it was: over the full listing, keeping
+    the 2-power-order a."""
+    pairs = zip((p.image for p in enumerate_ant(g)), permuted_rows(g))
+    return decide._full_route(g.adj, pairs, lambda rows: _canonical(g.n, rows)[0])
+
+
+def is_two_power(k: int) -> bool:
+    return k & (k - 1) == 0
+
+
 def assert_pass_matches_reference(g: Graph) -> None:
-    # fresh Graph objects, so neither pass reads a listing the other kept
-    got = decide._ant_pass(Graph(g.n, g.adj), False)
-    assert got == reference_ant_pass(Graph(g.n, g.adj), False)
+    """The coset listing, the Ant pass and the decider's full route against
+    the full listing and the references over it. The coset side and the
+    full side each get a fresh Graph, so neither reads a listing the other
+    kept."""
+    rows = g.adj
+    fresh, listed = Graph(g.n, rows), Graph(g.n, rows)
+    got = decide._ant_pass(fresh, False)
+    ref = reference_ant_pass(listed, False)
+    assert got[1:] == ref[1:]
+    full = ref[0]
+    groups = cosets_of(rows, full)
+    assert list(got[0]) == sorted(members[0] for members in groups)
+    assert {len(members) for members in groups} == {twin_group_order(rows)}
+    assert len(full) == len(got[0]) * twin_group_order(rows)
+
+    images, permuted = antiauto_mod._ant_cosets(fresh)
+    assert images is got[0] and permuted[0] is fresh.adj
+    first: dict = {}
+    for img, arows in zip(images, permuted):
+        assert arows == apply_anti_rows(rows, img)
+        assert first.setdefault(arows, arows) is arows
+
+    # the coset route admits a coset iff some member has 2-power order, so
+    # it sees the same distinct G^a as the full route
+    two_power = decide._two_power_coset(rows)
+    pow2 = {img for img in full if is_two_power(perm_order(img))}
+    for members in groups:
+        assert two_power(members[0]) == any(m in pow2 for m in members)
+    assert {arows for img, arows in zip(images, permuted) if two_power(img)} == {
+        arows for img, arows in zip(full, permuted_rows(listed)) if img in pow2
+    }
+    cert = lambda r: _canonical(g.n, r)[0]  # noqa: E731
+    coset_route = decide._full_route(rows, zip(images, permuted), cert, two_power)
+    assert coset_route == reference_full_route(listed)
 
 
 def circulant(n: int, jumps, loops: bool) -> Graph:
@@ -478,9 +539,13 @@ CUBE = Graph.from_edges(8, [(v, v ^ 1 << i) for v in range(8) for i in range(3)]
 FIXTURES = ("2k3", "asym7", "c6", "lp", "p_reconstruct", "q3", "sql", "sql_alpha")
 
 
+def empty(n: int) -> Graph:
+    return Graph(n, (0,) * n)
+
+
 def symmetric_graphs() -> list[Graph]:
     """C6-C8 circulants (every jump set) with and without loops, K3,3, K4,4,
-    Q3, K6-K8 and the fixtures."""
+    Q3, K6-K8, K6 with all loops, E6-E8 and the fixtures."""
     out = [
         circulant(n, jumps, loops)
         for n in (6, 7, 8)
@@ -490,6 +555,8 @@ def symmetric_graphs() -> list[Graph]:
     ]
     out += [complete_bipartite(3), complete_bipartite(4), CUBE]
     out += [complete(n) for n in (6, 7, 8)]
+    out += [Graph.from_edges(6, itertools.combinations_with_replacement(range(6), 2))]
+    out += [empty(n) for n in (6, 7, 8)]
     return out + [load_fixture(name) for name in FIXTURES]
 
 
@@ -513,7 +580,9 @@ def test_ant_pass_matches_reference_on_symmetric_graphs():
         assert_pass_matches_reference(g)
         img = list(range(g.n))
         rng.shuffle(img)
-        assert_pass_matches_reference(g.relabel(Permutation(tuple(img))))
+        moved = g.relabel(Permutation(tuple(img)))
+        if moved != g:  # every relabeling of an empty or complete graph is itself
+            assert_pass_matches_reference(moved)
 
 
 @settings(max_examples=40, deadline=None)
@@ -538,25 +607,33 @@ def test_classify_canonical_form_count(g, forms):
 # ---------------------------------------------------------------------------
 
 
-def counting(monkeypatch, module, name: str) -> list[int]:
-    calls = [0]
+def counting(monkeypatch, module, name: str) -> list[dict]:
+    """Replace module.name by a wrapper that records the keyword arguments
+    of each call."""
+    calls: list[dict] = []
     search = getattr(module, name)
 
-    def counted(*args):
-        calls[0] += 1
-        return search(*args)
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return search(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_classify_searches_once_per_graph(monkeypatch):
-    ant = counting(monkeypatch, antiauto_mod, "iter_ant_images")
+    cosets = counting(monkeypatch, antiauto_mod, "iter_ant_images")
+    walks = counting(monkeypatch, decide, "iter_ant_images")
     aut = counting(monkeypatch, iso_mod, "iter_automorphism_images")
     bip = counting(monkeypatch, product_mod, "_bipartition")
-    classify(complete(6))
-    # the least involution is read off the Ant listing
-    assert (ant[0], aut[0], bip[0]) == (1, 0, 1)
+    # K6 has no twins, so the least involution is read off the coset
+    # listing; E8 and K4,4 have twins, and it comes off a lazy walk of the
+    # full Ant search
+    for g, walked in ((complete(6), 0), (empty(8), 1), (complete_bipartite(4), 1)):
+        for calls in (cosets, walks, aut, bip):
+            calls.clear()
+        classify(Graph(g.n, g.adj))
+        assert (cosets, len(walks), len(aut), len(bip)) == ([{"cosets": True}], walked, 0, 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -565,6 +642,23 @@ def test_classify_keeps_the_searched_involution(n):
         g = Graph(n, rows)
         classify(g)
         assert involution_witness(g) == involution_witness(Graph(n, rows))
+
+
+def test_classify_keeps_one_coset_of_the_empty_graph():
+    # Ant(E8) is all 40320 permutations, one coset of P
+    g = empty(8)
+    _canonical.cache_clear()
+    tracemalloc.start()
+    try:
+        rep = classify(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.strongly and rep.has_involution
+    assert peak < 1 << 20
+    assert "_ant" not in g.__dict__
+    assert g.__dict__["_cosets"] == ((tuple(range(8)),), (g.adj,))
+    assert involution_witness(g) == involution_witness(empty(8))
 
 
 def test_enumerate_ant_returns_a_new_list_each_call(c6):

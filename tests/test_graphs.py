@@ -1,6 +1,10 @@
 """Core containers: permutations, graphs, digraphs, labeled enumeration."""
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -63,6 +67,23 @@ def test_permutation_rejects_non_bijections():
         Permutation((0, 0))
     with pytest.raises(UsageError):
         Permutation((1, 2))
+
+
+def test_permutation_is_slotted_with_its_value_semantics():
+    # no instance __dict__, and == hash repr asdict copy and pickle as for
+    # the plain frozen dataclass of one tuple field
+    p = Permutation([2, 0, 1])
+    assert not hasattr(p, "__dict__")
+    assert p == Permutation((2, 0, 1)) and p != Permutation((0, 1, 2))
+    assert hash(p) == hash(((2, 0, 1),))
+    assert repr(p) == "Permutation(image=(2, 0, 1))"
+    assert dataclasses.asdict(p) == {"image": (2, 0, 1)}
+    assert copy.copy(p) == p and copy.deepcopy(p) == p
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(p, protocol))
+        assert type(back) is Permutation and back == p
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.image = (0, 1, 2)
 
 
 def test_compose_is_self_after_other():
