@@ -84,14 +84,20 @@ def iter_ant_images(n: int, rows: tuple[int, ...], *, cosets: bool = False):
     With cosets, the search yields only the least member of each coset aP,
     P the permutations that move vertices inside their equal-row classes
     (G^(ap) = G^a): a vertex whose row equals an earlier vertex's row takes
-    only images above that vertex's image. The bound has its own copy of the
-    walk, taken only when G has twins, so that the default path, which the
-    verify suites run, makes no per-node lookup.
+    only images above that vertex's image. prev[v] is that earlier vertex,
+    or -1, and img[-1], the last vertex's image, is still -1 while any
+    vertex's candidates are built, so the mask bounds nothing there.
     """
     by_deg: dict[int, int] = {}
     for w, r in enumerate(rows):
         by_deg[r.bit_count()] = by_deg.get(r.bit_count(), 0) | 1 << w
     same_deg = [by_deg[r.bit_count()] for r in rows]
+    prev = [-1] * n
+    if cosets:
+        last: dict[int, int] = {}
+        for v, row in enumerate(rows):
+            prev[v] = last.get(row, -1)
+            last[row] = v
     img = [-1] * n
 
     def extend(v: int, used: int):
@@ -99,7 +105,7 @@ def iter_ant_images(n: int, rows: tuple[int, ...], *, cosets: bool = False):
             yield tuple(img)
             return
         rv = rows[v]
-        cand = same_deg[v] & ~used
+        cand = same_deg[v] & ~used & (-1 << img[prev[v]] + 1)
         for u in range(v):
             cand &= rows[u] if rv >> img[u] & 1 else ~rows[u]
         while cand:
@@ -109,32 +115,7 @@ def iter_ant_images(n: int, rows: tuple[int, ...], *, cosets: bool = False):
             yield from extend(v + 1, used | b)
         img[v] = -1
 
-    if not cosets or len(set(rows)) == n:  # without twins, P is trivial
-        yield from extend(0, 0)
-        return
-    prev_same = [-1] * n
-    last: dict[int, int] = {}
-    for v, row in enumerate(rows):
-        prev_same[v] = last.get(row, -1)
-        last[row] = v
-
-    def extend_least(v: int, used: int):
-        if v == n:
-            yield tuple(img)
-            return
-        rv = rows[v]
-        p = prev_same[v]
-        cand = same_deg[v] & ~used & (-2 << img[p] if p >= 0 else -1)
-        for u in range(v):
-            cand &= rows[u] if rv >> img[u] & 1 else ~rows[u]
-        while cand:
-            b = cand & -cand
-            cand ^= b
-            img[v] = b.bit_length() - 1
-            yield from extend_least(v + 1, used | b)
-        img[v] = -1
-
-    yield from extend_least(0, 0)
+    yield from extend(0, 0)
 
 
 def iter_two_fold(src: tuple[int, ...], dst: tuple[int, ...]):

@@ -62,15 +62,11 @@ def _two_power_coset(rows: tuple[int, ...]):
     multiple of its class cycle in length, and the member that returns each
     class to itself pointwise after one class cycle has exactly the class
     cycle lengths, so the coset holds one iff the class permutation has
-    2-power order. a itself is tested first."""
+    2-power order."""
     number: dict[int, int] = {}
     cls = [number.setdefault(row, len(number)) for row in rows]
-    if len(number) == len(rows):
-        return _has_two_power_order
 
     def two_power(image: tuple[int, ...]) -> bool:
-        if _has_two_power_order(image):
-            return True
         moved = [0] * len(number)
         for v, w in enumerate(image):
             moved[cls[v]] = cls[w]
