@@ -71,7 +71,7 @@ def apply_anti(g: Graph, a: Permutation) -> Graph:
     return Graph(g.n, apply_anti_rows(g.adj, a.image))
 
 
-def iter_ant_images(n: int, rows: tuple[int, ...], *, cosets: bool = False):
+def iter_ant_images(n: int, rows: tuple[int, ...]):
     """Anti-automorphism image vectors, lexicographically ascending, of
     symmetric rows (a Graph's).
 
@@ -80,24 +80,11 @@ def iter_ant_images(n: int, rows: tuple[int, ...], *, cosets: bool = False):
     A[v][img[u]] == A[w][u] and A[u][w] == A[img[u]][v]. Both read one cell
     pair, so u ANDs rows[u] or its complement into one mask of v's unused
     candidates of v's degree, walked from its lowest bit up.
-
-    With cosets, the search yields only the least member of each coset aP,
-    P the permutations that move vertices inside their equal-row classes
-    (G^(ap) = G^a): a vertex whose row equals an earlier vertex's row takes
-    only images above that vertex's image. prev[v] is that earlier vertex,
-    or -1, and img[-1], the last vertex's image, is still -1 while any
-    vertex's candidates are built, so the mask bounds nothing there.
     """
     by_deg: dict[int, int] = {}
     for w, r in enumerate(rows):
         by_deg[r.bit_count()] = by_deg.get(r.bit_count(), 0) | 1 << w
     same_deg = [by_deg[r.bit_count()] for r in rows]
-    prev = [-1] * n
-    if cosets:
-        last: dict[int, int] = {}
-        for v, row in enumerate(rows):
-            prev[v] = last.get(row, -1)
-            last[row] = v
     img = [-1] * n
 
     def extend(v: int, used: int):
@@ -105,7 +92,7 @@ def iter_ant_images(n: int, rows: tuple[int, ...], *, cosets: bool = False):
             yield tuple(img)
             return
         rv = rows[v]
-        cand = same_deg[v] & ~used & (-1 << img[prev[v]] + 1)
+        cand = same_deg[v] & ~used
         for u in range(v):
             cand &= rows[u] if rv >> img[u] & 1 else ~rows[u]
         while cand:
@@ -116,6 +103,35 @@ def iter_ant_images(n: int, rows: tuple[int, ...], *, cosets: bool = False):
         img[v] = -1
 
     yield from extend(0, 0)
+
+
+def _iter_coset_images(n: int, rows: tuple[int, ...]):
+    """The least member of each coset aP of Ant(G), ascending, for symmetric
+    rows (a Graph's). P is the permutations that move vertices only inside
+    their equal-row classes, and G^(ap) = G^a.
+
+    a in Ant(G) maps each class T onto a class s(T) of |T| vertices, since
+    twins go to twins, and a is in Ant(G) iff s is in Ant(Q), Q the graph of
+    the classes, C adjacent to D when G's vertices of C are adjacent to
+    those of D. So the search walks Ant(Q), keeps the s that keep class
+    sizes, and maps each T's vertices in order onto s(T)'s: the least member
+    of its coset. With the classes numbered by their least vertex, the s
+    ascend as these members do. Without twins Q is G and P is trivial.
+    """
+    classes = row_classes(rows)
+    if len(classes) == n:
+        yield from iter_ant_images(n, rows)
+        return
+    members = list(classes.values())
+    quotient = tuple(sum(1 << d for d, vs in enumerate(members) if row >> vs[0] & 1)
+                     for row in classes)
+    for s in iter_ant_images(len(members), quotient):
+        if all(len(members[c]) == len(members[t]) for c, t in enumerate(s)):
+            img = [-1] * n
+            for c, t in enumerate(s):
+                for v, w in zip(members[c], members[t]):
+                    img[v] = w
+            yield tuple(img)
 
 
 def iter_two_fold(src: tuple[int, ...], dst: tuple[int, ...]):
@@ -193,7 +209,7 @@ def permuted_rows(g: Graph, *, force: bool = False) -> tuple[tuple[int, ...], ..
 def _ant_cosets(g: Graph, force: bool = False):
     """The least member of each coset aP of Ant(G), ascending, as image
     tuples, and the rows of each G^a, as two parallel tuples (see
-    iter_ant_images; the least member of a coset is the least a for its
+    _iter_coset_images; the least member of a coset is the least a for its
     G^a). Made once per Graph, apart from enumerate_ant's listing."""
     CapacityError.check(g.n, ANT_MAX, force, "anti-automorphism listing")
     return g._kept("_cosets", lambda: _checked_listing(g, True))
@@ -212,14 +228,15 @@ def _bijection(image: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _checked_listing(g: Graph, cosets: bool):
-    """The images of iter_ant_images(cosets=cosets), as Permutations or, for
-    the cosets, as checked image tuples, and the rows of each G^a, as two
-    parallel tuples, every image checked against the definition."""
+    """The images of iter_ant_images, as Permutations, or with cosets those
+    of _iter_coset_images, as checked image tuples, and the rows of each
+    G^a, as two parallel tuples, every image checked against the
+    definition."""
     rows = g.adj
-    keep = _bijection if cosets else Permutation
+    keep, search = (_bijection, _iter_coset_images) if cosets else (Permutation, iter_ant_images)
     interned = {rows: rows}
     kept, permuted = [], []
-    for image in iter_ant_images(g.n, rows, cosets=cosets):
+    for image in search(g.n, rows):
         kept.append(keep(image))
         arows = apply_anti_rows(rows, image)
         if not _reverses(rows, image, arows):

@@ -607,14 +607,14 @@ def test_classify_canonical_form_count(g, forms):
 # ---------------------------------------------------------------------------
 
 
-def counting(monkeypatch, module, name: str) -> list[dict]:
-    """Replace module.name by a wrapper that records the keyword arguments
-    of each call."""
-    calls: list[dict] = []
+def counting(monkeypatch, module, name: str) -> list[tuple]:
+    """Replace module.name by a wrapper that records the positional
+    arguments of each call; it passes keyword arguments on."""
+    calls: list[tuple] = []
     search = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append(kwargs)
+        calls.append(args)
         return search(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
@@ -626,14 +626,16 @@ def test_classify_searches_once_per_graph(monkeypatch):
     walks = counting(monkeypatch, decide, "iter_ant_images")
     aut = counting(monkeypatch, iso_mod, "iter_automorphism_images")
     bip = counting(monkeypatch, product_mod, "_bipartition")
-    # K6 has no twins, so the least involution is read off the coset
-    # listing; E8 and K4,4 have twins, and it comes off a lazy walk of the
-    # full Ant search
-    for g, walked in ((complete(6), 0), (empty(8), 1), (complete_bipartite(4), 1)):
+    # the coset listing walks Ant of the graph of the twin classes once: K6
+    # has no twins, so that graph is K6 and the least involution is read off
+    # the listing; E8 (one class) and K4,4 (two) have twins, and it comes off
+    # a lazy walk of the full Ant search
+    for g, classes, walked in ((complete(6), 6, 0), (empty(8), 1, 1), (complete_bipartite(4), 2, 1)):
         for calls in (cosets, walks, aut, bip):
             calls.clear()
         classify(Graph(g.n, g.adj))
-        assert (cosets, len(walks), len(aut), len(bip)) == ([{"cosets": True}], walked, 0, 1)
+        assert [args[0] for args in cosets] == [classes]
+        assert (len(walks), len(aut), len(bip)) == (walked, 0, 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
