@@ -12,7 +12,8 @@ The decider takes one fixed route:
   involution  no order-2 automorphism means reconstructible outright
   bipartite   bipartite graphs delegate to the reversal-involution decider
   full        every distinct G^a must share G's certificate, checked over
-              the 2-power-order a only: a and a^(odd) give isomorphic G^a
+              the a whose coset aP (below) holds a 2-power-order member, on
+              either listing: a and a^(odd) give isomorphic G^a
 
 Every a in Ant(G) gives the same G^a as each member of its coset aP, P the
 permutations that move vertices only inside their equal-row classes, so
@@ -40,11 +41,6 @@ from .iso import _canonical, involution_witness
 from .product import Bipartition, bipartition
 
 
-def _has_two_power_order(image: tuple[int, ...]) -> bool:
-    order = perm_order(image)
-    return order & (order - 1) == 0
-
-
 def _distinct_images(rows: tuple[int, ...], permuted):
     """The (a, rows of G^a) pairs of permuted for the first a of each
     distinct G^a other than G."""
@@ -70,18 +66,20 @@ def _two_power_coset(rows: tuple[int, ...]):
         moved = [0] * len(number)
         for v, w in enumerate(image):
             moved[cls[v]] = cls[w]
-        return _has_two_power_order(moved)
+        order = perm_order(moved)
+        return order & (order - 1) == 0
 
     return two_power
 
 
-def _full_route(rows: tuple[int, ...], permuted, cert, two_power=_has_two_power_order) -> bool:
+def _full_route(rows: tuple[int, ...], permuted, cert) -> bool:
     """True when every distinct G^a over the (a, rows of G^a) pairs of
-    permuted whose a passes two_power shares G's certificate: the
-    2-power-order a, or for a coset listing the a whose coset holds one
-    (_two_power_coset). cert maps rows to a value equal exactly on isomorphic
+    permuted whose coset aP holds a 2-power-order member shares G's
+    certificate; exact on the full and on the coset listing, as G^a is the
+    same over aP. cert maps rows to a value equal exactly on isomorphic
     graphs; G's own is computed only once some G^a differs from G."""
     base = None
+    two_power = _two_power_coset(rows)
     kept = (pair for pair in permuted if two_power(pair[0]))
     for _, arows in _distinct_images(rows, kept):
         if base is None:
@@ -160,10 +158,7 @@ def _ant_pass(g: Graph, force: bool):
     None."""
     n, rows = g.n, g.adj
     cosets, permuted = _ant_cosets(g, force)
-    moved: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for img, arows in zip(cosets, permuted):
-        if arows != rows:
-            moved.setdefault(arows, img)
+    moved = {arows: img for img, arows in _distinct_images(rows, zip(cosets, permuted))}
     # a is an automorphism iff row x of G^a is row a(x) of G; read only
     # when more than one G^a differs from G. The listed ones act on the G^a
     # as all of Aut(G) n Ant(G) does: P fixes every G^a, as twins in G are
@@ -184,8 +179,7 @@ def is_neighborhood_reconstructible(g: Graph, *, force: bool = False) -> bool:
     if bp.is_bipartite:
         return _bip_decide(g, bp)[0]
     cosets, permuted = _ant_cosets(g, force)
-    return _full_route(g.adj, zip(cosets, permuted), lambda rows: _canonical(g.n, rows)[0],
-                       _two_power_coset(g.adj))
+    return _full_route(g.adj, zip(cosets, permuted), lambda rows: _canonical(g.n, rows)[0])
 
 
 def reconstruction_counterexample(
@@ -208,8 +202,8 @@ def is_strongly_reconstructible(g: Graph, *, force: bool = False) -> bool:
 
 def strong_counterexample(g: Graph, *, force: bool = False) -> Permutation | None:
     """Least anti-automorphism whose permuted graph differs from G."""
-    found = next((a for a, arows in zip(*_ant_cosets(g, force)) if arows != g.adj), None)
-    return None if found is None else Permutation(found)
+    found = next(_distinct_images(g.adj, zip(*_ant_cosets(g, force))), None)
+    return None if found is None else Permutation(found[0])
 
 
 def is_cancellation_graph(g: Graph, *, force: bool = False) -> bool:

@@ -307,7 +307,10 @@ def automorphisms(g: Graph, *, force: bool = False) -> list[Permutation]:
 
 
 def involution_witness(g: Graph) -> Permutation | None:
-    """Lexicographically least order-2 automorphism, or None; searched once per Graph."""
+    """Lexicographically least order-2 automorphism, or None, kept on the
+    Graph. This search or decide.classify, off its Ant listing, fills it
+    first; they agree, as the involutions in Ant(G) are the involutory
+    automorphisms and both searches ascend."""
     img = g._kept("_involution", lambda: next(
         filter(is_involution, iter_automorphism_images(g.n, g.adj)), None))
     return None if img is None else Permutation(img)

@@ -630,12 +630,6 @@ def _fixed_bipartition_rows(n: int) -> Iterator[tuple[int, ...]]:
             yield tuple(rows)
 
 
-def _permuted(rows: tuple[int, ...], images):
-    """(a, rows of G^a) for each image a, lazily."""
-    for img in images:
-        yield img, apply_anti_rows(rows, img)
-
-
 def _bip_class_checks(n: int, rows: tuple[int, ...]) -> tuple[bool, list[tuple[str, dict]]]:
     """The reversal-involution decider's verdict on one bipartite graph, and
     the (suite, detail) of each check it fails: the verdict must agree with
@@ -646,7 +640,8 @@ def _bip_class_checks(n: int, rows: tuple[int, ...]) -> tuple[bool, list[tuple[s
         raise InvariantViolationError(f"relabeled bipartite graph {rows} read as non-bipartite")
     found = []
     bip_verdict, _ = _bip_decide(g, bip)
-    slow = _full_route(rows, _permuted(rows, iter_ant_images(n, rows)), partial(_certificate, n))
+    permuted = ((img, apply_anti_rows(rows, img)) for img in iter_ant_images(n, rows))
+    slow = _full_route(rows, permuted, partial(_certificate, n))
     if bip_verdict != slow:
         found.append(("biprevinv", {
             "edges": _edges_of_rows(n, rows),

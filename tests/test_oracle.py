@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cancelgraph.antiauto as antiauto_mod
+import cancelgraph.decide as decide_mod
 import cancelgraph.iso as iso_mod
 import cancelgraph.oracle as oracle_mod
 from cancelgraph import (
@@ -467,6 +468,32 @@ def test_fast_path_fault_is_reported_by_the_main_pass(monkeypatch):
     assert violation_kinds(report.violations) == per_class == {"fast_paths": 10}
 
 
+def twin_fixing_cosets(rows):
+    """A faulty _two_power_coset: it keeps only the cosets whose images map
+    every twin class onto itself, so every G^a it keeps is G."""
+    return lambda image: all(rows[w] == rows[v] for v, w in enumerate(image))
+
+
+def test_two_power_filter_fault_is_reported_by_main_pass_and_sweep(monkeypatch, fresh_bip_classes):
+    # every full route now reads reconstructible, and the main pass and the
+    # bipartite sweep run the decider's filter: the 384 non-reconstructible
+    # graphs up to n=4, in 54 classes, disagree with both oracles, and the
+    # 28 of them the reversal decider rejects, in 6 classes, with the fast
+    # path; in the sweep those 6 classes disagree with the reversal decider
+    monkeypatch.setattr(decide_mod, "_two_power_coset", twin_fixing_cosets)
+    labeled, per_class = labeled_main_pass_kinds(4)
+    assert labeled == {
+        "theorem_vs_neighborhood_oracle": 384, "theorem_vs_cancellation_oracle": 384,
+        "fast_paths": 28,
+    }
+    assert per_class == {
+        "theorem_vs_neighborhood_oracle": 54, "theorem_vs_cancellation_oracle": 54,
+        "fast_paths": 6,
+    }
+    report = verify_theorems(4, True, bip_max=4, jobs=1)
+    assert violation_kinds(report.violations) == {**per_class, "biprevinv": 6}
+
+
 def test_lovasz_pass_reports_a_mixed_product_class(monkeypatch):
     # every G x K3 reads as one vertex, so each n with two or more loopless
     # classes (n = 2, 3, 4) has one mixed product class
@@ -822,7 +849,8 @@ def labeled_bip_sweep(n, violations, start=0, stop=None):
         bip_verdict, _ = oracle_mod._bip_decide(g, bip)
         if not bip_verdict:
             failures += 1
-        slow = _full_route(frozen, oracle_mod._permuted(frozen, iter_ant_images(n, frozen)), cert)
+        permuted = ((img, apply_anti_rows(frozen, img)) for img in iter_ant_images(n, frozen))
+        slow = _full_route(frozen, permuted, cert)
         if bip_verdict != slow:
             violations.add(
                 "biprevinv", n,
