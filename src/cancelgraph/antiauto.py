@@ -5,6 +5,11 @@ a(x)a^-1(y) in E(G); equivalently N(a(x)) = a^-1(N(x)) for every x. The
 permuted graph G^a has edge set {x a(y) | xy in E(G)} and is a graph (rather
 than a digraph) exactly when a is an anti-automorphism.
 
+A Graph keeps one listing of Ant(G), _ant_cosets: the least member of each
+coset aP, P the permutations inside the equal-row classes, with the rows of
+each G^a = G^(ap), every member checked against the definition. All of
+Ant(G) (enumerate_ant, permuted_rows, ant_orbits) expands it by P.
+
 Aut^TF(G) is the group of pairs (lambda, mu) with xy in E(G) iff
 lambda(x)mu(y) in E(G); it acts on Ant(G) by (lambda, mu) . a =
 lambda a mu^-1, and the orbits of that action group the a by isomorphism
@@ -192,27 +197,47 @@ def iter_two_fold(src: tuple[int, ...], dst: tuple[int, ...]):
 
 
 def enumerate_ant(g: Graph, *, force: bool = False) -> list[Permutation]:
-    """All of Ant(G), lexicographically ascending; always contains the identity.
-    The checked listing is made once per Graph, with the rows of each G^a
-    (permuted_rows); each call copies it."""
-    CapacityError.check(g.n, ANT_MAX, force, "anti-automorphism listing")
-    return list(g._kept("_ant", lambda: _checked_listing(g, False))[0])
+    """All of Ant(G), lexicographically ascending; always contains the identity."""
+    return list(map(Permutation, _full_listing(g, force)[0]))
 
 
 def permuted_rows(g: Graph, *, force: bool = False) -> tuple[tuple[int, ...], ...]:
     """The rows of G^a for each a of enumerate_ant(g), in its order. Equal G^a
     are one tuple, and G^a = G is g.adj itself."""
-    CapacityError.check(g.n, ANT_MAX, force, "anti-automorphism listing")
-    return g._kept("_ant", lambda: _checked_listing(g, False))[1]
+    return _full_listing(g, force)[1]
 
 
 def _ant_cosets(g: Graph, force: bool = False):
     """The least member of each coset aP of Ant(G), ascending, as image
     tuples, and the rows of each G^a, as two parallel tuples (see
     _iter_coset_images; the least member of a coset is the least a for its
-    G^a). Made once per Graph, apart from enumerate_ant's listing."""
+    G^a). Made once per Graph; equal G^a are one tuple, and G^a = G is g.adj."""
     CapacityError.check(g.n, ANT_MAX, force, "anti-automorphism listing")
-    return g._kept("_cosets", lambda: _checked_listing(g, True))
+    return g._kept("_cosets", lambda: _checked_listing(g))
+
+
+def _full_listing(g: Graph, force: bool = False):
+    """All of Ant(G), ascending, as image tuples, and the rows of each G^a,
+    as two parallel tuples: each coset of _ant_cosets expanded by P, every
+    member checked against the definition on its coset's G^a."""
+    classes = list(row_classes(g.adj).values())
+    listing = sorted((member, arows) for image, arows in zip(*_ant_cosets(g, force))
+                     for member in _rearranged(image, classes))
+    for member, arows in listing:
+        if not _reverses(g.adj, member, arows):
+            raise InvariantViolationError(f"coset expansion left Ant(G) at {member}")
+    return tuple(zip(*listing))
+
+
+def _rearranged(image: tuple[int, ...], classes: list[list[int]]):
+    """Every image that permutes image's values inside each vertex list of
+    classes, which partition the vertices."""
+    flat = list(itertools.chain.from_iterable(classes))
+    at = [flat.index(v) for v in range(len(image))]
+    per_class = (itertools.permutations([image[x] for x in xs]) for xs in classes)
+    for choice in itertools.product(*per_class):
+        values = tuple(itertools.chain.from_iterable(choice))
+        yield tuple(map(values.__getitem__, at))
 
 
 def _reverses(rows: tuple[int, ...], image: tuple[int, ...], arows: tuple[int, ...]) -> bool:
@@ -221,26 +246,19 @@ def _reverses(rows: tuple[int, ...], image: tuple[int, ...], arows: tuple[int, .
     return tuple(map(arows.__getitem__, image)) == rows
 
 
-def _bijection(image: tuple[int, ...]) -> tuple[int, ...]:
-    if sorted(image) != list(range(len(image))):
-        raise InvariantViolationError(f"search produced a non-bijection {image}")
-    return image
-
-
-def _checked_listing(g: Graph, cosets: bool):
-    """The images of iter_ant_images, as Permutations, or with cosets those
-    of _iter_coset_images, as checked image tuples, and the rows of each
-    G^a, as two parallel tuples, every image checked against the
-    definition."""
+def _checked_listing(g: Graph):
+    """The images of _iter_coset_images and the rows of each G^a, as two
+    parallel tuples, every image checked against the definition."""
     rows = g.adj
-    keep, search = (_bijection, _iter_coset_images) if cosets else (Permutation, iter_ant_images)
     interned = {rows: rows}
     kept, permuted = [], []
-    for image in search(g.n, rows):
-        kept.append(keep(image))
+    for image in _iter_coset_images(g.n, rows):
+        if sorted(image) != list(range(g.n)):
+            raise InvariantViolationError(f"search produced a non-bijection {image}")
         arows = apply_anti_rows(rows, image)
         if not _reverses(rows, image, arows):
             raise InvariantViolationError(f"search produced a non-anti-automorphism {image}")
+        kept.append(image)
         permuted.append(interned.setdefault(arows, arows))
     return tuple(kept), tuple(permuted)
 
@@ -272,16 +290,9 @@ def enumerate_aut_tf(g: Graph, *, force: bool = False) -> list[TwoFoldPair]:
     """All of Aut^TF(G). Can reach (n!)^2 pairs on degenerate inputs."""
     CapacityError.check(g.n, TF_MAX, force, "two-fold listing")
     classes = list(row_classes(g.adj).values())
-    out = []
-    for lam, mu in iter_two_fold(g.adj, g.adj):
-        # mu may permute its images freely inside each equal-row class
-        per_class = [itertools.permutations([mu[x] for x in xs]) for xs in classes]
-        for choice in itertools.product(*per_class):
-            image = [-1] * g.n
-            for xs, targets in zip(classes, choice):
-                for x, t in zip(xs, targets):
-                    image[x] = t
-            out.append(TwoFoldPair(Permutation(lam), Permutation(tuple(image))))
+    # mu may permute its images freely inside each equal-row class
+    out = [TwoFoldPair(Permutation(lam), Permutation(other))
+           for lam, mu in iter_two_fold(g.adj, g.adj) for other in _rearranged(mu, classes)]
     out.sort(key=lambda p: (p.lam.image, p.mu.image))
     return out
 
@@ -344,7 +355,7 @@ def _tf_generators(n: int, rows: tuple[int, ...]) -> list[tuple[tuple[int, ...],
     return gens
 
 
-def _orbit_partition(n: int, rows: tuple[int, ...], ant: list[tuple[int, ...]], certs: list):
+def _orbit_partition(n: int, rows: tuple[int, ...], ant: tuple[tuple[int, ...], ...], certs: list):
     """Aut^TF(G) orbit label of each image of ant (all of Ant(G), ascending),
     orbits numbered by their least member, checked against the theorem that
     the orbits are the isomorphism classes of the G^a. certs[i] is equal
@@ -390,14 +401,15 @@ def _orbit_partition(n: int, rows: tuple[int, ...], ant: list[tuple[int, ...]], 
 
 def ant_orbits(g: Graph, *, force: bool = False) -> AntOrbitPartition:
     CapacityError.check(g.n, TF_MAX, force, "orbit computation uses the two-fold machinery")
-    ant = enumerate_ant(g, force=force)
-    certs = [_canonical(g.n, arows)[0] for arows in permuted_rows(g, force=force)]
-    labels, faults = _orbit_partition(g.n, g.adj, [p.image for p in ant], certs)
+    images, permuted = _full_listing(g, force)
+    certs = [_canonical(g.n, arows)[0] for arows in permuted]
+    labels, faults = _orbit_partition(g.n, g.adj, images, certs)
     if faults:
         raise InvariantViolationError(
             f"Aut^TF(G) orbits are not the isomorphism classes of the permuted graphs: {faults[0]}"
         )
+    ant = tuple(map(Permutation, images))
     orbits: list[list[Permutation]] = [[] for _ in range(max(labels) + 1)]
     for p, label in zip(ant, labels):
         orbits[label].append(p)
-    return AntOrbitPartition(tuple(ant), tuple(map(tuple, orbits)))
+    return AntOrbitPartition(ant, tuple(map(tuple, orbits)))

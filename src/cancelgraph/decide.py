@@ -12,14 +12,15 @@ The decider takes one fixed route:
   involution  no order-2 automorphism means reconstructible outright
   bipartite   bipartite graphs delegate to the reversal-involution decider
   full        every distinct G^a must share G's certificate, checked over
-              the a whose coset aP (below) holds a 2-power-order member, on
-              either listing: a and a^(odd) give isomorphic G^a
+              the a whose coset aP (below) holds a 2-power-order member:
+              a and a^(odd) give isomorphic G^a
 
 Every a in Ant(G) gives the same G^a as each member of its coset aP, P the
 permutations that move vertices only inside their equal-row classes, so
-classify, both public deciders and the witnesses read one member per coset:
-the least, which is also the least a for its G^a, from the checked coset
-listing the Graph keeps (antiauto._ant_cosets) with the rows of each G^a.
+classify, both public deciders, the witnesses and the verify suites read the
+one Ant(G) listing a Graph keeps, antiauto._ant_cosets: the least member of
+each coset, which is also the least a for its G^a, checked, with the rows of
+each G^a.
 classify makes one pass over it, certifies each distinct G^a with one
 canonical form per class of relabelings, and yields the verdict, the orbit
 classes, the counterexample and the strong witness. The least involution is
@@ -31,12 +32,11 @@ involution and the bipartition that the Graph keeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 
 from .antiauto import ANT_MAX, _ant_cosets, iter_ant_images
 from .errors import CapacityError, InvariantViolationError, UsageError
 from .graphs import (Graph, Permutation, adjacency_index, invert, is_involution, perm_order,
-                     relabel_rows, row_classes)
+                     relabel_rows)
 from .iso import _canonical, involution_witness
 from .product import Bipartition, bipartition
 
@@ -89,29 +89,18 @@ def _full_route(rows: tuple[int, ...], permuted, cert) -> bool:
     return True
 
 
-def _classwise_strong(rows: tuple[int, ...], images, cosets: bool = False) -> bool:
+def _classwise_strong(rows: tuple[int, ...], cosets) -> bool:
     """Strong reconstructibility by its characterization: Ant(G) is exactly
-    P, the permutations fixing every equal-neighborhood class setwise. Those
-    permutations are always anti-automorphisms, so it suffices that every
-    image preserves the classes and |Ant(G)| is |P|, the product of the
-    class-size factorials. images is all of Ant(G), or with cosets one member
-    of each coset aP, counted |P| times."""
-    expected = 1
-    for verts in row_classes(rows).values():
-        expected *= factorial(len(verts))
-    step = expected if cosets else 1
-    count = 0
-    for img in images:
-        count += step
-        if any(rows[w] != rows[v] for v, w in enumerate(img)):
-            return False
-    return count == expected
+    P, the permutations fixing every equal-neighborhood class setwise. P is
+    always in Ant(G), so over cosets, one member of each coset aP, it
+    suffices that there is one coset and its member preserves the classes."""
+    return len(cosets) == 1 and all(rows[w] == rows[v] for v, w in enumerate(cosets[0]))
 
 
 def _strong_verdict(rows: tuple[int, ...], cosets, direct: bool) -> bool:
     """direct (every G^a equals G), confirmed by the classwise route over
     the coset listing."""
-    classwise = _classwise_strong(rows, cosets, True)
+    classwise = _classwise_strong(rows, cosets)
     if direct != classwise:
         raise InvariantViolationError(
             f"strong-reconstructibility routes disagree: direct={direct} classwise={classwise}"

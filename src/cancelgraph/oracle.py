@@ -26,6 +26,8 @@ from functools import lru_cache, partial
 from typing import Callable, Iterator
 
 from .antiauto import (
+    _ant_cosets,
+    _full_listing,
     _orbit_partition,
     apply_anti_rows,
     enumerate_aut_tf,
@@ -359,38 +361,36 @@ def _main_pass_for_n(
 ) -> tuple[int, int, int, int]:
     """The decider's routes against both oracles, once per iso class of the
     mode's universe on the index's representative, plus the orbit checks up
-    to ORBIT_CHECK_MAX, all from one Ant search and one G^a per image, with
-    every certificate read off the universe index; the involution test reads
-    the Ant list, since the involutions in Ant(G) are the involutory
+    to ORBIT_CHECK_MAX, with every certificate read off the universe index.
+    The routes read the coset listing of Ant(G) that the deciders read; the
+    involution test and the orbit checks read all of Ant(G), that listing
+    expanded by P, since the involutions in Ant(G) are the involutory
     automorphisms. Every check is invariant under relabeling, so the graph
     counts add the class size and a faulty class is reported once, at its
     representative. The index is the loops-allowed one at the pass's n, so
     it holds every G^a, which may have loops whatever the mode; a loopless
     class is one whose representative has no loop."""
     n = index.n
-    graphs = 0
-    non_rec = 0
-    non_strong = 0
-    bip_failures = 0
+    graphs = non_rec = non_strong = bip_failures = 0
     for rows, size in zip(index.class_rows, index.class_size):
         if not loops_allowed and any(rows[v] >> v & 1 for v in range(n)):
             continue
         graphs += size
-        ant = list(iter_ant_images(n, rows))
-        moved = [apply_anti_rows(rows, img) for img in ant]
+        g = Graph(n, rows)
+        cosets, moved = _ant_cosets(g)
+        ant, ant_rows = _full_listing(g)
         mkey = multiset_key(rows)
         direct = True
-        for img, arows in zip(ant, moved):
+        for img, arows in zip(cosets, moved):
             direct = direct and arows == rows
             if multiset_key(arows) != mkey:
                 violations.add(
                     "eq1_multiset", n,
                     edges=_edges_of_rows(n, rows), alpha=list(img),
                 )
-        slow = _full_route(rows, zip(ant, moved), index.canon_of)
+        slow = _full_route(rows, zip(cosets, moved), index.canon_of)
         if not slow:
             non_rec += size
-        g = Graph(n, rows)
         bip = bipartition(g)
         bip_verdict = _bip_decide(g, bip)[0] if bip.is_bipartite else None
         if bip_verdict is False:
@@ -418,7 +418,7 @@ def _main_pass_for_n(
                 "theorem_vs_cancellation_oracle", n,
                 edges=_edges_of_rows(n, rows), decider=slow, oracle=oracle_p,
             )
-        classwise = _classwise_strong(rows, ant)
+        classwise = _classwise_strong(rows, cosets)
         if direct != classwise:
             violations.add(
                 "strong_routes", n,
@@ -427,14 +427,14 @@ def _main_pass_for_n(
         if not direct:
             non_strong += size
         if n <= ORBIT_CHECK_MAX and len(ant) > 1:
-            _orbit_checks(n, rows, ant, [index.canon_of(r) for r in moved], violations)
+            _orbit_checks(n, rows, ant, [index.canon_of(r) for r in ant_rows], violations)
     return graphs, non_rec, non_strong, bip_failures
 
 
 def _orbit_checks(
     n: int,
     rows: tuple[int, ...],
-    ant: list[tuple[int, ...]],
+    ant: tuple[tuple[int, ...], ...],
     certs: list[int],
     violations: _Violations,
 ) -> None:
@@ -640,8 +640,7 @@ def _bip_class_checks(n: int, rows: tuple[int, ...]) -> tuple[bool, list[tuple[s
         raise InvariantViolationError(f"relabeled bipartite graph {rows} read as non-bipartite")
     found = []
     bip_verdict, _ = _bip_decide(g, bip)
-    permuted = ((img, apply_anti_rows(rows, img)) for img in iter_ant_images(n, rows))
-    slow = _full_route(rows, permuted, partial(_certificate, n))
+    slow = _full_route(rows, zip(*_ant_cosets(g)), partial(_certificate, n))
     if bip_verdict != slow:
         found.append(("biprevinv", {
             "edges": _edges_of_rows(n, rows),
@@ -752,7 +751,7 @@ def verify_theorems(
     The main suite compares the decider against both oracles, read per class
     from the universe index, once per iso class of the mode's universe, with
     each class counted by its size, and, up to ORBIT_CHECK_MAX, checks
-    orbit/isomorphism agreement and odd powers on the same Ant search; side
+    orbit/isomorphism agreement and odd powers on all of Ant(G); side
     suites cover the multiset identity, two-fold membership, digraph
     symmetry, product structure, and the bipartite sweep (which always runs
     loopless up to bip_max, independent of mode).

@@ -33,8 +33,9 @@ from cancelgraph import (
 import cancelgraph.antiauto as antiauto_mod
 from cancelgraph.antiauto import (_tf_generators, apply_anti_rows, iter_ant_images, iter_two_fold,
                                   permuted_rows)
-from cancelgraph.graphs import iter_adj_rows, multiset_key
+from cancelgraph.graphs import iter_adj_rows, multiset_key, row_classes
 from cancelgraph.iso import involution_witness
+from cancelgraph.oracle import _UniverseIndex
 
 from conftest import graph_and_permutation, graph_strategy, load_fixture
 
@@ -161,13 +162,19 @@ def test_coset_listing_rejects_a_search_image_outside_ant(monkeypatch, g, image)
 
 
 def check_permuted_rows(g: Graph) -> None:
+    """enumerate_ant and permuted_rows, the coset listing expanded by P,
+    against the plain Ant walk, in order and in rows; each G^a is the coset
+    listing's one tuple for it."""
     g = Graph(g.n, g.adj)  # fresh, so the listing is made here
     ant, permuted = enumerate_ant(g), permuted_rows(g)
-    assert len(permuted) == len(ant)
+    images = tuple(iter_ant_images(g.n, g.adj))
+    assert tuple(a.image for a in ant) == images
+    assert permuted == tuple(apply_anti_rows(g.adj, img) for img in images)
     assert permuted[0] is g.adj  # the identity
+    kept = {id(arows) for arows in antiauto_mod._ant_cosets(g)[1]}
     first: dict = {}
-    for a, arows in zip(ant, permuted):
-        assert arows == apply_anti_rows(g.adj, a.image)
+    for arows in permuted:
+        assert id(arows) in kept
         assert first.setdefault(arows, arows) is arows
 
 
@@ -181,6 +188,31 @@ def test_permuted_rows_are_the_permuted_graphs_exhaustively(n):
                                   "sql_alpha"])
 def test_permuted_rows_are_the_permuted_graphs_on_the_fixtures(name):
     check_permuted_rows(load_fixture(name))
+
+
+def test_permuted_rows_are_the_permuted_graphs_on_the_n5_classes():
+    index = _UniverseIndex(5)
+    index.build()
+    assert len(index.class_rows) == 544
+    for rows in index.class_rows:
+        check_permuted_rows(Graph(5, rows))
+
+
+@pytest.mark.parametrize("g", [
+    Graph(8, (0,) * 8),
+    Graph.from_edges(8, [(x, 4 + y) for x in range(4) for y in range(4)]),
+    Graph.from_edges(6, itertools.combinations_with_replacement(range(6), 2)),
+], ids=["E8", "K4,4", "K6+loops"])
+def test_permuted_rows_are_the_permuted_graphs_with_twins(g):
+    check_permuted_rows(g)
+
+
+def test_full_listing_rejects_an_expansion_outside_ant(monkeypatch):
+    hexagon = Graph.from_edges(6, [(v, (v + 1) % 6) for v in range(6)])
+    rotation = (1, 2, 3, 4, 5, 0)
+    monkeypatch.setattr(antiauto_mod, "_rearranged", lambda image, classes: iter([image, rotation]))
+    with pytest.raises(InvariantViolationError):
+        enumerate_ant(hexagon)
 
 
 def test_permuted_rows_guard():
@@ -250,6 +282,30 @@ def test_tf_enumeration_matches_definition_exhaustively(n):
         assert {
             (p.lam.image, p.mu.image) for p in enumerate_aut_tf(g)
         } == brute_tf(g)
+
+
+def tf_by_inline_expansion(g: Graph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """enumerate_aut_tf as it was before it shared the coset expansion: each
+    pair of iter_two_fold with its mu permuted inside the equal-row classes,
+    placed vertex by vertex."""
+    classes = list(row_classes(g.adj).values())
+    out = []
+    for lam, mu in iter_two_fold(g.adj, g.adj):
+        per_class = [itertools.permutations([mu[x] for x in xs]) for xs in classes]
+        for choice in itertools.product(*per_class):
+            image = [-1] * g.n
+            for xs, targets in zip(classes, choice):
+                for x, t in zip(xs, targets):
+                    image[x] = t
+            out.append((lam, tuple(image)))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_tf_enumeration_is_the_inline_expansion_exhaustively(n):
+    for rows in iter_adj_rows(n, True):
+        g = Graph(n, rows)
+        assert [(p.lam.image, p.mu.image) for p in enumerate_aut_tf(g)] == tf_by_inline_expansion(g)
 
 
 def lambdas_by_scan(g: Graph) -> set[tuple[int, ...]]:

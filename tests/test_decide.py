@@ -43,7 +43,7 @@ import cancelgraph.antiauto as antiauto_mod
 import cancelgraph.iso as iso_mod
 import cancelgraph.product as product_mod
 from cancelgraph import decide
-from cancelgraph.antiauto import apply_anti_rows, permuted_rows
+from cancelgraph.antiauto import apply_anti_rows, iter_ant_images
 from cancelgraph.graphs import adjacency_index, iter_adj_rows, multiset_key, perm_order, row_classes
 from cancelgraph.iso import _canonical, involution_witness
 from cancelgraph.oracle import _UniverseIndex, _fixed_bipartition_rows
@@ -451,18 +451,24 @@ def twin_group_order(rows: tuple[int, ...]) -> int:
     return prod(factorial(len(verts)) for verts in row_classes(rows).values())
 
 
-def reference_ant_pass(g: Graph, force: bool):
+def plain_listing(g: Graph) -> tuple[list, list]:
+    """All of Ant(G) and the rows of each G^a by the plain Ant walk, apart
+    from the coset listing and its expansion."""
+    ant = list(iter_ant_images(g.n, g.adj))
+    return ant, [apply_anti_rows(g.adj, img) for img in ant]
+
+
+def reference_ant_pass(g: Graph):
     """decide._ant_pass as it was before certificates were shared across
     relabelings and before it read one member per coset: one canonical form
     for every distinct G^a, over the full listing, which comes first."""
     n, rows = g.n, g.adj
-    ant = [p.image for p in enumerate_ant(g, force=force)]
+    ant, moved = plain_listing(g)
     base = _canonical(n, rows)[0]
     certs = {base}
     best = None
     strong_witness = None
-    permuted = zip(ant, (apply_anti_rows(rows, img) for img in ant))
-    for img, arows in decide._distinct_images(rows, permuted):
+    for img, arows in decide._distinct_images(rows, zip(ant, moved)):
         if strong_witness is None:
             strong_witness = img
         cert = _canonical(n, arows)[0]
@@ -481,8 +487,8 @@ def reference_full_route(g: Graph) -> bool:
     base = _canonical(g.n, g.adj)[0]
     return all(
         _canonical(g.n, arows)[0] == base
-        for p, arows in zip(enumerate_ant(g), permuted_rows(g))
-        if is_two_power(perm_order(p.image))
+        for img, arows in zip(*plain_listing(g))
+        if is_two_power(perm_order(img))
     )
 
 
@@ -492,15 +498,14 @@ def is_two_power(k: int) -> bool:
 
 def assert_pass_matches_reference(g: Graph) -> None:
     """The coset listing, the Ant pass and the decider's full route against
-    the full listing and the references over it. The coset side and the
-    full side each get a fresh Graph, so neither reads a listing the other
-    kept."""
+    the full listing of the plain Ant walk and the references over it. The
+    coset side gets a fresh Graph, so it makes its listing here."""
     rows = g.adj
-    fresh, listed = Graph(g.n, rows), Graph(g.n, rows)
+    fresh = Graph(g.n, rows)
     got = decide._ant_pass(fresh, False)
-    ref = reference_ant_pass(listed, False)
+    ref = reference_ant_pass(g)
     assert got[1:] == ref[1:]
-    full = ref[0]
+    full, full_rows = plain_listing(g)
     groups = cosets_of(rows, full)
     assert list(got[0]) == sorted(members[0] for members in groups)
     assert {len(members) for members in groups} == {twin_group_order(rows)}
@@ -520,14 +525,13 @@ def assert_pass_matches_reference(g: Graph) -> None:
     for members in groups:
         assert two_power(members[0]) == any(m in pow2 for m in members)
     assert {arows for img, arows in zip(images, permuted) if two_power(img)} == {
-        arows for img, arows in zip(full, permuted_rows(listed)) if img in pow2
+        arows for img, arows in zip(full, full_rows) if img in pow2
     }
     # the decider's full route on the coset listing, and on the full listing
-    # as the verify suites run it
     cert = lambda r: _canonical(g.n, r)[0]  # noqa: E731
     coset_route = decide._full_route(rows, zip(images, permuted), cert)
-    full_route = decide._full_route(rows, zip(full, permuted_rows(listed)), cert)
-    assert coset_route == full_route == reference_full_route(listed)
+    full_route = decide._full_route(rows, zip(full, full_rows), cert)
+    assert coset_route == full_route == reference_full_route(g)
 
 
 def circulant(n: int, jumps, loops: bool) -> Graph:

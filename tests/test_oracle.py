@@ -494,6 +494,39 @@ def test_two_power_filter_fault_is_reported_by_main_pass_and_sweep(monkeypatch, 
     assert violation_kinds(report.violations) == {**per_class, "biprevinv": 6}
 
 
+LIST_COSETS = antiauto_mod._iter_coset_images
+
+
+def twin_fixing_coset_images(n, rows):
+    """A faulty coset search: on graphs with twins it keeps only the members
+    that map every vertex into its own twin class, so P alone."""
+    images = LIST_COSETS(n, rows)
+    if len(set(rows)) == n:
+        return images
+    return (img for img in images if all(rows[w] == rows[v] for v, w in enumerate(img)))
+
+
+def test_coset_search_fault_is_reported_by_main_pass_and_sweep(monkeypatch, fresh_bip_classes):
+    # every graph with twins now reads reconstructible, and the main pass and
+    # the bipartite sweep read the coset listing the deciders read: the 54
+    # non-reconstructible graphs with twins up to n=4, in 10 classes,
+    # disagree with both oracles, and the 9 of them the reversal decider
+    # rejects, in 2 classes, with the fast path; in the sweep those 2
+    # classes disagree with the reversal decider
+    monkeypatch.setattr(antiauto_mod, "_iter_coset_images", twin_fixing_coset_images)
+    labeled, per_class = labeled_main_pass_kinds(4)
+    assert labeled == {
+        "theorem_vs_neighborhood_oracle": 54, "theorem_vs_cancellation_oracle": 54,
+        "fast_paths": 9,
+    }
+    assert per_class == {
+        "theorem_vs_neighborhood_oracle": 10, "theorem_vs_cancellation_oracle": 10,
+        "fast_paths": 2,
+    }
+    report = verify_theorems(4, True, bip_max=4, jobs=1)
+    assert violation_kinds(report.violations) == {**per_class, "biprevinv": 2}
+
+
 def test_lovasz_pass_reports_a_mixed_product_class(monkeypatch):
     # every G x K3 reads as one vertex, so each n with two or more loopless
     # classes (n = 2, 3, 4) has one mixed product class
@@ -543,17 +576,17 @@ def labeled_main_pass(index, loops_allowed, violations):
     for rows in iter_adj_rows(n, loops_allowed):
         graphs += 1
         edges = oracle_mod._edges_of_rows(n, rows)
-        ant = list(oracle_mod.iter_ant_images(n, rows))
-        moved = [oracle_mod.apply_anti_rows(rows, img) for img in ant]
+        g = Graph(n, rows)
+        cosets, moved = oracle_mod._ant_cosets(g)
+        ant, ant_rows = oracle_mod._full_listing(g)
         mkey = oracle_mod.multiset_key(rows)
         direct = True
-        for img, arows in zip(ant, moved):
+        for img, arows in zip(cosets, moved):
             direct = direct and arows == rows
             if oracle_mod.multiset_key(arows) != mkey:
                 violations.add("eq1_multiset", n, edges=edges, alpha=list(img))
-        slow = oracle_mod._full_route(rows, zip(ant, moved), index.canon_of)
+        slow = oracle_mod._full_route(rows, zip(cosets, moved), index.canon_of)
         non_rec += not slow
-        g = Graph(n, rows)
         bip = oracle_mod.bipartition(g)
         bip_verdict = oracle_mod._bip_decide(g, bip)[0] if bip.is_bipartite else None
         bip_failures += bip_verdict is False
@@ -575,12 +608,12 @@ def labeled_main_pass(index, loops_allowed, violations):
             violations.add(
                 "theorem_vs_cancellation_oracle", n, edges=edges, decider=slow, oracle=oracle_p
             )
-        classwise = oracle_mod._classwise_strong(rows, ant)
+        classwise = oracle_mod._classwise_strong(rows, cosets)
         if direct != classwise:
             violations.add("strong_routes", n, edges=edges, direct=direct, classwise=classwise)
         non_strong += not direct
         if n <= oracle_mod.ORBIT_CHECK_MAX and len(ant) > 1:
-            oracle_mod._orbit_checks(n, rows, ant, [index.canon_of(r) for r in moved], violations)
+            oracle_mod._orbit_checks(n, rows, ant, [index.canon_of(r) for r in ant_rows], violations)
     return graphs, non_rec, non_strong, bip_failures
 
 
@@ -689,29 +722,28 @@ def test_odd_power_fault_is_reported_by_the_main_pass():
     assert violation_kinds(violations.items)["simplus2"] > 0
 
 
-LIST_ANT = oracle_mod.iter_ant_images
-
-
-def ant_without_identity(n, rows):
+def cosets_without_identity(n, rows):
     ident = tuple(range(n))
-    return iter([img for img in LIST_ANT(n, rows) if img != ident] or [ident])
+    return iter([img for img in LIST_COSETS(n, rows) if img != ident] or [ident])
 
 
 def test_ant_search_losing_the_identity_is_reported_by_the_main_pass(monkeypatch):
-    # G is then no G^a, so the full route reads G's certificate from the
-    # index rather than from the images' certificates
-    monkeypatch.setattr(oracle_mod, "iter_ant_images", ant_without_identity)
+    # the coset search loses P, the identity's coset, and the full listing
+    # every member of it, so the orbit checks find generator images and odd
+    # powers outside the listing. G is then no G^a, so the full route reads
+    # G's certificate from the index rather than from the images'
+    # certificates. The strong routes still agree: both read the coset
+    # listing, and every coset left is one whose G^a differs from G
+    monkeypatch.setattr(antiauto_mod, "_iter_coset_images", cosets_without_identity)
     labeled, per_class = labeled_main_pass_kinds(4)
-    assert labeled == {"strong_routes": 276, "simeqiso_closure": 1206, "simplus2": 272}
-    assert main_pass_kinds(4) == per_class == {
-        "strong_routes": 38, "simeqiso_closure": 268, "simplus2": 56,
-    }
+    assert labeled == {"simeqiso_closure": 720, "simplus2": 204}
+    assert main_pass_kinds(4) == per_class == {"simeqiso_closure": 110, "simplus2": 24}
 
 
 def test_multiset_fault_is_reported_by_the_main_pass(monkeypatch):
-    # rows in vertex order as the multiset key: every image with G^a != G,
-    # 38 of them on the labeled graphs up to n=3 and 18 on one graph per
-    # class, now reads as changing the multiset
+    # rows in vertex order as the multiset key: every coset image with
+    # G^a != G, 38 of them on the labeled graphs up to n=3 and 18 on one
+    # graph per class, now reads as changing the multiset
     monkeypatch.setattr(oracle_mod, "multiset_key", tuple)
     labeled, per_class = labeled_main_pass_kinds(3)
     assert labeled == {"eq1_multiset": 38}
