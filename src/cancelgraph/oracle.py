@@ -36,7 +36,7 @@ from .antiauto import (
     iter_two_fold,
     permuted_digraph,
 )
-from .decide import _bip_decide, _classwise_strong, _full_route
+from .decide import _bip_decide, _classwise_strong, _full_route, strong_counterexample
 from .errors import CapacityError, InvariantViolationError, UsageError
 from .graphs import (
     Graph,
@@ -48,7 +48,6 @@ from .graphs import (
     disjoint_union,
     enumerate_count,
     invert,
-    is_involution,
     iter_adj_rows,
     maps_neighborhoods,
     mask_of,
@@ -56,7 +55,8 @@ from .graphs import (
     perm_order,
     permute_mask,
 )
-from .iso import canon_rows, cert_bytes, check_orbit_reach, iter_automorphism_images, stamp_orbit
+from .iso import (canon_rows, cert_bytes, check_orbit_reach, involution_witness,
+                  iter_automorphism_images, stamp_orbit)
 from .product import bipartition, direct_product
 
 ORACLE_MAX = 6
@@ -359,76 +359,66 @@ class _UniverseIndex:
 def _main_pass_for_n(
     index: _UniverseIndex, loops_allowed: bool, violations: _Violations
 ) -> tuple[int, int, int, int]:
-    """The decider's routes against both oracles, once per iso class of the
-    mode's universe on the index's representative, plus the orbit checks up
-    to ORBIT_CHECK_MAX, with every certificate read off the universe index.
-    The routes read the coset listing of Ant(G) that the deciders read; the
-    involution test and the orbit checks read all of Ant(G), that listing
-    expanded by P, since the involutions in Ant(G) are the involutory
-    automorphisms. Every check is invariant under relabeling, so the graph
-    counts add the class size and a faulty class is reported once, at its
-    representative. The index is the loops-allowed one at the pass's n, so
-    it holds every G^a, which may have loops whatever the mode; a loopless
-    class is one whose representative has no loop."""
+    """_graph_checks once per iso class of the mode's universe, on the
+    index's representative. Every check is invariant under relabeling, so
+    the graph counts add the class size and a faulty class is reported once,
+    at its representative. The index is the loops-allowed one at the pass's
+    n, so it holds every G^a, which may have loops whatever the mode; a
+    loopless class is one whose representative has no loop."""
     n = index.n
     graphs = non_rec = non_strong = bip_failures = 0
     for rows, size in zip(index.class_rows, index.class_size):
         if not loops_allowed and any(rows[v] >> v & 1 for v in range(n)):
             continue
+        rec, strong, reversal_failure = _graph_checks(index, Graph(n, rows), violations)
         graphs += size
-        g = Graph(n, rows)
-        cosets, moved = _ant_cosets(g)
-        ant, ant_rows = _full_listing(g)
-        mkey = multiset_key(rows)
-        direct = True
-        for img, arows in zip(cosets, moved):
-            direct = direct and arows == rows
-            if multiset_key(arows) != mkey:
-                violations.add(
-                    "eq1_multiset", n,
-                    edges=_edges_of_rows(n, rows), alpha=list(img),
-                )
-        slow = _full_route(rows, zip(cosets, moved), index.canon_of)
-        if not slow:
-            non_rec += size
-        bip = bipartition(g)
-        bip_verdict = _bip_decide(g, bip)[0] if bip.is_bipartite else None
-        if bip_verdict is False:
-            bip_failures += size
-        if not any(map(is_involution, ant)):
-            fast = True
-        elif bip_verdict is not None:
-            fast = bip_verdict
-        else:
-            fast = slow
-        if fast != slow:
-            violations.add(
-                "fast_paths", n,
-                edges=_edges_of_rows(n, rows), fast=fast, slow=slow,
-            )
-        oracle_n = index.neighborhood_pure(rows)
-        if oracle_n != slow:
-            violations.add(
-                "theorem_vs_neighborhood_oracle", n,
-                edges=_edges_of_rows(n, rows), decider=slow, oracle=oracle_n,
-            )
-        oracle_p = index.product_pure(rows)
-        if oracle_p != slow:
-            violations.add(
-                "theorem_vs_cancellation_oracle", n,
-                edges=_edges_of_rows(n, rows), decider=slow, oracle=oracle_p,
-            )
-        classwise = _classwise_strong(rows, cosets)
-        if direct != classwise:
-            violations.add(
-                "strong_routes", n,
-                edges=_edges_of_rows(n, rows), direct=direct, classwise=classwise,
-            )
-        if not direct:
-            non_strong += size
-        if n <= ORBIT_CHECK_MAX and len(ant) > 1:
-            _orbit_checks(n, rows, ant, [index.canon_of(r) for r in ant_rows], violations)
+        non_rec += size * (not rec)
+        non_strong += size * (not strong)
+        bip_failures += size * reversal_failure
     return graphs, non_rec, non_strong, bip_failures
+
+
+def _graph_checks(
+    index: _UniverseIndex, g: Graph, violations: _Violations
+) -> tuple[bool, bool, bool]:
+    """The decider's routes on g against both oracles, and the orbit checks
+    up to ORBIT_CHECK_MAX, with every certificate read off the universe
+    index at g's n: (reconstructible, strongly, reversal decider says no).
+    The full route, the multiset and both strong tests read the coset
+    listing of Ant(G) that the deciders read; the fast route takes the
+    decider's route order over its involution search and bipartition. Only
+    the orbit checks read all of Ant(G), that listing expanded by P."""
+    n, rows = g.n, g.adj
+    edges = _edges_of_rows(n, rows)
+    cosets, moved = _ant_cosets(g)
+    mkey = multiset_key(rows)
+    for img, arows in zip(cosets, moved):
+        if multiset_key(arows) != mkey:
+            violations.add("eq1_multiset", n, edges=edges, alpha=list(img))
+    slow = _full_route(rows, zip(cosets, moved), index.canon_of)
+    bip = bipartition(g)
+    bip_verdict = _bip_decide(g, bip)[0] if bip.is_bipartite else None
+    if involution_witness(g) is None:
+        fast = True
+    elif bip_verdict is not None:
+        fast = bip_verdict
+    else:
+        fast = slow
+    if fast != slow:
+        violations.add("fast_paths", n, edges=edges, fast=fast, slow=slow)
+    for suite, oracle in (("theorem_vs_neighborhood_oracle", index.neighborhood_pure(rows)),
+                          ("theorem_vs_cancellation_oracle", index.product_pure(rows))):
+        if oracle != slow:
+            violations.add(suite, n, edges=edges, decider=slow, oracle=oracle)
+    direct = strong_counterexample(g) is None
+    classwise = _classwise_strong(rows, cosets)
+    if direct != classwise:
+        violations.add("strong_routes", n, edges=edges, direct=direct, classwise=classwise)
+    if n <= ORBIT_CHECK_MAX:
+        ant, ant_rows = _full_listing(g)
+        if len(ant) > 1:
+            _orbit_checks(n, rows, ant, [index.canon_of(r) for r in ant_rows], violations)
+    return slow, direct, bip_verdict is False
 
 
 def _orbit_checks(

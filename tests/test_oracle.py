@@ -458,14 +458,26 @@ def test_oracle_purity_fault_is_reported_by_the_main_pass(monkeypatch):
 
 
 def test_fast_path_fault_is_reported_by_the_main_pass(monkeypatch):
-    # an involution test that never finds one sends every graph down the
-    # "reconstructible outright" route: the 0 + 2 + 20 non-reconstructible
-    # graphs up to n=3, in 0 + 2 + 8 classes, now disagree with the full route
-    monkeypatch.setattr(oracle_mod, "is_involution", lambda image: False)
-    labeled, per_class = labeled_main_pass_kinds(3)
-    assert labeled == {"fast_paths": 22}
-    report = verify_theorems(3, True, bip_max=1, jobs=1)
-    assert violation_kinds(report.violations) == per_class == {"fast_paths": 10}
+    # an involution search that never finds one sends every graph down the
+    # "reconstructible outright" route, so the non-reconstructible graphs (22
+    # up to n=3, 384 up to n=4, in 10 and 54 classes) disagree with the full route
+    monkeypatch.setattr(iso_mod, "is_involution", lambda image: False)
+    for nmax, labeled_count, class_count in ((3, 22, 10), (4, 384, 54)):
+        labeled, per_class = labeled_main_pass_kinds(nmax)
+        assert labeled == {"fast_paths": labeled_count}
+        report = verify_theorems(nmax, True, bip_max=1, jobs=1)
+        assert violation_kinds(report.violations) == per_class == {"fast_paths": class_count}
+
+
+def test_main_pass_expands_ant_only_for_the_orbit_checks(monkeypatch):
+    # with orbit checks up to n=2, all of Ant(G) is listed once for each of
+    # the 2 + 6 loops-allowed classes at n <= 2, and never at n=3
+    expanded: Counter = Counter()
+    monkeypatch.setattr(oracle_mod, "ORBIT_CHECK_MAX", 2)
+    monkeypatch.setattr(oracle_mod, "_full_listing",
+                        lambda g: expanded.update([g.n]) or antiauto_mod._full_listing(g))
+    assert verify_theorems(3, True, bip_max=0).ok
+    assert expanded == {1: 2, 2: 6}
 
 
 def twin_fixing_cosets(rows):
@@ -568,80 +580,38 @@ def main_pass_kinds(nmax: int) -> Counter:
 
 
 def labeled_main_pass(index, loops_allowed, violations):
-    """The main pass over every labeled graph of the mode's universe: the
-    reference the per-class pass must reproduce, counts and verdicts. It
-    calls the library through oracle_mod, so a patched fault reaches both."""
+    """The main pass's checks on every labeled graph of the mode's universe:
+    the reference the per-class pass must reproduce, counts and verdicts."""
     n = index.n
     graphs = non_rec = non_strong = bip_failures = 0
     for rows in iter_adj_rows(n, loops_allowed):
+        rec, strong, reversal_failure = oracle_mod._graph_checks(index, Graph(n, rows), violations)
         graphs += 1
-        edges = oracle_mod._edges_of_rows(n, rows)
-        g = Graph(n, rows)
-        cosets, moved = oracle_mod._ant_cosets(g)
-        ant, ant_rows = oracle_mod._full_listing(g)
-        mkey = oracle_mod.multiset_key(rows)
-        direct = True
-        for img, arows in zip(cosets, moved):
-            direct = direct and arows == rows
-            if oracle_mod.multiset_key(arows) != mkey:
-                violations.add("eq1_multiset", n, edges=edges, alpha=list(img))
-        slow = oracle_mod._full_route(rows, zip(cosets, moved), index.canon_of)
-        non_rec += not slow
-        bip = oracle_mod.bipartition(g)
-        bip_verdict = oracle_mod._bip_decide(g, bip)[0] if bip.is_bipartite else None
-        bip_failures += bip_verdict is False
-        if not any(map(oracle_mod.is_involution, ant)):
-            fast = True
-        elif bip_verdict is not None:
-            fast = bip_verdict
-        else:
-            fast = slow
-        if fast != slow:
-            violations.add("fast_paths", n, edges=edges, fast=fast, slow=slow)
-        oracle_n = index.neighborhood_pure(rows)
-        if oracle_n != slow:
-            violations.add(
-                "theorem_vs_neighborhood_oracle", n, edges=edges, decider=slow, oracle=oracle_n
-            )
-        oracle_p = index.product_pure(rows)
-        if oracle_p != slow:
-            violations.add(
-                "theorem_vs_cancellation_oracle", n, edges=edges, decider=slow, oracle=oracle_p
-            )
-        classwise = oracle_mod._classwise_strong(rows, cosets)
-        if direct != classwise:
-            violations.add("strong_routes", n, edges=edges, direct=direct, classwise=classwise)
-        non_strong += not direct
-        if n <= oracle_mod.ORBIT_CHECK_MAX and len(ant) > 1:
-            oracle_mod._orbit_checks(n, rows, ant, [index.canon_of(r) for r in ant_rows], violations)
+        non_rec += not rec
+        non_strong += not strong
+        bip_failures += reversal_failure
     return graphs, non_rec, non_strong, bip_failures
 
 
 def labeled_main_pass_kinds(nmax: int) -> tuple[Counter, Counter]:
-    """Violations per suite of labeled_main_pass over the loops-allowed
+    """Violations per suite of the main pass's checks over the loops-allowed
     graphs at n = 1..nmax: over every labeled graph, and over the least
     labeled member of each iso class alone, which is what the per-class pass
     reports. Classes are told apart by component_class_multiset."""
     every: Counter = Counter()
     least_only: Counter = Counter()
     for n in range(1, nmax + 1):
-        found = []
-
-        class Recording(oracle_mod._Violations):
-            def add(self, suite, n, **detail):
-                found.append((suite, detail["edges"]))
-
         index = oracle_mod._UniverseIndex(n)
         index.build()
-        labeled_main_pass(index, True, Recording())
-        least: dict[tuple[bytes, ...], tuple[int, ...]] = {}
+        classes = set()
         for rows in iter_adj_rows(n, True):
-            least.setdefault(component_class_multiset(n, rows), rows)
-        representatives = set(least.values())
-        for suite, edges in found:
-            every[suite] += 1
-            if Graph.from_edges(n, edges).adj in representatives:
-                least_only[suite] += 1
+            kinds, violations = counting_violations()
+            oracle_mod._graph_checks(index, Graph(n, rows), violations)
+            every += kinds
+            key = component_class_multiset(n, rows)
+            if key not in classes:
+                classes.add(key)
+                least_only += kinds
     return every, least_only
 
 
