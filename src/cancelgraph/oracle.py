@@ -71,8 +71,10 @@ and reversal failure, plus the failed checks of any faulty class. That is
 stamp_orbit's two generators add under 0.5 MiB."""
 ORBIT_CHECK_MAX = 5
 SIDE_SUITE_MAX = 4
-"""Largest n of the side suites that run per n: neighborhood_prop,
-pair_membership, digraph_symmetry, lovasz and roundtrip."""
+"""Largest n of the six side suites: neighborhood_prop, pair_membership,
+digraph_symmetry, weichsel, lovasz and roundtrip. Each takes the graphs it
+checks as {n: rows} over the loops-allowed universe; verify feeds them the
+universe index's class representatives up to this n, once per iso class."""
 
 K2 = Graph(2, (2, 1))
 K3 = Graph(3, (6, 5, 3))
@@ -288,6 +290,14 @@ def _edges_of_rows(n: int, rows) -> list[list[int]]:
     return [[x, y] for x in range(n) for y in bits_of(rows[x]) if y >= x]
 
 
+def _loopless(n: int, rows) -> bool:
+    return not any(rows[v] >> v & 1 for v in range(n))
+
+
+_Feed = dict[int, list[tuple[int, ...]]]
+"""The graphs a side suite checks: {n: rows of each graph}, loops allowed."""
+
+
 class _UniverseIndex:
     """Isomorphism classes and oracle verdicts of the loops-allowed universe
     at one n, all per class.
@@ -368,7 +378,7 @@ def _main_pass_for_n(
     n = index.n
     graphs = non_rec = non_strong = bip_failures = 0
     for rows, size in zip(index.class_rows, index.class_size):
-        if not loops_allowed and any(rows[v] >> v & 1 for v in range(n)):
+        if not loops_allowed and not _loopless(n, rows):
             continue
         rec, strong, reversal_failure = _graph_checks(index, Graph(n, rows), violations)
         graphs += size
@@ -417,7 +427,9 @@ def _graph_checks(
     if n <= ORBIT_CHECK_MAX:
         ant, ant_rows = _full_listing(g)
         if len(ant) > 1:
-            _orbit_checks(n, rows, ant, [index.canon_of(r) for r in ant_rows], violations)
+            # a coset's members share one G^a: one lookup per distinct G^a
+            cert = {arows: index.canon_of(arows) for arows in set(ant_rows)}
+            _orbit_checks(n, rows, ant, [cert[r] for r in ant_rows], violations)
     return slow, direct, bip_verdict is False
 
 
@@ -451,12 +463,12 @@ def _orbit_checks(
                 )
 
 
-def _neighborhood_prop_pass(nmax: int, violations: _Violations) -> None:
+def _neighborhood_prop_pass(graphs: _Feed, violations: _Violations) -> None:
     """Each graph's Ant images against its neighbourhood mates, the search
     the universe index and neighborhood_oracle use: the same set, both
     directions."""
-    for n in range(1, min(nmax, SIDE_SUITE_MAX) + 1):
-        for rows in iter_adj_rows(n, True):
+    for n, feed in graphs.items():
+        for rows in feed:
             images = {apply_anti_rows(rows, img) for img in iter_ant_images(n, rows)}
             mates = set(_neighborhood_mates(n, rows))
             if images != mates:
@@ -468,13 +480,13 @@ def _neighborhood_prop_pass(nmax: int, violations: _Violations) -> None:
                 )
 
 
-def _pair_membership_pass(nmax: int, violations: _Violations) -> None:
+def _pair_membership_pass(graphs: _Feed, violations: _Violations) -> None:
     """Brute-force Aut^TF against the enumerator; anti and auto embeddings.
     (lambda, mu) is two-fold iff lambda(N(x)) = N(mu(x)) for every x, so
     every lambda looks its partners up among the rows-after-mu of every mu."""
-    for n in range(1, min(nmax, SIDE_SUITE_MAX) + 1):
+    for n, feed in graphs.items():
         perms = list(all_permutations(n))
-        for rows in iter_adj_rows(n, True):
+        for rows in feed:
             g = Graph(n, rows)
             by_rows: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
             for mu in perms:
@@ -519,12 +531,12 @@ def _pair_membership_pass(nmax: int, violations: _Violations) -> None:
                 )
 
 
-def _digraph_symmetry_pass(nmax: int, violations: _Violations) -> None:
+def _digraph_symmetry_pass(graphs: _Feed, violations: _Violations) -> None:
     """The permuted digraph is symmetric iff the permutation is an
     anti-automorphism."""
-    for n in range(1, min(nmax, SIDE_SUITE_MAX) + 1):
+    for n, feed in graphs.items():
         perms = [Permutation(p) for p in all_permutations(n)]
-        for rows in iter_adj_rows(n, True):
+        for rows in feed:
             g = Graph(n, rows)
             for p in perms:
                 if permuted_digraph(g, p).is_symmetric() != is_anti_automorphism(g, p):
@@ -534,28 +546,18 @@ def _digraph_symmetry_pass(nmax: int, violations: _Violations) -> None:
                     )
 
 
-def _connected_row_sets(n: int, loops_allowed: bool) -> list[tuple[int, ...]]:
-    out = []
-    for rows in iter_adj_rows(n, loops_allowed):
-        if len(component_masks(n, rows)) == 1:
-            out.append(rows)
-    return out
-
-
-def _weichsel_pass(nmax: int, violations: _Violations) -> None:
+def _weichsel_pass(graphs: _Feed, violations: _Violations) -> None:
     """Connectivity of products of connected factors with at least one edge:
     connected iff some factor is non-bipartite; two components when both are
     bipartite with edges."""
     # every connected factor with an edge up to n=3, loops allowed, then
-    # the loopless ones at n=4 (the loopless ones below 4 are already in)
+    # the loopless ones at n=4
     factors = [
         Graph(n, rows)
-        for n in range(1, min(nmax, 3) + 1)
-        for rows in _connected_row_sets(n, True)
-        if any(rows)
+        for n, feed in graphs.items()
+        for rows in feed
+        if any(rows) and (n <= 3 or _loopless(n, rows)) and len(component_masks(n, rows)) == 1
     ]
-    if nmax >= 4:
-        factors.extend(Graph(4, rows) for rows in _connected_row_sets(4, False) if any(rows))
     bipartite = [bipartition(g).is_bipartite for g in factors]
     for g, g_bip in zip(factors, bipartite):
         for h, h_bip in zip(factors, bipartite):
@@ -571,11 +573,11 @@ def _weichsel_pass(nmax: int, violations: _Violations) -> None:
                 )
 
 
-def _lovasz_pass(nmax: int, violations: _Violations) -> None:
-    """G x K3 iso H x K3 forces G iso H over loopless graphs."""
-    for n in range(1, min(nmax, SIDE_SUITE_MAX) + 1):
+def _lovasz_pass(graphs: _Feed, violations: _Violations) -> None:
+    """G x K3 iso H x K3 forces G iso H over the loopless graphs fed."""
+    for n, feed in graphs.items():
         classes: dict[bytes, set[bytes]] = {}
-        for rows in iter_adj_rows(n, False):
+        for rows in (rows for rows in feed if _loopless(n, rows)):
             prod = direct_product(Graph(n, rows), K3)
             key = _certificate(prod.n, prod.adj)
             classes.setdefault(key, set()).add(_certificate(n, rows))
@@ -584,9 +586,9 @@ def _lovasz_pass(nmax: int, violations: _Violations) -> None:
                 violations.add("lovasz_k3", n, note="product class contains non-isomorphic members")
 
 
-def _roundtrip_pass(nmax: int, violations: _Violations) -> None:
-    for n in range(1, min(nmax, SIDE_SUITE_MAX) + 1):
-        for rows in iter_adj_rows(n, True):
+def _roundtrip_pass(graphs: _Feed, violations: _Violations) -> None:
+    for n, feed in graphs.items():
+        for rows in feed:
             g = Graph(n, rows)
             for img in iter_ant_images(n, rows):
                 target_rows = apply_anti_rows(rows, img)
@@ -741,10 +743,13 @@ def verify_theorems(
     The main suite compares the decider against both oracles, read per class
     from the universe index, once per iso class of the mode's universe, with
     each class counted by its size, and, up to ORBIT_CHECK_MAX, checks
-    orbit/isomorphism agreement and odd powers on all of Ant(G); side
+    orbit/isomorphism agreement and odd powers on all of Ant(G). Six side
     suites cover the multiset identity, two-fold membership, digraph
-    symmetry, product structure, and the bipartite sweep (which always runs
-    loopless up to bip_max, independent of mode).
+    symmetry and product structure, once per iso class of the loops-allowed
+    universe up to SIDE_SUITE_MAX, on the representatives of the universe
+    index the main suite built; every fact they check is invariant under
+    relabeling. The bipartite sweep always runs loopless up to bip_max,
+    independent of mode.
 
     Every suite runs in the calling process. jobs is accepted for
     compatibility and has no effect beyond refusing values below 1; the
@@ -769,6 +774,7 @@ def verify_theorems(
     census = []
     bip_census = []
     seconds: list[tuple[str, float]] = []
+    representatives: _Feed = {}
 
     def timed(name: str, fn: Callable[[], None]) -> None:
         t0 = time.perf_counter()
@@ -788,6 +794,8 @@ def verify_theorems(
                     f"census covered {graphs} graphs, expected {mode_total}"
                 )
             census.append(CensusRow(n, graphs, non_rec, non_strong, bipf))
+            if n <= SIDE_SUITE_MAX:
+                representatives[n] = index.class_rows
 
     timed("main", run_main)
     for name, suite in (
@@ -798,7 +806,7 @@ def verify_theorems(
         ("lovasz", _lovasz_pass),
         ("roundtrip", _roundtrip_pass),
     ):
-        timed(name, partial(suite, nmax, violations))
+        timed(name, partial(suite, representatives, violations))
 
     def run_sweep() -> None:
         for n in range(1, bip_max + 1):

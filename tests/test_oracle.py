@@ -480,6 +480,59 @@ def test_main_pass_expands_ant_only_for_the_orbit_checks(monkeypatch):
     assert expanded == {1: 2, 2: 6}
 
 
+def test_orbit_checks_look_up_each_distinct_g_a_once(monkeypatch):
+    # the members of a coset aP share one G^a, so the orbit checks read the
+    # index once per distinct G^a, not once per member of Ant(G): the
+    # lookups they add to the other checks' are counted per class at n <= 4
+    calls = []
+
+    class CountingIndex(oracle_mod._UniverseIndex):
+        def canon_of(self, rows):
+            calls.append(rows)
+            return super().canon_of(rows)
+
+    def lookups(index, g, orbit_check_max):
+        monkeypatch.setattr(oracle_mod, "ORBIT_CHECK_MAX", orbit_check_max)
+        calls.clear()
+        oracle_mod._graph_checks(index, g, oracle_mod._Violations())
+        return len(calls)
+
+    for n in range(1, 5):
+        index = CountingIndex(n)
+        index.build()
+        for rows in index.class_rows:
+            g = Graph(n, rows)
+            ant, ant_rows = antiauto_mod._full_listing(g)
+            expected = len(set(ant_rows)) if len(ant) > 1 else 0
+            assert lookups(index, g, n) - lookups(index, g, 0) == expected
+
+
+@pytest.mark.parametrize("loops", [True, False])
+def test_verify_feeds_the_side_suites_the_index_representatives(monkeypatch, loops):
+    # one universe index per n, built once, and all six side suites read its
+    # 2, 6, 20 and 90 loops-allowed class representatives at n = 1..4, one
+    # graph of each class, in both modes
+    builds = []
+    build = oracle_mod._UniverseIndex.build
+    monkeypatch.setattr(oracle_mod._UniverseIndex, "build",
+                        lambda self: builds.append(self.n) or build(self))
+    fed: dict[str, list] = {}
+    for name in SIDE_SUITES:
+        def suite(graphs, violations, name=name, real=getattr(oracle_mod, name)):
+            fed.setdefault(name, []).append(graphs)
+            real(graphs, violations)
+
+        monkeypatch.setattr(oracle_mod, name, suite)
+    assert verify_theorems(4, loops, bip_max=1, jobs=1).ok
+    assert builds == [1, 2, 3, 4]
+    indexes = universe_indexes(4)
+    assert fed.keys() == set(SIDE_SUITES)
+    for (graphs,) in fed.values():
+        assert {n: len(feed) for n, feed in graphs.items()} == {1: 2, 2: 6, 3: 20, 4: 90}
+        for n, feed in graphs.items():
+            assert sorted(map(indexes[n].canon_of, feed)) == list(range(len(feed)))
+
+
 def twin_fixing_cosets(rows):
     """A faulty _two_power_coset: it keeps only the cosets whose images map
     every twin class onto itself, so every G^a it keeps is G."""
@@ -540,14 +593,20 @@ def test_coset_search_fault_is_reported_by_main_pass_and_sweep(monkeypatch, fres
 
 
 def test_lovasz_pass_reports_a_mixed_product_class(monkeypatch):
-    # every G x K3 reads as one vertex, so each n with two or more loopless
-    # classes (n = 2, 3, 4) has one mixed product class
+    # every G x K3 reads as one vertex, so each n whose loopless graphs lie
+    # in two or more classes (n = 2, 3, 4) has one mixed product class, on
+    # either feed
+    indexes = universe_indexes(4)
     monkeypatch.setattr(oracle_mod, "direct_product", lambda g, h: Graph(1, (0,)))
-    violations = oracle_mod._Violations()
-    oracle_mod._lovasz_pass(4, violations)
-    assert [(item["suite"], item["n"]) for item in violations.items] == [
-        ("lovasz_k3", 2), ("lovasz_k3", 3), ("lovasz_k3", 4),
+    mixed = [
+        ("lovasz_k3", n) for n, index in indexes.items()
+        if len({index.canon_of(rows) for rows in iter_adj_rows(n, False)}) > 1
     ]
+    for feed in (labeled_feed(4), class_feed(indexes)):
+        violations = oracle_mod._Violations()
+        oracle_mod._lovasz_pass(feed, violations)
+        assert [(item["suite"], item["n"]) for item in violations.items] == mixed
+    assert mixed == [("lovasz_k3", 2), ("lovasz_k3", 3), ("lovasz_k3", 4)]
 
 
 def counting_violations() -> tuple[Counter, oracle_mod._Violations]:
@@ -563,10 +622,71 @@ def counting_violations() -> tuple[Counter, oracle_mod._Violations]:
     return kinds, Counting()
 
 
-def side_pass_kinds(suite, nmax: int) -> Counter:
+def side_pass_kinds(suite, graphs) -> Counter:
     kinds, violations = counting_violations()
-    suite(nmax, violations)
+    suite(graphs, violations)
     return kinds
+
+
+SIDE_SUITES = ("_neighborhood_prop_pass", "_pair_membership_pass", "_digraph_symmetry_pass",
+               "_weichsel_pass", "_lovasz_pass", "_roundtrip_pass")
+
+
+def labeled_feed(nmax: int) -> dict[int, list[tuple[int, ...]]]:
+    """Every loops-allowed labeled graph at n = 1..nmax: the side suites'
+    reference feed, as labeled_main_pass is the main pass's reference."""
+    return {n: list(iter_adj_rows(n, True)) for n in range(1, nmax + 1)}
+
+
+def universe_indexes(nmax: int) -> dict[int, oracle_mod._UniverseIndex]:
+    indexes = {}
+    for n in range(1, nmax + 1):
+        indexes[n] = oracle_mod._UniverseIndex(n)
+        indexes[n].build()
+    return indexes
+
+
+def class_feed(indexes) -> dict[int, list[tuple[int, ...]]]:
+    """The class representatives verify feeds the side suites."""
+    return {n: index.class_rows for n, index in indexes.items()}
+
+
+def failing_graphs(suite, graphs, monkeypatch) -> set[tuple[str, tuple]]:
+    """(suite, graphs it names) for every violation suite reports over
+    graphs, each graph as (n, rows): a pair of factors for weichsel, read
+    off the product it takes; one graph, checked alone, for the others."""
+    failing = set()
+    if suite is not oracle_mod._weichsel_pass:
+        for n, feed in graphs.items():
+            for rows in feed:
+                failing.update((kind, ((n, rows),)) for kind in side_pass_kinds(suite, {n: [rows]}))
+        return failing
+    pairs = []
+
+    class Recording(oracle_mod._Violations):
+        def add(self, kind, n, **detail):
+            failing.add((kind, tuple((f.n, f.adj) for f in pairs[-1])))
+
+    with monkeypatch.context() as patch:
+        product = oracle_mod.direct_product
+        patch.setattr(oracle_mod, "direct_product",
+                      lambda g, h: pairs.append((g, h)) or product(g, h))
+        suite(graphs, Recording())
+    return failing
+
+
+def failing_class_counts(suite, indexes, monkeypatch) -> tuple[Counter, Counter]:
+    """Per suite, the failing graphs (factor pairs for weichsel) of the class
+    feed, and the number the labeled feed derives for them: the distinct
+    index.canon_of classes (pairs of classes) among its failing graphs. The
+    two agree wherever the fault does not depend on the labeling."""
+    def classes(subject):
+        return tuple((n, indexes[n].canon_of(rows)) for n, rows in subject)
+
+    on_classes = failing_graphs(suite, class_feed(indexes), monkeypatch)
+    labeled = failing_graphs(suite, labeled_feed(len(indexes)), monkeypatch)
+    derived = {(kind, classes(subject)) for kind, subject in labeled}
+    return Counter(kind for kind, _ in on_classes), Counter(kind for kind, _ in derived)
 
 
 def main_pass_kinds(nmax: int) -> Counter:
@@ -657,7 +777,11 @@ def with_reversal_pair(g):
 
 # the 2 + 8 + 64 + 1024 loops-allowed graphs at n <= 4 hold 684 with an
 # automorphism besides the identity, and 20 on which (identity, reversal)
-# is a two-fold automorphism
+# is a two-fold automorphism. The class feed reports each failing class
+# once, except under the reversal pair, which is two-fold on some members
+# of a class and not on others: a fault that depends on the labeling shows
+# on the class feed only where the representative fails, and on the
+# labeled feed everywhere
 @pytest.mark.parametrize("name, fake, expected", [
     ("enumerate_aut_tf", lambda g: LIST_AUT_TF(g)[:-1], {"aut_tf_enumeration": 1098}),
     ("enumerate_aut_tf", with_reversal_pair, {"aut_tf_enumeration": 1078}),
@@ -667,8 +791,16 @@ def with_reversal_pair(g):
      {"action_closure": 3580, "anti_pair_embedding": 684}),
 ])
 def test_pair_membership_faults_are_reported(monkeypatch, name, fake, expected):
+    suite = oracle_mod._pair_membership_pass
+    indexes = universe_indexes(4)
     monkeypatch.setattr(oracle_mod, name, fake)
-    assert side_pass_kinds(oracle_mod._pair_membership_pass, 4) == expected
+    assert side_pass_kinds(suite, labeled_feed(4)) == expected
+    per_class, derived = failing_class_counts(suite, indexes, monkeypatch)
+    assert derived.keys() == expected.keys()
+    if fake is with_reversal_pair:
+        assert per_class < derived
+    else:
+        assert per_class == derived
 
 
 def test_odd_power_fault_is_reported_by_the_main_pass():
@@ -729,7 +861,8 @@ def identity_pair(g, h):
 # search or by the mates search (neighborhood_prop), non-anti permutations
 # (digraph_symmetry), pairs of bipartite factors with an edge (weichsel),
 # anti-automorphisms (roundtrip_missing) and those with G^a not isomorphic
-# to G (roundtrip_mismatch)
+# to G (roundtrip_mismatch). On the labeled feed the counts are pinned; the
+# class feed fails once per failing class, or pair of classes for weichsel
 @pytest.mark.parametrize("name, fake, suite, nmax, expected", [
     ("iter_ant_images", lambda n, rows: iter([tuple(range(n))]),
      oracle_mod._neighborhood_prop_pass, 3, {"neighborhood_prop": 22}),
@@ -746,8 +879,12 @@ def identity_pair(g, h):
 ], ids=["neighborhood_prop", "neighborhood_prop_mates", "digraph_symmetry", "weichsel",
         "roundtrip_missing", "roundtrip_mismatch"])
 def test_side_pass_faults_are_reported(monkeypatch, name, fake, suite, nmax, expected):
+    indexes = universe_indexes(nmax)
     monkeypatch.setattr(oracle_mod, name, fake)
-    assert side_pass_kinds(suite, nmax) == expected
+    assert side_pass_kinds(suite, labeled_feed(nmax)) == expected
+    per_class, derived = failing_class_counts(suite, indexes, monkeypatch)
+    assert per_class == derived
+    assert derived.keys() == expected.keys()
 
 
 def component_class_multiset(n: int, rows) -> tuple[bytes, ...]:
@@ -998,14 +1135,17 @@ def test_bip_sweep_rejects_a_bad_slice():
 
 
 def test_weichsel_pass_checks_each_factor_pair_once(monkeypatch):
+    indexes = universe_indexes(4)
     calls = []
     product = oracle_mod.direct_product
     monkeypatch.setattr(
         oracle_mod, "direct_product", lambda g, h: calls.append((g, h)) or product(g, h)
     )
-    violations = oracle_mod._Violations()
-    oracle_mod._weichsel_pass(4, violations)
-    assert violations.total == 0
     # 75 connected factors with an edge (loops allowed up to n=3, loopless
-    # at n=4), every ordered pair once
-    assert len(calls) == len(set(calls)) == 75 * 75
+    # at n=4) among the labeled graphs, in 20 classes, every ordered pair once
+    for feed, factors in ((labeled_feed(4), 75), (class_feed(indexes), 20)):
+        calls.clear()
+        violations = oracle_mod._Violations()
+        oracle_mod._weichsel_pass(feed, violations)
+        assert violations.total == 0
+        assert len(calls) == len(set(calls)) == factors * factors
