@@ -692,9 +692,7 @@ def failing_class_counts(suite, indexes, monkeypatch) -> tuple[Counter, Counter]
 def main_pass_kinds(nmax: int) -> Counter:
     """Violations per suite of the loops-allowed main pass at n = 1..nmax."""
     kinds, violations = counting_violations()
-    for n in range(1, nmax + 1):
-        index = oracle_mod._UniverseIndex(n)
-        index.build()
+    for index in universe_indexes(nmax).values():
         oracle_mod._main_pass_for_n(index, True, violations)
     return kinds
 
@@ -720,9 +718,7 @@ def labeled_main_pass_kinds(nmax: int) -> tuple[Counter, Counter]:
     reports. Classes are told apart by component_class_multiset."""
     every: Counter = Counter()
     least_only: Counter = Counter()
-    for n in range(1, nmax + 1):
-        index = oracle_mod._UniverseIndex(n)
-        index.build()
+    for n, index in universe_indexes(nmax).items():
         classes = set()
         for rows in iter_adj_rows(n, True):
             kinds, violations = counting_violations()
