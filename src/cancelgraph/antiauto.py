@@ -8,7 +8,7 @@ than a digraph) exactly when a is an anti-automorphism.
 A Graph keeps one listing of Ant(G), _ant_cosets: the least member of each
 coset aP, P the permutations inside the equal-row classes, with the rows of
 each G^a = G^(ap), every member checked against the definition. All of
-Ant(G) (enumerate_ant, permuted_rows, ant_orbits) expands it by P.
+Ant(G) (_full_listing, read by enumerate_ant and ant_orbits) expands it by P.
 
 Aut^TF(G) is the group of pairs (lambda, mu) with xy in E(G) iff
 lambda(x)mu(y) in E(G); it acts on Ant(G) by (lambda, mu) . a =
@@ -125,6 +125,8 @@ def _iter_coset_images(n: int, rows: tuple[int, ...]):
     """
     classes = row_classes(rows)
     if len(classes) == n:
+        # the general path yields the same images here, in about twice the
+        # time: building Q and mapping each image cost as much as the walk
         yield from iter_ant_images(n, rows)
         return
     members = list(classes.values())
@@ -199,12 +201,6 @@ def iter_two_fold(src: tuple[int, ...], dst: tuple[int, ...]):
 def enumerate_ant(g: Graph, *, force: bool = False) -> list[Permutation]:
     """All of Ant(G), lexicographically ascending; always contains the identity."""
     return list(map(Permutation, _full_listing(g, force)[0]))
-
-
-def permuted_rows(g: Graph, *, force: bool = False) -> tuple[tuple[int, ...], ...]:
-    """The rows of G^a for each a of enumerate_ant(g), in its order. Equal G^a
-    are one tuple, and G^a = G is g.adj itself."""
-    return _full_listing(g, force)[1]
 
 
 def _ant_cosets(g: Graph, force: bool = False):

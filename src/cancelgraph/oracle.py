@@ -10,10 +10,11 @@ then actual evidence, because the two routes share no theory beyond the
 isomorphism engine.
 
 The verification suites read both oracles per isomorphism class instead of
-calling them once per graph: the universe index records whether every
-neighborhood mate of a class lies in it, and whether any other class shares
-its product class. H-universes always allow loops, whatever the mode,
-because a loopless graph can have loopy product mates.
+calling them once per graph: the main pass lists each class's neighborhood
+mates once and looks their classes up in the universe index, which records
+whether any other class shares the class's product class. H-universes
+always allow loops, whatever the mode, because a loopless graph can have
+loopy product mates.
 """
 from __future__ import annotations
 
@@ -71,10 +72,10 @@ and reversal failure, plus the failed checks of any faulty class. That is
 stamp_orbit's two generators add under 0.5 MiB."""
 ORBIT_CHECK_MAX = 5
 SIDE_SUITE_MAX = 4
-"""Largest n of the six side suites: neighborhood_prop, pair_membership,
-digraph_symmetry, weichsel, lovasz and roundtrip. Each takes the graphs it
-checks as {n: rows} over the loops-allowed universe; verify feeds them the
-universe index's class representatives up to this n, once per iso class."""
+"""Largest n of the five side suites: pair_membership, digraph_symmetry,
+weichsel, lovasz and roundtrip. Each takes the graphs it checks as
+{n: rows} over the loops-allowed universe; verify feeds them the universe
+index's class representatives up to this n, once per iso class."""
 
 K2 = Graph(2, (2, 1))
 K3 = Graph(3, (6, 5, 3))
@@ -306,8 +307,7 @@ class _UniverseIndex:
     each class's least index. Stamping each orbit makes the numbers exact,
     so canon_of reads them as certificates. class_rows holds each class's
     least member, its representative, and class_size its member count,
-    n!/|Aut|. class_nbhd_pure says every neighborhood mate of the class lies
-    in it, class_product_pure that no other class has its product class,
+    n!/|Aut|. class_product_pure says no other class has its product class,
     the certificate of G x K2 as direct_product builds it (relabeling G
     relabels the product, so any member gives it).
     """
@@ -319,14 +319,11 @@ class _UniverseIndex:
         self.class_of = array("H" if n <= 6 else "I")
         self.class_rows: list[tuple[int, ...]] = []
         self.class_size: list[int] = []
-        self.class_nbhd_pure: list[bool] = []
         self.class_product_pure: list[bool] = []
 
     def build(self) -> None:
         """The first unseen index of each class stamps its orbit, and that
-        least member gives the class's mates and product class. Purity is
-        read once every orbit is stamped, since class_of reads 0 on
-        unstamped indices."""
+        least member gives the class's product class."""
         n = self.n
         check_orbit_reach(n, True)
         total = enumerate_count(n, True)
@@ -345,11 +342,6 @@ class _UniverseIndex:
         self.class_of = class_of
         self.class_rows = class_rows
         self.class_size = class_size
-        self.class_nbhd_pure = [
-            all(class_of[adjacency_index(n, mate)] == number
-                for mate in _neighborhood_mates(n, rows))
-            for number, rows in enumerate(class_rows)
-        ]
         products = [
             _certificate(2 * n, direct_product(Graph(n, rows), K2).adj) for rows in class_rows
         ]
@@ -358,9 +350,6 @@ class _UniverseIndex:
 
     def canon_of(self, rows) -> int:
         return self.class_of[adjacency_index(self.n, rows)]
-
-    def neighborhood_pure(self, rows) -> bool:
-        return self.class_nbhd_pure[self.canon_of(rows)]
 
     def product_pure(self, rows) -> bool:
         return self.class_product_pure[self.canon_of(rows)]
@@ -394,10 +383,13 @@ def _graph_checks(
     """The decider's routes on g against both oracles, and the orbit checks
     up to ORBIT_CHECK_MAX, with every certificate read off the universe
     index at g's n: (reconstructible, strongly, reversal decider says no).
-    The full route, the multiset and both strong tests read the coset
-    listing of Ant(G) that the deciders read; the fast route takes the
-    decider's route order over its involution search and bipartition. Only
-    the orbit checks read all of Ant(G), that listing expanded by P."""
+    The full route, the multiset, neighborhood_prop and both strong tests
+    read the coset listing of Ant(G) that the deciders read; the fast route
+    takes the decider's route order over its involution search and
+    bipartition. G's neighborhood mates are listed once: neighborhood_prop
+    checks they are the G^a of that listing, and the neighborhood oracle
+    that each lies in G's class. Only the orbit checks read all of Ant(G),
+    that listing expanded by P."""
     n, rows = g.n, g.adj
     edges = _edges_of_rows(n, rows)
     cosets, moved = _ant_cosets(g)
@@ -405,6 +397,12 @@ def _graph_checks(
     for img, arows in zip(cosets, moved):
         if multiset_key(arows) != mkey:
             violations.add("eq1_multiset", n, edges=edges, alpha=list(img))
+    mates, images = set(_neighborhood_mates(n, rows)), set(moved)
+    if mates != images:
+        violations.add("neighborhood_prop", n, edges=edges,
+                       missing=len(mates - images), extra=len(images - mates))
+    own = index.canon_of(rows)
+    nbhd_pure = all(index.canon_of(mate) == own for mate in mates)
     slow = _full_route(rows, zip(cosets, moved), index.canon_of)
     bip = bipartition(g)
     bip_verdict = _bip_decide(g, bip)[0] if bip.is_bipartite else None
@@ -416,7 +414,7 @@ def _graph_checks(
         fast = slow
     if fast != slow:
         violations.add("fast_paths", n, edges=edges, fast=fast, slow=slow)
-    for suite, oracle in (("theorem_vs_neighborhood_oracle", index.neighborhood_pure(rows)),
+    for suite, oracle in (("theorem_vs_neighborhood_oracle", nbhd_pure),
                           ("theorem_vs_cancellation_oracle", index.product_pure(rows))):
         if oracle != slow:
             violations.add(suite, n, edges=edges, decider=slow, oracle=oracle)
@@ -460,23 +458,6 @@ def _orbit_checks(
                 violations.add(
                     "simplus2", n, edges=_edges_of_rows(n, rows),
                     alpha=list(img), exponent_image=list(power),
-                )
-
-
-def _neighborhood_prop_pass(graphs: _Feed, violations: _Violations) -> None:
-    """Each graph's Ant images against its neighbourhood mates, the search
-    the universe index and neighborhood_oracle use: the same set, both
-    directions."""
-    for n, feed in graphs.items():
-        for rows in feed:
-            images = {apply_anti_rows(rows, img) for img in iter_ant_images(n, rows)}
-            mates = set(_neighborhood_mates(n, rows))
-            if images != mates:
-                violations.add(
-                    "neighborhood_prop", n,
-                    edges=_edges_of_rows(n, rows),
-                    missing=len(mates - images),
-                    extra=len(images - mates),
                 )
 
 
@@ -740,16 +721,17 @@ def verify_theorems(
 ) -> VerificationReport:
     """Run every exhaustive invariant suite up to nmax and report violations.
 
-    The main suite compares the decider against both oracles, read per class
-    from the universe index, once per iso class of the mode's universe, with
-    each class counted by its size, and, up to ORBIT_CHECK_MAX, checks
-    orbit/isomorphism agreement and odd powers on all of Ant(G). Six side
-    suites cover the multiset identity, two-fold membership, digraph
-    symmetry and product structure, once per iso class of the loops-allowed
-    universe up to SIDE_SUITE_MAX, on the representatives of the universe
-    index the main suite built; every fact they check is invariant under
-    relabeling. The bipartite sweep always runs loopless up to bip_max,
-    independent of mode.
+    The main suite compares the decider against both oracles, with
+    certificates from the universe index, once per iso class of the mode's
+    universe, with each class counted by its size, checks that the
+    neighborhood mates are the G^a (neighborhood_prop), and, up to
+    ORBIT_CHECK_MAX, checks orbit/isomorphism agreement and odd powers on
+    all of Ant(G). Five side
+    suites cover two-fold membership, digraph symmetry and product
+    structure, once per iso class of the loops-allowed universe up to
+    SIDE_SUITE_MAX, on the representatives of the universe index the main
+    suite built; every fact they check is invariant under relabeling. The
+    bipartite sweep always runs loopless up to bip_max, independent of mode.
 
     Every suite runs in the calling process. jobs is accepted for
     compatibility and has no effect beyond refusing values below 1; the
@@ -799,7 +781,6 @@ def verify_theorems(
 
     timed("main", run_main)
     for name, suite in (
-        ("neighborhood_prop", _neighborhood_prop_pass),
         ("pair_membership", _pair_membership_pass),
         ("digraph_symmetry", _digraph_symmetry_pass),
         ("weichsel", _weichsel_pass),

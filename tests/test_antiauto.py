@@ -31,8 +31,8 @@ from cancelgraph import (
     permuted_digraph,
 )
 import cancelgraph.antiauto as antiauto_mod
-from cancelgraph.antiauto import (_tf_generators, apply_anti_rows, iter_ant_images, iter_two_fold,
-                                  permuted_rows)
+from cancelgraph.antiauto import (_full_listing, _tf_generators, apply_anti_rows, iter_ant_images,
+                                  iter_two_fold)
 from cancelgraph.graphs import iter_adj_rows, multiset_key, row_classes
 from cancelgraph.iso import involution_witness
 from cancelgraph.oracle import _UniverseIndex
@@ -162,11 +162,11 @@ def test_coset_listing_rejects_a_search_image_outside_ant(monkeypatch, g, image)
 
 
 def check_permuted_rows(g: Graph) -> None:
-    """enumerate_ant and permuted_rows, the coset listing expanded by P,
-    against the plain Ant walk, in order and in rows; each G^a is the coset
-    listing's one tuple for it."""
+    """enumerate_ant and the G^a rows of _full_listing, the coset listing
+    expanded by P, against the plain Ant walk, in order and in rows; each
+    G^a is the coset listing's one tuple for it."""
     g = Graph(g.n, g.adj)  # fresh, so the listing is made here
-    ant, permuted = enumerate_ant(g), permuted_rows(g)
+    ant, permuted = enumerate_ant(g), _full_listing(g)[1]
     images = tuple(iter_ant_images(g.n, g.adj))
     assert tuple(a.image for a in ant) == images
     assert permuted == tuple(apply_anti_rows(g.adj, img) for img in images)
@@ -218,9 +218,9 @@ def test_full_listing_rejects_an_expansion_outside_ant(monkeypatch):
 def test_permuted_rows_guard():
     path = Graph.from_edges(9, [(i, i + 1) for i in range(8)])
     with pytest.raises(CapacityError):
-        permuted_rows(path)
+        _full_listing(path)
     reflection = tuple(reversed(range(9)))
-    assert permuted_rows(path, force=True) == (path.adj, apply_anti_rows(path.adj, reflection))
+    assert _full_listing(path, force=True)[1] == (path.adj, apply_anti_rows(path.adj, reflection))
 
 
 def test_length_mismatch_rejected(c6):

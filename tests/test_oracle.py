@@ -322,10 +322,9 @@ def test_extract_anti_roundtrip(g):
 # the verification harness
 # ---------------------------------------------------------------------------
 
-# simeqiso and simplus2 run inside main, on its Ant search
+# neighborhood_prop, simeqiso and simplus2 run inside main, on its Ant search
 SUITE_NAMES = {
     "main",
-    "neighborhood_prop",
     "pair_membership",
     "digraph_symmetry",
     "weichsel",
@@ -509,7 +508,7 @@ def test_orbit_checks_look_up_each_distinct_g_a_once(monkeypatch):
 
 @pytest.mark.parametrize("loops", [True, False])
 def test_verify_feeds_the_side_suites_the_index_representatives(monkeypatch, loops):
-    # one universe index per n, built once, and all six side suites read its
+    # one universe index per n, built once, and all five side suites read its
     # 2, 6, 20 and 90 loops-allowed class representatives at n = 1..4, one
     # graph of each class, in both modes
     builds = []
@@ -574,17 +573,20 @@ def twin_fixing_coset_images(n, rows):
 def test_coset_search_fault_is_reported_by_main_pass_and_sweep(monkeypatch, fresh_bip_classes):
     # every graph with twins now reads reconstructible, and the main pass and
     # the bipartite sweep read the coset listing the deciders read: the 54
-    # non-reconstructible graphs with twins up to n=4, in 10 classes,
-    # disagree with both oracles, and the 9 of them the reversal decider
-    # rejects, in 2 classes, with the fast path; in the sweep those 2
-    # classes disagree with the reversal decider
+    # non-reconstructible graphs with twins up to n=4, in 10 classes, have
+    # neighborhood mates the listing lost and disagree with both oracles,
+    # and the 9 of them the reversal decider rejects, in 2 classes, with the
+    # fast path; in the sweep those 2 classes disagree with the reversal
+    # decider
     monkeypatch.setattr(antiauto_mod, "_iter_coset_images", twin_fixing_coset_images)
     labeled, per_class = labeled_main_pass_kinds(4)
     assert labeled == {
+        "neighborhood_prop": 54,
         "theorem_vs_neighborhood_oracle": 54, "theorem_vs_cancellation_oracle": 54,
         "fast_paths": 9,
     }
     assert per_class == {
+        "neighborhood_prop": 10,
         "theorem_vs_neighborhood_oracle": 10, "theorem_vs_cancellation_oracle": 10,
         "fast_paths": 2,
     }
@@ -628,8 +630,8 @@ def side_pass_kinds(suite, graphs) -> Counter:
     return kinds
 
 
-SIDE_SUITES = ("_neighborhood_prop_pass", "_pair_membership_pass", "_digraph_symmetry_pass",
-               "_weichsel_pass", "_lovasz_pass", "_roundtrip_pass")
+SIDE_SUITES = ("_pair_membership_pass", "_digraph_symmetry_pass", "_weichsel_pass",
+               "_lovasz_pass", "_roundtrip_pass")
 
 
 def labeled_feed(nmax: int) -> dict[int, list[tuple[int, ...]]]:
@@ -802,13 +804,10 @@ def test_pair_membership_faults_are_reported(monkeypatch, name, fake, expected):
 def test_odd_power_fault_is_reported_by_the_main_pass():
     class LabeledIndex(oracle_mod._UniverseIndex):
         """Labeled rows as certificates, so G^a and G^(a^3) differ whenever
-        their rows do; both oracles read pure."""
+        their rows do; the product oracle reads pure."""
 
         def canon_of(self, rows):
             return adjacency_index(self.n, rows)
-
-        def neighborhood_pure(self, rows):
-            return True
 
         def product_pure(self, rows):
             return True
@@ -831,11 +830,15 @@ def test_ant_search_losing_the_identity_is_reported_by_the_main_pass(monkeypatch
     # powers outside the listing. G is then no G^a, so the full route reads
     # G's certificate from the index rather than from the images'
     # certificates. The strong routes still agree: both read the coset
-    # listing, and every coset left is one whose G^a differs from G
+    # listing, and every coset left is one whose G^a differs from G. Where
+    # no other coset has G^a = G, G itself is a neighborhood mate the
+    # listing lost
     monkeypatch.setattr(antiauto_mod, "_iter_coset_images", cosets_without_identity)
     labeled, per_class = labeled_main_pass_kinds(4)
-    assert labeled == {"simeqiso_closure": 720, "simplus2": 204}
-    assert main_pass_kinds(4) == per_class == {"simeqiso_closure": 110, "simplus2": 24}
+    assert labeled == {"neighborhood_prop": 408, "simeqiso_closure": 720, "simplus2": 204}
+    assert main_pass_kinds(4) == per_class == {
+        "neighborhood_prop": 56, "simeqiso_closure": 110, "simplus2": 24,
+    }
 
 
 def test_multiset_fault_is_reported_by_the_main_pass(monkeypatch):
@@ -848,22 +851,60 @@ def test_multiset_fault_is_reported_by_the_main_pass(monkeypatch):
     assert main_pass_kinds(3) == per_class == {"eq1_multiset": 18}
 
 
+# the 22 loops-allowed graphs up to n=3 with a neighborhood mate not
+# isomorphic to them, in 10 classes, are the ones whose mates differ from G
+# alone. A mates search that yields only G loses their other mates
+# (neighborhood_prop), and the neighborhood oracle then reads them pure. A
+# coset search that yields only the identity loses their other G^a, so
+# every full route reads reconstructible and both oracles disagree, as
+# does the fast path on the 4 of them, in 2 classes, the reversal decider
+# rejects
+@pytest.mark.parametrize("module, name, fake, labeled_kinds, class_kinds", [
+    (oracle_mod, "_neighborhood_mates", lambda n, rows: iter([rows]),
+     {"neighborhood_prop": 22, "theorem_vs_neighborhood_oracle": 22},
+     {"neighborhood_prop": 10, "theorem_vs_neighborhood_oracle": 10}),
+    (antiauto_mod, "_iter_coset_images", lambda n, rows: iter([tuple(range(n))]),
+     {"neighborhood_prop": 22, "theorem_vs_neighborhood_oracle": 22,
+      "theorem_vs_cancellation_oracle": 22, "fast_paths": 4},
+     {"neighborhood_prop": 10, "theorem_vs_neighborhood_oracle": 10,
+      "theorem_vs_cancellation_oracle": 10, "fast_paths": 2}),
+], ids=["mates", "cosets"])
+def test_neighborhood_prop_fault_is_reported_by_the_main_pass(
+    monkeypatch, module, name, fake, labeled_kinds, class_kinds
+):
+    monkeypatch.setattr(module, name, fake)
+    labeled, per_class = labeled_main_pass_kinds(3)
+    assert labeled == labeled_kinds
+    assert per_class == class_kinds
+    report = verify_theorems(3, True, bip_max=1, jobs=1)
+    assert violation_kinds(report.violations) == per_class
+
+
+@pytest.mark.parametrize("loops, classes", [
+    (True, {1: 2, 2: 6, 3: 20, 4: 90}),
+    (False, {1: 1, 2: 2, 3: 4, 4: 11}),
+])
+def test_verify_lists_the_neighborhood_mates_once_per_mode_class(monkeypatch, loops, classes):
+    # neighborhood_prop and the neighborhood oracle read one mates search per
+    # class of the mode's universe, in the main pass; the index lists none
+    searches: Counter = Counter()
+    mates = oracle_mod._neighborhood_mates
+    monkeypatch.setattr(oracle_mod, "_neighborhood_mates",
+                        lambda n, rows: searches.update([n]) or mates(n, rows))
+    assert verify_theorems(4, loops, bip_max=0).ok
+    assert searches == classes
+
+
 def identity_pair(g, h):
     return Permutation.identity(g.n), Permutation.identity(g.n)
 
 
 # each fake breaks the fact its pass checks, and the pass reports each case
-# the fact then fails on: graphs with a neighborhood mate, lost by the Ant
-# search or by the mates search (neighborhood_prop), non-anti permutations
-# (digraph_symmetry), pairs of bipartite factors with an edge (weichsel),
+# the fact then fails on: non-anti permutations (digraph_symmetry), pairs of bipartite factors with an edge (weichsel),
 # anti-automorphisms (roundtrip_missing) and those with G^a not isomorphic
 # to G (roundtrip_mismatch). On the labeled feed the counts are pinned; the
 # class feed fails once per failing class, or pair of classes for weichsel
 @pytest.mark.parametrize("name, fake, suite, nmax, expected", [
-    ("iter_ant_images", lambda n, rows: iter([tuple(range(n))]),
-     oracle_mod._neighborhood_prop_pass, 3, {"neighborhood_prop": 22}),
-    ("_neighborhood_mates", lambda n, rows: iter([rows]),
-     oracle_mod._neighborhood_prop_pass, 3, {"neighborhood_prop": 22}),
     ("is_anti_automorphism", lambda g, p: True,
      oracle_mod._digraph_symmetry_pass, 3, {"digraph_symmetry": 260}),
     ("component_masks", lambda n, rows: [(1 << n) - 1],
@@ -872,8 +913,7 @@ def identity_pair(g, h):
      oracle_mod._roundtrip_pass, 3, {"roundtrip_missing": 142}),
     ("extract_anti_from_product_iso", identity_pair,
      oracle_mod._roundtrip_pass, 4, {"roundtrip_mismatch": 590}),
-], ids=["neighborhood_prop", "neighborhood_prop_mates", "digraph_symmetry", "weichsel",
-        "roundtrip_missing", "roundtrip_mismatch"])
+], ids=["digraph_symmetry", "weichsel", "roundtrip_missing", "roundtrip_mismatch"])
 def test_side_pass_faults_are_reported(monkeypatch, name, fake, suite, nmax, expected):
     indexes = universe_indexes(nmax)
     monkeypatch.setattr(oracle_mod, name, fake)
@@ -892,6 +932,14 @@ def component_class_multiset(n: int, rows) -> tuple[bytes, ...]:
         crows, _ = canon_connected(len(local), local)
         parts.append(cert_bytes(len(local), crows))
     return tuple(sorted(parts))
+
+
+def index_purity(index, rows) -> tuple[bool, bool]:
+    """(neighborhood, product) purity as _graph_checks reads it off the
+    index: every neighborhood mate in G's class, and the product flag."""
+    own = index.canon_of(rows)
+    mates = oracle_mod._neighborhood_mates(index.n, rows)
+    return all(index.canon_of(mate) == own for mate in mates), index.product_pure(rows)
 
 
 def labeled_purity(n: int) -> list[tuple[bool, bool]]:
@@ -934,7 +982,7 @@ def test_universe_index_classes_are_the_canon_rows_classes(n, classes):
         number = index.canon_of(frozen)
         assert class_of_canon.setdefault(canon, number) == number
         assert canon_of_class.setdefault(number, canon) == canon
-        assert (index.neighborhood_pure(frozen), index.product_pure(frozen)) == purity[k]
+        assert index_purity(index, frozen) == purity[k]
     assert len(class_of_canon) == len(canon_of_class) == classes
     # each class's representative is its least member, its size its member count
     assert index.class_size == [size for _, size in sorted(Counter(index.class_of).items())]
@@ -956,7 +1004,7 @@ def test_universe_index_builds_without_canonical_forms(n, monkeypatch):
     index.build()
     purity = labeled_purity(n)
     for k, rows in enumerate(iter_adj_rows(n, True)):
-        assert (index.neighborhood_pure(rows), index.product_pure(rows)) == purity[k]
+        assert index_purity(index, rows) == purity[k]
     assert not all(itertools.chain.from_iterable(purity))
 
 
