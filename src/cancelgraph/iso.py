@@ -6,7 +6,11 @@ refinement re-colors by sorted neighbor colors until stable, and when classes
 remain ambiguous the search individualizes each vertex of the smallest class
 in turn, keeping the relabeling whose adjacency encoding (see graphs) is
 least. The certificate is that encoding of the canonical rows. A discrete
-coloring is final, so it is renumbered without a refinement round.
+coloring is final, so it is renumbered without a refinement round. The
+components of a disconnected graph go through a cache keyed by their
+compact rows, so a component that recurs, as G does in G + G and in the
+G x K2 of a connected bipartite G, is searched once; a connected graph is
+searched directly and adds no entry.
 
 Automorphisms discovered at equal-encoding leaves prune sibling branches: a
 cell vertex is skipped when it lies in the orbit of a tried vertex under the
@@ -188,6 +192,14 @@ def compact_rows(rows, mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=1 << 14)
+def _canon_component(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """canon_connected on one component of a disconnected graph, kept: the
+    two components of G x K2 and of G + G for a connected bipartite G both
+    compact to G's own rows."""
+    return canon_connected(n, rows)
+
+
 def canon_rows(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Component-aware canonical rows plus the full old->new relabeling."""
     comps = component_masks(n, rows)
@@ -197,7 +209,7 @@ def canon_rows(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[in
     for mask in comps:
         verts = list(bits_of(mask))
         local = compact_rows(rows, mask)
-        crows, cperm = canon_connected(len(verts), local)
+        crows, cperm = _canon_component(len(verts), local)
         pieces.append((len(verts), crows, verts, cperm))
     pieces.sort(key=lambda p: (p[0], p[1]))
     perm = [0] * n

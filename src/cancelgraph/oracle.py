@@ -87,6 +87,14 @@ def _certificate(n: int, rows) -> bytes:
     return cert_bytes(n, canon_rows(n, rows)[0])
 
 
+def _product_key(rows) -> tuple[tuple[int, ...], ...]:
+    """The common-neighbour profile of G x K2, read off G's rows with loops
+    included: (x,i) shares |N(x) & N(z)| neighbours with (z,i) and none
+    with (z,1-i). Each vertex's counts are sorted, then the vertices, so
+    graphs with isomorphic products have equal keys."""
+    return tuple(sorted(tuple(sorted((a & b).bit_count() for b in rows)) for a in rows))
+
+
 def _neighborhood_mates(n: int, rows) -> Iterator[tuple[int, ...]]:
     """Every labeled graph on n vertices (loops allowed) with the
     neighborhood multiset of rows, each once: rows are placed at vertices
@@ -298,6 +306,11 @@ def _loopless(n: int, rows) -> bool:
 _Feed = dict[int, list[tuple[int, ...]]]
 """The graphs a side suite checks: {n: rows of each graph}, loops allowed."""
 
+INDEX_MAX_MIB = 64
+"""Bound on the universe index's class_of and seen tables together, checked
+before either is allocated: 4.25 MiB at n=6 (2^21 16-bit class numbers and
+a 256 KiB bitset), 1056 MiB at n=7 (2^28 32-bit ones and 32 MiB)."""
+
 
 class _UniverseIndex:
     """Isomorphism classes and oracle verdicts of the loops-allowed universe
@@ -308,24 +321,47 @@ class _UniverseIndex:
     so canon_of reads them as certificates. class_rows holds each class's
     least member, its representative, and class_size its member count,
     n!/|Aut|. class_product_pure says no other class has its product class,
-    the certificate of G x K2 as direct_product builds it (relabeling G
-    relabels the product, so any member gives it).
+    the isomorphism class of G x K2 as direct_product builds it (relabeling
+    G relabels the product, so any member gives it).
+
+    Equal product classes have equal product keys (_product_key), so a
+    class alone in its key is product-pure without a canonical form. Only
+    the classes that share their key take the certificate of G x K2 on
+    its 2n vertices: 270 of 544 at n=5, 2353 of 5096 at n=6.
     """
 
     def __init__(self, n: int) -> None:
         self.n = n
-        # 16-bit class numbers while they fit: n=6 has 5096 loops-allowed
-        # classes, n=7 79264 (OEIS A000666); one too large raises OverflowError
-        self.class_of = array("H" if n <= 6 else "I")
+        self.class_of = array(self._typecode(n))
         self.class_rows: list[tuple[int, ...]] = []
         self.class_size: list[int] = []
         self.class_product_pure: list[bool] = []
 
+    @staticmethod
+    def _typecode(n: int) -> str:
+        # 16-bit class numbers while they fit: n=6 has 5096 loops-allowed
+        # classes, n=7 79264 (OEIS A000666); one too large raises OverflowError
+        return "H" if n <= 6 else "I"
+
+    @classmethod
+    def check_size(cls, n: int) -> None:
+        """Refuse an n whose class_of and seen tables take more than
+        INDEX_MAX_MIB, whatever force says."""
+        total = enumerate_count(n, True)
+        size = total * array(cls._typecode(n)).itemsize + (total + 7) // 8
+        if size > INDEX_MAX_MIB << 20:
+            raise CapacityError(
+                f"universe index at n={n} takes {size / (1 << 20):g} MiB of tables; "
+                f"bounded at {INDEX_MAX_MIB} MiB"
+            )
+
     def build(self) -> None:
         """The first unseen index of each class stamps its orbit, and that
-        least member gives the class's product class."""
+        least member gives the class's product key and, where the key is
+        shared, its product class."""
         n = self.n
         check_orbit_reach(n, True)
+        self.check_size(n)
         total = enumerate_count(n, True)
         seen = bytearray((total + 7) // 8)
         class_of = array(self.class_of.typecode, [0]) * total
@@ -342,11 +378,19 @@ class _UniverseIndex:
         self.class_of = class_of
         self.class_rows = class_rows
         self.class_size = class_size
-        products = [
-            _certificate(2 * n, direct_product(Graph(n, rows), K2).adj) for rows in class_rows
+        keys = [_product_key(rows) for rows in class_rows]
+        colliding = Counter(keys)
+        # equal product classes have equal keys, so only classes that share
+        # their key can share their product class
+        products = {
+            c: _certificate(2 * n, direct_product(Graph(n, rows), K2).adj)
+            for c, rows in enumerate(class_rows)
+            if colliding[keys[c]] > 1
+        }
+        shared = Counter(products.values())
+        self.class_product_pure = [
+            c not in products or shared[products[c]] == 1 for c in range(len(class_rows))
         ]
-        shared = Counter(products)
-        self.class_product_pure = [shared[key] == 1 for key in products]
 
     def canon_of(self, rows) -> int:
         return self.class_of[adjacency_index(self.n, rows)]
@@ -742,9 +786,11 @@ def verify_theorems(
     CapacityError.check(nmax, limit, force, f"verification ({mode})")
     CapacityError.check(bip_max, BIP_SWEEP_MAX, force, "bipartite sweep")
     # the main pass indexes the loops-allowed universe whatever the mode;
-    # refuse what stamping cannot cover before any smaller n does its work
+    # refuse what stamping cannot cover, or the index's tables cannot hold,
+    # before any smaller n does its work
     check_orbit_reach(nmax, True)
     check_orbit_reach(bip_max, False)
+    _UniverseIndex.check_size(nmax)
     if nmax < 1:
         raise UsageError("nmax must be at least 1")
     if bip_max < 0:

@@ -23,13 +23,14 @@ from cancelgraph import (
     canonical_form,
     canonical_graph,
     direct_product,
+    disjoint_union,
     find_isomorphism,
     has_involution,
     involution_witness,
     is_isomorphic,
 )
 import cancelgraph.iso as iso_mod
-from cancelgraph.graphs import enumerate_count, iter_adj_rows, upper_cells
+from cancelgraph.graphs import component_masks, enumerate_count, iter_adj_rows, upper_cells
 from cancelgraph.iso import (
     automorphisms,
     canon_rows,
@@ -38,6 +39,7 @@ from cancelgraph.iso import (
     refine,
     stamp_orbit,
 )
+from cancelgraph.oracle import _UniverseIndex
 
 from conftest import build_graph, graph_and_permutation, graph_strategy
 
@@ -306,9 +308,15 @@ def check_against_reference_search(graphs) -> None:
     refine from the initial coloring, from it with vertex 0 individualized,
     and from a discrete coloring."""
     got = [canon_rows(n, rows) for n, rows in graphs]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(iso_mod, "canon_connected", reference_canon_connected)
-        assert got == [canon_rows(n, rows) for n, rows in graphs]
+    # a cached component would skip the reference search, and one the
+    # reference searched must not outlive the patch
+    iso_mod._canon_component.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(iso_mod, "canon_connected", reference_canon_connected)
+            assert got == [canon_rows(n, rows) for n, rows in graphs]
+    finally:
+        iso_mod._canon_component.cache_clear()
     for n, rows in graphs:
         start = initial_colors(n, rows)
         for colors in (start, [n, *start[1:]], [2 * (n - v) for v in range(n)]):
@@ -351,6 +359,28 @@ def test_canonical_search_matches_the_reference_search_on_double_covers():
         (2 * n, direct_product(Graph(n, tuple(rows)), k2).adj)
         for n in range(1, 5) for rows in iter_adj_rows(n, True)
     ])
+
+
+def test_component_cache_matches_the_uncached_search():
+    # the disconnected G x K2 and G + G of the loops-allowed classes up to
+    # n=5; for a connected bipartite G both have two components with G's
+    # own rows. Connected inputs do not reach the cache
+    k2 = Graph.from_edges(2, [(0, 1)])
+    inputs = []
+    for n in range(1, 6):
+        index = _UniverseIndex(n)
+        index.build()
+        for rows in index.class_rows:
+            g = Graph(n, rows)
+            for h in (direct_product(g, k2), disjoint_union(g, g)):
+                if len(component_masks(h.n, h.adj)) > 1:
+                    inputs.append((h.n, h.adj))
+    iso_mod._canon_component.cache_clear()
+    cached = [canon_rows(n, rows) for n, rows in inputs]
+    assert iso_mod._canon_component.cache_info().hits > 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(iso_mod, "_canon_component", iso_mod.canon_connected)
+        assert cached == [canon_rows(n, rows) for n, rows in inputs]
 
 
 # a connected 6-regular graph on 16 vertices, found by a random search over

@@ -1008,6 +1008,60 @@ def test_universe_index_builds_without_canonical_forms(n, monkeypatch):
     assert not all(itertools.chain.from_iterable(purity))
 
 
+def product_profile(n: int, rows) -> tuple[tuple[int, ...], ...]:
+    """The common-neighbour profile of G x K2 computed on the product's own
+    rows, halved: the two layers repeat each other's vertex profiles, and a
+    vertex shares no neighbour with the n vertices of the other layer."""
+    prod = direct_product(Graph(n, tuple(rows)), K2).adj
+    profile = sorted(tuple(sorted((a & b).bit_count() for b in prod)) for a in prod)
+    assert profile[::2] == profile[1::2]
+    assert all(row[:n] == (0,) * n for row in profile)
+    return tuple(row[n:] for row in profile[::2])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_product_key_is_the_halved_profile_of_the_product(n):
+    # every labeled graph, loops allowed; the key is equal across each class
+    index = oracle_mod._UniverseIndex(n)
+    index.build()
+    key_of_class: dict[int, tuple] = {}
+    for k, rows in enumerate(iter_adj_rows(n, True)):
+        key = oracle_mod._product_key(rows)
+        assert key == product_profile(n, rows)
+        assert key_of_class.setdefault(index.class_of[k], key) == key
+    assert len(key_of_class) == len(index.class_rows)
+
+
+def all_certificates_purity(index) -> list[bool]:
+    """class_product_pure with the certificate of G x K2 taken for every
+    class, the product key unread."""
+    n = index.n
+    products = [
+        oracle_mod._certificate(2 * n, direct_product(Graph(n, rows), K2).adj)
+        for rows in index.class_rows
+    ]
+    shared = Counter(products)
+    return [shared[cert] == 1 for cert in products]
+
+
+# only the classes that share their product key take a certificate of G x K2
+@pytest.mark.parametrize("n, certified", [(1, 0), (2, 2), (3, 8), (4, 44), (5, 270)])
+def test_index_certifies_only_the_colliding_product_keys(n, certified, monkeypatch):
+    taken = []
+    real = oracle_mod._certificate
+
+    def counting(order, rows):
+        taken.append(order)
+        return real(order, rows)
+
+    monkeypatch.setattr(oracle_mod, "_certificate", counting)
+    index = oracle_mod._UniverseIndex(n)
+    index.build()
+    monkeypatch.undo()
+    assert taken == [2 * n] * certified
+    assert index.class_product_pure == all_certificates_purity(index)
+
+
 # ---------------------------------------------------------------------------
 # bipartite sweep: per iso class against graph by graph
 # ---------------------------------------------------------------------------
@@ -1109,13 +1163,29 @@ def unreachable(*args):
 
 
 # the universe index allows loops whatever the mode; the sweep is loopless.
-# Past 32 cells either would allocate gigabytes before stamping refused.
-@pytest.mark.parametrize("nmax, loops, bip_max", [(8, True, 1), (8, False, 1), (1, True, 9)])
+# Past 32 cells either would allocate gigabytes before stamping refused. At
+# n=7 stamping reaches, but the index's tables would take 1056 MiB.
+@pytest.mark.parametrize("nmax, loops, bip_max", [
+    (8, True, 1), (8, False, 1), (1, True, 9), (7, True, 1), (7, False, 1),
+])
 def test_verify_refuses_past_stamping_reach_up_front(monkeypatch, nmax, loops, bip_max):
     monkeypatch.setattr(oracle_mod._UniverseIndex, "build", unreachable)
     monkeypatch.setattr(oracle_mod, "_bip_classes", unreachable)
-    with pytest.raises(CapacityError, match="covers at most 32 cells, not 36"):
+    if nmax == 7:
+        refusal = "n=7 takes 1056 MiB of tables; bounded at 64 MiB"
+    else:
+        refusal = "covers at most 32 cells, not 36"
+    with pytest.raises(CapacityError, match=refusal):
         verify_theorems(nmax, loops, bip_max=bip_max, jobs=1, force=True)
+
+
+def test_index_build_refuses_past_its_table_bound(monkeypatch):
+    # n=6 fits: 4.25 MiB; n=7 is refused before its tables are allocated
+    oracle_mod._UniverseIndex.check_size(6)
+    # the seen bitset is the build's first allocation
+    monkeypatch.setattr(oracle_mod, "bytearray", unreachable, raising=False)
+    with pytest.raises(CapacityError, match="bounded at 64 MiB"):
+        oracle_mod._UniverseIndex(7).build()
 
 
 def test_index_and_sweep_refuse_past_stamping_reach_before_allocating(
