@@ -192,10 +192,11 @@ def compact_rows(rows, mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-# 256 entries hold every repeat verify meets, which come within a few calls
-# (310 components in all for verify --max-n 6); on a seed-1 analyze-mix round
-# they keep 7062 of the 7211 hits of 2^14 entries, without its 0.4 MiB
-@lru_cache(maxsize=1 << 8)
+# repeats come within a few calls: 64 entries keep every hit of an unbounded
+# cache on _bip_classes(7) and verify_theorems(5, True, bip_max=6), 3560 of
+# 3852 on verify_theorems(6, False) and 6777 of 7211 on a seed-1 analyze-mix
+# round, where 2^14 entries (1184 held) raised peak RSS by 0.37 MiB
+@lru_cache(maxsize=64)
 def _canon_component(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """canon_connected on one component of a disconnected graph, kept: the
     two components of G x K2 and of G + G for a connected bipartite G both
