@@ -198,9 +198,7 @@ def compact_rows(rows, mask: int) -> tuple[int, ...]:
 # round, where 2^14 entries (1184 held) raised peak RSS by 0.37 MiB
 @lru_cache(maxsize=64)
 def _canon_component(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """canon_connected on one component of a disconnected graph, kept: the
-    two components of G x K2 and of G + G for a connected bipartite G both
-    compact to G's own rows."""
+    """canon_connected on one component of a disconnected graph, kept."""
     return canon_connected(n, rows)
 
 
