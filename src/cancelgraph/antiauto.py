@@ -134,11 +134,18 @@ def _iter_coset_images(n: int, rows: tuple[int, ...]):
                      for row in classes)
     for s in iter_ant_images(len(members), quotient):
         if all(len(members[c]) == len(members[t]) for c, t in enumerate(s)):
-            img = [-1] * n
-            for c, t in enumerate(s):
-                for v, w in zip(members[c], members[t]):
-                    img[v] = w
-            yield tuple(img)
+            yield _coset_least(n, members, s)
+
+
+def _coset_least(n: int, members: list[list[int]], moves) -> tuple[int, ...]:
+    """The least member of the coset aP of an a that maps each equal-row
+    class members[c] onto members[moves[c]]: each class's vertices in order
+    onto the other's, which sorts a's values inside each class."""
+    img = [-1] * n
+    for c, t in enumerate(moves):
+        for v, w in zip(members[c], members[t]):
+            img[v] = w
+    return tuple(img)
 
 
 def iter_two_fold(src: tuple[int, ...], dst: tuple[int, ...]):

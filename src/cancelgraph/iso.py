@@ -12,9 +12,11 @@ compact rows, so a component that recurs, as G does in G + G and in the
 G x K2 of a connected bipartite G, is searched once; a connected graph is
 searched directly and adds no entry.
 
-Automorphisms discovered at equal-encoding leaves prune sibling branches: a
-cell vertex is skipped when it lies in the orbit of a tried vertex under the
-group the found automorphisms that fix the prefix generate.
+Known automorphisms prune sibling branches: a cell vertex is skipped when it
+lies in the orbit of a tried vertex under the group that the known
+automorphisms fixing the prefix generate. The twin swaps, each transposition
+of two vertices whose rows agree off their own two bits, are known before the
+search starts; the others are found at equal-encoding leaves.
 
 stamp_orbit enumerates an isomorphism class the other way round: it closes
 one labeled graph's enumeration index under two relabelings that generate
@@ -123,15 +125,41 @@ def _orbit_mask(mask: int, gens: list[tuple[int, ...]]) -> int:
     return mask
 
 
+def _twin_swaps(n: int, rows: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Each transposition (u w) that is an automorphism, w the next such
+    partner of u, as image tuples. (u w) is one iff rows[u] and rows[w] agree
+    off bits u and w and u and w have the same loop bit, that is iff the rows
+    are equal (u, w adjacent iff looped) or equal once each has its own bit
+    flipped (adjacent iff unlooped). Being such a pair is an equivalence, and
+    the swaps of each vertex to its next partner generate each class's whole
+    symmetric group."""
+    swaps = []
+    last: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    for w, row in enumerate(rows):
+        for seen, key in zip(last, (row, row ^ 1 << w)):
+            u = seen.get(key)
+            seen[key] = w
+            if u is not None:
+                swap = list(range(n))
+                swap[u], swap[w] = w, u
+                swaps.append(tuple(swap))
+    return swaps
+
+
 def canon_connected(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Canonical rows and the old->new relabeling, for a connected graph."""
+    """Canonical rows and the old->new relabeling, for a connected graph.
+
+    The search starts from the twin swaps as known automorphisms. Pruning
+    skips only subtrees that are images of searched ones under automorphisms
+    fixing the prefix, so the first least leaf, and with it the rows and the
+    relabeling, is the same whichever automorphisms are known."""
     if n <= 1:
         return tuple(rows), tuple(range(n))
     nbrs = _neighbour_lists(rows)
     best_key: list = [None]
     best_perm: list = [None]
     best_inv: list = [None]
-    autos: list[tuple[int, ...]] = []
+    autos = _twin_swaps(n, rows)
 
     def descend(colors: list[int], prefix: list[int]) -> None:
         counts: dict[int, int] = {}
@@ -154,7 +182,7 @@ def canon_connected(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], tup
                 inv = best_inv[0]
                 autos.append(tuple(inv[colors[v]] for v in range(n)))
             return
-        # orbit: the tried vertices' orbits under the found automorphisms that
+        # orbit: the tried vertices' orbits under the known automorphisms that
         # fix the prefix; a vertex in it roots the image of a searched subtree.
         # The group, not single images: 9% fewer search nodes on analyze-mix
         orbit = known = 0
