@@ -135,10 +135,8 @@ def _spread_certificates(rows: tuple[int, ...], cosets, permuted, moved: dict) -
                 orbit = [orbit[v] if o == orbit[w] else o for o in orbit]
     rows_of = dict(zip(cosets, permuted))
     members = list(row_classes(rows).values())
-    home = [0] * n
-    for c, verts in enumerate(members):
-        for v in verts:
-            home[v] = c
+    number: dict[int, int] = {}
+    home = [number.setdefault(row, len(number)) for row in rows]
 
     def steps(a: tuple[int, ...]):
         for s, s_inv in gens:

@@ -8,9 +8,11 @@ the deciders beyond the Graph container.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import random
+import re
 import tracemalloc
 from math import factorial, prod
 
@@ -44,7 +46,8 @@ import cancelgraph.iso as iso_mod
 import cancelgraph.product as product_mod
 from cancelgraph import decide
 from cancelgraph.antiauto import apply_anti_rows, iter_ant_images
-from cancelgraph.graphs import adjacency_index, iter_adj_rows, multiset_key, perm_order, row_classes
+from cancelgraph.graphs import (adjacency_index, invert, is_involution, iter_adj_rows, multiset_key,
+                                perm_order, relabel_rows, row_classes)
 from cancelgraph.iso import _canonical, involution_witness
 from cancelgraph.oracle import _UniverseIndex, _fixed_bipartition_rows
 
@@ -612,6 +615,152 @@ def test_classify_canonical_form_count(g, forms):
     _canonical.cache_clear()
     classify(Graph(g.n, g.adj))
     assert _canonical.cache_info().misses == forms
+
+
+# ---------------------------------------------------------------------------
+# the certificate spread over coset images against the rows walk it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_spread(rows: tuple[int, ...], cosets, permuted, moved: dict) -> dict:
+    """decide._spread_certificates as it was before it walked coset images:
+    each certified G^a is relabeled by the listed automorphisms that join two
+    orbits of those kept before and by a^-1, and a result outside moved is
+    skipped."""
+    n = len(rows)
+    autos = (a for a, arows in zip(cosets, permuted) if arows == tuple(map(rows.__getitem__, a)))
+    gens, orbit = [], list(range(n))
+    for s in autos if len(moved) > 1 else ():
+        if any(orbit[v] != orbit[w] for v, w in enumerate(s)):
+            gens.append(s)
+            for v, w in enumerate(s):
+                orbit = [orbit[v] if o == orbit[w] else o for o in orbit]
+    cert_of: dict = {}
+    for arows in moved:
+        if arows in cert_of:
+            continue
+        cert_of[arows] = decide._canonical(n, arows)[0]
+        todo = [arows]
+        for cur in todo:
+            a = moved[cur]
+            for s in gens if is_involution(a) else (*gens, invert(a)):
+                if len(cert_of) == len(moved):
+                    return cert_of
+                nxt = relabel_rows(cur, s)
+                if nxt in moved and nxt not in cert_of:
+                    cert_of[nxt] = cert_of[arows]
+                    todo.append(nxt)
+    return cert_of
+
+
+def spread_args(rows: tuple[int, ...], cosets, permuted):
+    """The arguments _ant_pass gives the spread for the listing (cosets,
+    permuted) of G = rows."""
+    moved = {arows: img for img, arows in decide._distinct_images(rows, zip(cosets, permuted))}
+    return rows, cosets, permuted, moved
+
+
+def spread_faults(graphs) -> list[Graph]:
+    """The graphs on which the image walk and the rows walk differ in the
+    certificates they give, in their number of _canonical calls, or by a
+    raise."""
+    faults = []
+    calls = [0]
+
+    def counted(n, rows):
+        calls[0] += 1
+        return _canonical(n, rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decide, "_canonical", counted)
+        for g in graphs:
+            args = spread_args(g.adj, *antiauto_mod._ant_cosets(Graph(g.n, g.adj)))
+            calls[0] = 0
+            want = reference_spread(*args)
+            want_calls, calls[0] = calls[0], 0
+            try:
+                got = decide._spread_certificates(*args)
+            except InvariantViolationError:
+                faults.append(g)
+                continue
+            if got != want or calls[0] != want_calls:
+                faults.append(g)
+    return faults
+
+
+@functools.lru_cache(maxsize=None)
+def class_representatives(max_n: int) -> tuple[Graph, ...]:
+    """One loops-allowed graph per isomorphism class, n = 1..max_n."""
+    out = []
+    for n in range(1, max_n + 1):
+        index = _UniverseIndex(n)
+        index.build()
+        out.extend(Graph(n, rows) for rows in index.class_rows)
+    return tuple(out)
+
+
+def test_image_spread_matches_the_rows_walk_on_the_classes():
+    graphs = class_representatives(5)
+    assert len(graphs) == 662
+    assert spread_faults(graphs) == []
+
+
+def test_image_spread_matches_the_rows_walk_on_symmetric_graphs():
+    rng = random.Random(27)
+    graphs = [complete_bipartite(4), CUBE]
+    for n in (6, 7, 8):
+        for size in (1, 2):
+            for jumps in itertools.combinations(range(1, n // 2 + 1), size):
+                for loops in (False, True):
+                    img = list(range(n))
+                    rng.shuffle(img)
+                    graphs.append(circulant(n, jumps, loops).relabel(Permutation(tuple(img))))
+    assert spread_faults(graphs) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_strategy(max_n=8, loops=True))
+def test_image_spread_matches_the_rows_walk_sampled(g):
+    assert spread_faults([g]) == []
+
+
+def unsorted_coset_member(n: int, members, moves) -> tuple[int, ...]:
+    """A member of the coset that maps each class onto its image class in
+    reverse order: the least one only where every class is one vertex."""
+    img = [-1] * n
+    for c, t in enumerate(moves):
+        for v, w in zip(members[c], reversed(members[t])):
+            img[v] = w
+    return tuple(img)
+
+
+@pytest.mark.parametrize("mutation", ["unsorted_member", "no_inverse_step"])
+def test_image_spread_check_catches_mutations(monkeypatch, mutation):
+    if mutation == "unsorted_member":
+        monkeypatch.setattr(decide, "_coset_least", unsorted_coset_member)
+    else:
+        # every a counts as its own inverse, so the walk never steps to a^-1
+        monkeypatch.setattr(decide, "is_involution", lambda image: True)
+    assert spread_faults(class_representatives(5))
+
+
+def test_spread_step_outside_the_listing_raises():
+    # a = (1, 3, 0, 2), a 4-cycle, moves G, and no listed automorphism
+    # conjugates it to a^-1; the listing below drops the coset of a^-1
+    g = Graph.from_edges(4, [(0, 2), (0, 3), (1, 1), (1, 3), (2, 2)])
+    cosets, permuted = antiauto_mod._ant_cosets(Graph(g.n, g.adj))
+    a, inverse = (1, 3, 0, 2), (2, 0, 3, 1)
+    assert permuted[cosets.index(a)] != g.adj and not is_involution(a)
+    assert invert(a) == inverse and inverse in cosets
+    autos = [s for s, arows in zip(cosets, permuted) if arows == tuple(map(g.adj.__getitem__, s))]
+    assert len(autos) > 1 and all(tuple(s[a[x]] for x in invert(s)) != inverse for s in autos)
+    kept = [(img, arows) for img, arows in zip(cosets, permuted) if img != inverse]
+    faulty = tuple(img for img, _ in kept), tuple(arows for _, arows in kept)
+    # the rows walk skipped the missing step without a word
+    reference_spread(*spread_args(g.adj, *faulty))
+    g.__dict__["_cosets"] = faulty
+    with pytest.raises(InvariantViolationError, match=re.escape(f"step to {inverse} is outside")):
+        classify(g)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from cancelgraph import (
     is_isomorphic,
 )
 import cancelgraph.iso as iso_mod
-from cancelgraph.graphs import component_masks, enumerate_count, iter_adj_rows, upper_cells
+from cancelgraph.graphs import component_masks, enumerate_count, iter_adj_rows, relabel_rows, upper_cells
 from cancelgraph.iso import (
     automorphisms,
     canon_rows,
@@ -400,6 +400,76 @@ def test_canonical_search_matches_the_reference_search_on_symmetric_graphs():
 @given(graph_strategy(max_n=9, loops=True))
 def test_canonical_search_matches_the_reference_search(g):
     check_against_reference_search([(g.n, g.adj)])
+
+
+# ---------------------------------------------------------------------------
+# the twin swaps the canonical-form search starts from
+# ---------------------------------------------------------------------------
+
+
+def swap_is_automorphism(rows: tuple[int, ...], u: int, w: int) -> bool:
+    image = list(range(len(rows)))
+    image[u], image[w] = w, u
+    return relabel_rows(rows, image) == rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_twin_swaps_generate_every_automorphic_transposition(n):
+    # by brute force over every loops-allowed labeled graph: each seeded swap
+    # is an automorphism joining a vertex u to its next partner w, one swap
+    # per u, and every transposition that is an automorphism joins two
+    # vertices that the seeded swaps connect, so it lies in their group
+    kinds = set()
+    for rows in iter_adj_rows(n, True):
+        swaps = iso_mod._twin_swaps(n, rows)
+        joined = list(range(n))
+        lower = []
+        for swap in swaps:
+            u, w = (v for v in range(n) if swap[v] != v)
+            assert swap_is_automorphism(rows, u, w)
+            assert not any(swap_is_automorphism(rows, u, x) for x in range(u + 1, w))
+            lower.append(u)
+            kinds.add((rows[u] >> w & 1, rows[u] >> u & 1))
+            joined = [joined[u] if c == joined[w] else c for c in joined]
+        assert len(lower) == len(set(lower))
+        for u, w in itertools.combinations(range(n), 2):
+            if swap_is_automorphism(rows, u, w):
+                assert joined[u] == joined[w]
+    # (adjacent, looped): open and closed twins, each with and without loops
+    assert kinds == ({(0, 0), (1, 0), (0, 1), (1, 1)} if n > 1 else set())
+
+
+def leaf_counts(graphs) -> list[int]:
+    """The search leaves canon_connected reaches on each graph, counted by
+    wrapping _leaf_key."""
+    counts = []
+    leaf_key = iso_mod._leaf_key
+
+    def counted(*args):
+        counts[-1] += 1
+        return leaf_key(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(iso_mod, "_leaf_key", counted)
+        for g in graphs:
+            counts.append(0)
+            iso_mod.canon_connected(g.n, g.adj)
+    return counts
+
+
+def test_twin_swaps_cut_the_search_leaves(monkeypatch):
+    # K8, K8 with all loops, K1,7 and K4,4 are each all twins but for K1,7's
+    # centre; without the seeded swaps the search finds those automorphisms
+    # at leaves, one leaf at a time
+    graphs = [
+        Graph.from_edges(8, itertools.combinations(range(8), 2)),
+        Graph.from_edges(8, itertools.combinations_with_replacement(range(8), 2)),
+        Graph.from_edges(8, [(0, v) for v in range(1, 8)]),
+        Graph.from_edges(8, [(x, 4 + y) for x in range(4) for y in range(4)]),
+    ]
+    assert leaf_counts(graphs) == [1, 1, 1, 2]
+    monkeypatch.setattr(iso_mod, "_twin_swaps", lambda n, rows: [])
+    assert leaf_counts(graphs) == [29, 29, 22, 14]
 
 
 # ---------------------------------------------------------------------------
