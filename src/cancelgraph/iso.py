@@ -25,7 +25,6 @@ instead of each graph.
 """
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
@@ -47,11 +46,6 @@ from .graphs import (
 )
 
 AUT_MAX = 8
-
-# stamp_orbit reads an enumeration index in three chunks through 32-bit
-# tables, so it covers universes of at most 32 cells (n <= 7 with loops,
-# n <= 8 loopless)
-ORBIT_MAX_CELLS = 32
 
 
 def initial_colors(n: int, rows: tuple[int, ...]) -> list[int]:
@@ -363,11 +357,11 @@ def has_involution(g: Graph) -> bool:
     return involution_witness(g) is not None
 
 
-def _relabel_tables(n: int, loops_allowed: bool, label: list[int]) -> tuple[array, ...]:
+def _relabel_tables(n: int, loops_allowed: bool, label: list[int]) -> tuple[tuple[int, ...], ...]:
     """Per chunk of an enumeration index, the bits its cells occupy once
     each vertex v takes the label label[v]. The m cells split into three
     chunks of ceil(m/3) bits, the last one shorter; an empty chunk gets a
-    one-entry zero table."""
+    one-entry zero table. Entries are Python ints, so any m fits."""
     cells = upper_cells(n, loops_allowed)
     m = len(cells)
     bit_of = {cell: m - 1 - p for p, cell in enumerate(cells)}
@@ -380,30 +374,19 @@ def _relabel_tables(n: int, loops_allowed: bool, label: list[int]) -> tuple[arra
     tables = []
     for lo in (0, width, 2 * width):
         span = max(0, min(width, m - lo))
-        tables.append(array("I", [
+        tables.append(tuple(
             sum(1 << moved[lo + t] for t in range(span) if chunk >> t & 1)
             for chunk in range(1 << span)
-        ]))
+        ))
     return tuple(tables)
 
 
-def check_orbit_reach(n: int, loops_allowed: bool) -> None:
-    """Refuse a universe that stamp_orbit cannot cover, whatever force says;
-    callers that allocate a bitset over it check first."""
-    m = len(upper_cells(n, loops_allowed))
-    if m > ORBIT_MAX_CELLS:
-        raise CapacityError(
-            f"orbit stamping covers at most {ORBIT_MAX_CELLS} cells, not {m}"
-        )
-
-
 @lru_cache(maxsize=2)
-def _orbit_generators(n: int, loops_allowed: bool) -> tuple[tuple[array, ...], ...]:
+def _orbit_generators(n: int, loops_allowed: bool) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """The tables of the transposition (0 1) and of the cycle v -> v+1
     (mod n), which together generate every permutation of 0..n-1; none for
-    n < 2. That is 2 x 9 KiB of tables at 28 cells (n=7 with loops, n=8
-    loopless)."""
-    check_orbit_reach(n, loops_allowed)
+    n < 2. That is 2 x 80 KiB of tables at 28 cells (n=8 loopless, the
+    largest bipartite sweep the table bound admits)."""
     if n < 2:
         return ()
     swap = [1, 0] + list(range(2, n))

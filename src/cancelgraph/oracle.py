@@ -56,8 +56,8 @@ from .graphs import (
     perm_order,
     permute_mask,
 )
-from .iso import (canon_rows, cert_bytes, check_orbit_reach, involution_witness,
-                  iter_automorphism_images, stamp_orbit)
+from .iso import (canon_rows, cert_bytes, involution_witness, iter_automorphism_images,
+                  stamp_orbit)
 from .product import bipartition, direct_product
 
 ORACLE_MAX = 6
@@ -68,8 +68,9 @@ BIP_SWEEP_MAX = 7
 data for one n at a time stays cached (_bip_classes, built on first use):
 two bitsets over the 2^(n(n-1)/2) loopless enumeration indices, bipartite
 and reversal failure, plus the failed checks of any faulty class. That is
-2 x 256 KiB at n=7 and 2 x 32 MiB at n=8 under force; the tables of
-stamp_orbit's two generators add under 0.5 MiB."""
+2 x 256 KiB at n=7 and 2 x 32 MiB at n=8 under force, exactly TABLE_MAX_MIB;
+n=9 is refused whatever force says. The tables of stamp_orbit's two
+generators add 160 KiB at n=8."""
 ORBIT_CHECK_MAX = 5
 SIDE_SUITE_MAX = 4
 """Largest n of the five side suites: pair_membership, digraph_symmetry,
@@ -306,10 +307,26 @@ def _loopless(n: int, rows) -> bool:
 _Feed = dict[int, list[tuple[int, ...]]]
 """The graphs a side suite checks: {n: rows of each graph}, loops allowed."""
 
-INDEX_MAX_MIB = 64
-"""Bound on the universe index's class_of and seen tables together, checked
-before either is allocated: 4.25 MiB at n=6 (2^21 16-bit class numbers and
-a 256 KiB bitset), 1056 MiB at n=7 (2^28 32-bit ones and 32 MiB)."""
+TABLE_MAX_MIB = 64
+"""Bound on the tables over one universe's 2^m labeled graphs, whatever
+force says. The universe index keeps 17 bits a graph, a seen bit and a
+16-bit class_of entry, which holds the 5096 classes at n=6 (OEIS A000666):
+4.25 MiB at n=6, 544 MiB at n=7. The bipartite sweep keeps 2, its two
+bitsets: 64 MiB at n=8, 2^36 bits at n=9."""
+
+
+def check_table_bound(n: int, loops_allowed: bool) -> None:
+    """Refuse the universe index (loops allowed) or the bipartite sweep
+    (loopless) at n when its tables pass TABLE_MAX_MIB. m is computed, not
+    counted, and 2^m is built only for an m within the bound."""
+    m = n * (n + 1) // 2 if loops_allowed else n * (n - 1) // 2
+    work, bits = ("universe index", 17) if loops_allowed else ("bipartite sweep", 2)
+    limit = TABLE_MAX_MIB << 23  # in bits; 2^m alone passes it from its length on
+    if m >= limit.bit_length() or bits << m > limit:
+        raise CapacityError(
+            f"{work} at n={n} takes {bits} bits for each of 2^{m} graphs; "
+            f"tables bounded at {TABLE_MAX_MIB} MiB"
+        )
 
 
 class _UniverseIndex:
@@ -332,39 +349,20 @@ class _UniverseIndex:
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self.class_of = array(self._typecode(n))
+        self.class_of = array("H")
         self.class_rows: list[tuple[int, ...]] = []
         self.class_size: list[int] = []
         self.class_product_pure: list[bool] = []
-
-    @staticmethod
-    def _typecode(n: int) -> str:
-        # 16-bit class numbers while they fit: n=6 has 5096 loops-allowed
-        # classes, n=7 79264 (OEIS A000666); one too large raises OverflowError
-        return "H" if n <= 6 else "I"
-
-    @classmethod
-    def check_size(cls, n: int) -> None:
-        """Refuse an n whose class_of and seen tables take more than
-        INDEX_MAX_MIB, whatever force says."""
-        total = enumerate_count(n, True)
-        size = total * array(cls._typecode(n)).itemsize + (total + 7) // 8
-        if size > INDEX_MAX_MIB << 20:
-            raise CapacityError(
-                f"universe index at n={n} takes {size / (1 << 20):g} MiB of tables; "
-                f"bounded at {INDEX_MAX_MIB} MiB"
-            )
 
     def build(self) -> None:
         """The first unseen index of each class stamps its orbit, and that
         least member gives the class's product key and, where the key is
         shared, its product class."""
         n = self.n
-        check_orbit_reach(n, True)
-        self.check_size(n)
+        check_table_bound(n, True)
         total = enumerate_count(n, True)
         seen = bytearray((total + 7) // 8)
-        class_of = array(self.class_of.typecode, [0]) * total
+        class_of = array("H", [0]) * total
         class_rows = []
         class_size = []
         for k in range(total):
@@ -676,7 +674,7 @@ def _bip_classes(n: int) -> tuple[bytearray, bytearray, tuple]:
     reversal decider says no, and (least index, found) for each class with
     a failed check, ascending. Every check runs once per class, on its
     least labeled member. See BIP_SWEEP_MAX for the memory this holds."""
-    check_orbit_reach(n, False)
+    check_table_bound(n, False)
     total = enumerate_count(n, False)
     bipartite = bytearray((total + 7) // 8)
     failing = bytearray(len(bipartite))
@@ -781,22 +779,20 @@ def verify_theorems(
     compatibility and has no effect beyond refusing values below 1; the
     report's jobs is always 1.
     """
-    limit = VERIFY_MAX_LOOPS if loops_allowed else VERIFY_MAX_SIMPLE
-    mode = "loops" if loops_allowed else "loopless"
-    CapacityError.check(nmax, limit, force, f"verification ({mode})")
-    CapacityError.check(bip_max, BIP_SWEEP_MAX, force, "bipartite sweep")
-    # the main pass indexes the loops-allowed universe whatever the mode;
-    # refuse what stamping cannot cover, or the index's tables cannot hold,
-    # before any smaller n does its work
-    check_orbit_reach(nmax, True)
-    check_orbit_reach(bip_max, False)
-    _UniverseIndex.check_size(nmax)
     if nmax < 1:
         raise UsageError("nmax must be at least 1")
     if bip_max < 0:
         raise UsageError("bip_max must be at least 0")
     if jobs is not None and jobs < 1:
         raise UsageError(f"jobs must be at least 1, got {jobs}")
+    # the main pass indexes the loops-allowed universe whatever the mode.
+    # Refuse what force cannot admit, then the rest, before any n is run
+    check_table_bound(nmax, True)
+    check_table_bound(bip_max, False)
+    limit = VERIFY_MAX_LOOPS if loops_allowed else VERIFY_MAX_SIMPLE
+    mode = "loops" if loops_allowed else "loopless"
+    CapacityError.check(nmax, limit, force, f"verification ({mode})")
+    CapacityError.check(bip_max, BIP_SWEEP_MAX, force, "bipartite sweep")
 
     violations = _Violations()
     census = []

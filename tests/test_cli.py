@@ -149,11 +149,22 @@ def test_verify_command(capsys):
 
 
 def test_verify_guard_exits_usage(capsys):
+    # past the table bound --force cannot help, so the refusal names the bound
     assert run(["verify", "--max-n", "9"]) == EXIT_USAGE
+    assert "universe index at n=9 " in capsys.readouterr().err
+    for mode in ([], ["--loops"]):
+        assert run(["verify", "--max-n", "7", *mode]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "universe index at n=7 takes 17 bits for each of 2^28 graphs" in err
+        assert "bounded at 64 MiB" in err and "force" not in err
+    assert run(["verify", "--max-n", "1", "--bip-max", "9"]) == EXIT_USAGE
+    assert "bipartite sweep at n=9 " in capsys.readouterr().err
+    # within it --force does help
+    assert run(["verify", "--max-n", "6", "--loops"]) == EXIT_USAGE
+    assert "verification (loops); guarded at n<=5; pass force=True" in capsys.readouterr().err
     assert run(["verify", "--max-n", "1", "--jobs", "0"]) == EXIT_USAGE
     negative_bip = ["verify", "--max-n", "1", "--loops", "--bip-max", "-2", "--jobs", "1"]
     assert run(negative_bip) == EXIT_USAGE
-    assert "guarded at n<=6; pass force=True" in capsys.readouterr().err
 
 
 def test_verify_reports_violations_with_exit_3(capsys, monkeypatch):

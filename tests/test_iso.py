@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from typing import Iterator
 
 import pytest
@@ -536,9 +537,9 @@ def test_corrupted_transposition_table_trips_the_orbit_size_check(monkeypatch):
         stamp_orbit(4, rows, True, bytearray(size))
 
 
-def test_orbit_stamping_guard():
-    with pytest.raises(CapacityError):
-        stamp_orbit(8, (0,) * 8, True, bytearray(1))
+def test_orbit_stamping_past_32_cells():
+    # 36 cells: the empty graph is the one orbit that a 1-byte bitset holds
+    assert stamp_orbit(8, (0,) * 8, True, bytearray(1)) == [0]
 
 
 @pytest.mark.parametrize("loops", [True, False])
@@ -605,8 +606,10 @@ def seven_bit_image(tables: list[list[int]], x: int) -> int:
     return out
 
 
+# up to 36 cells (n=8 with loops, n=9 loopless), past the 32 that 32-bit
+# table entries would reach
 @pytest.mark.parametrize(
-    "n, loops", [(n, True) for n in range(1, 8)] + [(n, False) for n in range(1, 9)]
+    "n, loops", [(n, True) for n in range(1, 9)] + [(n, False) for n in range(1, 10)]
 )
 def test_three_chunk_tables_match_the_seven_bit_tables(n, loops):
     # the tables map indices bitwise, so single bits settle every index
@@ -657,11 +660,16 @@ def test_stamp_orbit_matches_seven_bit_stamping(n, loops):
 
 @pytest.mark.parametrize("n, loops", [(7, True), (8, False)])
 def test_orbit_tables_stay_under_half_a_mebibyte(n, loops):
-    # 28 cells in 10-bit chunks, the largest universes stamp_orbit covers;
-    # the bound is the one oracle.BIP_SWEEP_MAX states
+    # 28 cells in 10-bit chunks, the largest universe stamped within the
+    # table bound (the n=8 bipartite sweep); oracle.BIP_SWEEP_MAX states
+    # their size. Each table is a tuple of int objects
     generators = iso_mod._orbit_generators(n, loops)
     assert len(generators) == 2
-    assert sum(table.itemsize * len(table) for tables in generators for table in tables) < 1 << 19
+    size = sum(
+        sys.getsizeof(table) + sum(map(sys.getsizeof, table))
+        for tables in generators for table in tables
+    )
+    assert size < 1 << 19
 
 
 # ---------------------------------------------------------------------------

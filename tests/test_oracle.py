@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cancelgraph.antiauto as antiauto_mod
+import cancelgraph.cli as cli
 import cancelgraph.decide as decide_mod
+import cancelgraph.graphs as graphs_mod
 import cancelgraph.iso as iso_mod
 import cancelgraph.oracle as oracle_mod
 from cancelgraph import (
@@ -369,6 +371,15 @@ def test_verify_small_loopless_universe():
     # loopless graphs on <=3 vertices are all bipartite or K3; the census
     # bipartite failures match the sweep at each n
     assert sweep_tuples(report) == [(1, 1, 0), (2, 2, 1), (3, 7, 3)]
+
+
+def test_verify_forced_loops_census_at_six():
+    # the largest universe index the table bound admits: 4.25 MiB of tables
+    # over 2^21 graphs in 5096 classes
+    report = verify_theorems(6, True, bip_max=0, force=True)
+    assert report.violations == ()
+    assert census_tuples(report)[-1] == (6, 2097152, 552644, 599324, 1915)
+    assert report.bipartite_census == ()
 
 
 def test_verify_report_json_shape():
@@ -1159,45 +1170,64 @@ def test_corrupted_transposition_table_stops_index_and_sweep(monkeypatch, fresh_
 
 
 def unreachable(*args):
-    raise AssertionError("reached work or allocation past the reach of orbit stamping")
+    raise AssertionError("reached work or allocation past the table bound")
 
 
 # the universe index allows loops whatever the mode; the sweep is loopless.
-# Past 32 cells either would allocate gigabytes before stamping refused. At
-# n=7 stamping reaches, but the index's tables would take 1056 MiB.
+# The table bound of the universes that stamping walks refuses both past
+# 64 MiB: the index at n=7 would take 544 MiB, n=8 and the n=9 sweep more
 @pytest.mark.parametrize("nmax, loops, bip_max", [
     (8, True, 1), (8, False, 1), (1, True, 9), (7, True, 1), (7, False, 1),
 ])
 def test_verify_refuses_past_stamping_reach_up_front(monkeypatch, nmax, loops, bip_max):
     monkeypatch.setattr(oracle_mod._UniverseIndex, "build", unreachable)
     monkeypatch.setattr(oracle_mod, "_bip_classes", unreachable)
-    if nmax == 7:
-        refusal = "n=7 takes 1056 MiB of tables; bounded at 64 MiB"
+    if bip_max == 9:
+        refusal = r"bipartite sweep at n=9 takes 2 bits for each of 2\^36 graphs"
     else:
-        refusal = "covers at most 32 cells, not 36"
-    with pytest.raises(CapacityError, match=refusal):
+        m = nmax * (nmax + 1) // 2
+        refusal = rf"universe index at n={nmax} takes 17 bits for each of 2\^{m} graphs"
+    with pytest.raises(CapacityError, match=refusal + "; tables bounded at 64 MiB$"):
         verify_theorems(nmax, loops, bip_max=bip_max, jobs=1, force=True)
 
 
 def test_index_build_refuses_past_its_table_bound(monkeypatch):
     # n=6 fits: 4.25 MiB; n=7 is refused before its tables are allocated
-    oracle_mod._UniverseIndex.check_size(6)
+    oracle_mod.check_table_bound(6, True)
     # the seen bitset is the build's first allocation
     monkeypatch.setattr(oracle_mod, "bytearray", unreachable, raising=False)
-    with pytest.raises(CapacityError, match="bounded at 64 MiB"):
+    with pytest.raises(CapacityError, match="n=7 .*bounded at 64 MiB"):
         oracle_mod._UniverseIndex(7).build()
 
 
 def test_index_and_sweep_refuse_past_stamping_reach_before_allocating(
     monkeypatch, fresh_bip_classes
 ):
-    iso_mod.check_orbit_reach(7, True)
-    iso_mod.check_orbit_reach(8, False)
+    # the n=8 sweep's two 32 MiB bitsets are exactly the bound
+    oracle_mod.check_table_bound(8, False)
     monkeypatch.setattr(oracle_mod, "enumerate_count", unreachable)
-    with pytest.raises(CapacityError, match="not 36"):
+    with pytest.raises(CapacityError, match="universe index at n=8 .*bounded at 64 MiB"):
         oracle_mod._UniverseIndex(8).build()
-    with pytest.raises(CapacityError, match="not 36"):
+    with pytest.raises(CapacityError, match="bipartite sweep at n=9 .*bounded at 64 MiB"):
         oracle_mod._bip_classes(9)
+
+
+@pytest.mark.parametrize("args, work, n", [
+    (["--max-n", "100"], "universe index", 100),
+    (["--max-n", "10000"], "universe index", 10000),
+    (["--max-n", "1", "--bip-max", "2000"], "bipartite sweep", 2000),
+], ids=["max-n-100", "max-n-10000", "bip-max-2000"])
+def test_verify_refuses_a_huge_forced_n_without_listing_cells(
+    monkeypatch, capsys, args, work, n
+):
+    # the bound computes the cell count: the cells of n=10000 would take
+    # gigabytes to list
+    for module in (graphs_mod, iso_mod, oracle_mod):
+        monkeypatch.setattr(module, "upper_cells", unreachable, raising=False)
+    assert cli.run(["verify", *args, "--force"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{work} at n={n} takes" in err
+    assert err.endswith("; tables bounded at 64 MiB\n")
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
