@@ -18,14 +18,18 @@ type of G^a.
 Two-fold pairs have one search, iter_two_fold(src, dst), over pairs with
 lambda(N_src(x)) = N_dst(mu(x)). It yields one pair per lambda; the other
 pairs of that lambda permute mu inside the equal-row classes. Aut^TF(G)
-(enumerate_aut_tf), its orbit generators (_tf_generators) and the
-product-isomorphism witness (oracle.extract_anti_from_product_iso, src and
-dst two graphs) all come from it.
+(enumerate_aut_tf), the pairs the orbit partition maps with
+(_tf_generators) and the product-isomorphism witness
+(oracle.extract_anti_from_product_iso, src and dst two graphs) all come
+from it. The orbits are unions of cosets aP, so _orbit_partition maps each
+orbit's least member once per pair and labels whole cosets, closing
+nothing under the pairs.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import factorial, prod
 
 from .errors import (
     CapacityError,
@@ -42,6 +46,7 @@ from .graphs import (
     maps_neighborhoods,
     permute_mask,
     row_classes,
+    twin_quotient,
 )
 from .iso import _canonical
 
@@ -130,9 +135,7 @@ def _iter_coset_images(n: int, rows: tuple[int, ...]):
         yield from iter_ant_images(n, rows)
         return
     members = list(classes.values())
-    quotient = tuple(sum(1 << d for d, vs in enumerate(members) if row >> vs[0] & 1)
-                     for row in classes)
-    for s in iter_ant_images(len(members), quotient):
+    for s in iter_ant_images(len(members), twin_quotient(classes)):
         if all(len(members[c]) == len(members[t]) for c, t in enumerate(s)):
             yield _coset_least(n, members, s)
 
@@ -340,22 +343,10 @@ class AntOrbitPartition:
 
 
 def _tf_generators(n: int, rows: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """A generating set of Aut^TF(G): iter_two_fold's pairs, one per lambda,
-    plus (id, t) for transpositions t inside each duplicate-neighborhood class.
-
-    Any (lambda, mu') factors as (id, mu' mu^-1) . (lambda, mu), and the pairs
-    with identity lambda are exactly those whose mu fixes every class setwise,
-    a group generated by within-class transpositions.
-    """
-    gens = list(iter_two_fold(rows, rows))
-    ident = tuple(range(n))
-    for verts in row_classes(rows).values():
-        anchor = verts[0]
-        for other in verts[1:]:
-            t = list(ident)
-            t[anchor], t[other] = t[other], t[anchor]
-            gens.append((ident, tuple(t)))
-    return gens
+    """iter_two_fold's pairs on G, one per lambda. Every pair of Aut^TF(G)
+    is one of them with q mu for its mu, q in P, the permutations inside
+    the equal-row classes, so with P they give all of Aut^TF(G)."""
+    return list(iter_two_fold(rows, rows))
 
 
 def _orbit_partition(n: int, rows: tuple[int, ...], ant: tuple[tuple[int, ...], ...], certs: list):
@@ -364,31 +355,48 @@ def _orbit_partition(n: int, rows: tuple[int, ...], ant: tuple[tuple[int, ...], 
     the orbits are the isomorphism classes of the G^a. certs[i] is equal
     exactly on graphs isomorphic to G^ant[i].
 
+    An orbit is a union of cosets aP: mu maps equal-row classes onto
+    equal-row classes, so mu p mu^-1 is in P for p in P, and the pair
+    (lambda, q mu) sends each member of aP into (lambda a mu^-1)P. So the
+    orbit of a is the union of those cosets over _tf_generators' pairs,
+    one image per pair from the orbit's least member.
+
     Returns the labels and the faults, as (kind, detail) pairs in this order:
-    "closure" for each generator image outside ant, "within_orbit" for each
-    image whose G^a is not isomorphic to its orbit's first, and one
-    "across_orbits" when two orbits share an isomorphism class.
+    "closure" for each coset of ant without |P| members and for each image
+    outside ant, "within_orbit" for each image whose G^a is not isomorphic to
+    its orbit's first, and one "across_orbits" when two orbits share an
+    isomorphism class.
     """
-    gens = [(lam, invert(mu)) for lam, mu in _tf_generators(n, rows)]
+    classes = list(row_classes(rows).values())
+    size = prod(factorial(len(vs)) for vs in classes)
+    # the coset aP is known by the set of a's values on each class
+    by_values: dict[tuple, list[int]] = {}
+    coset_of = []
+    for i, img in enumerate(ant):
+        coset = by_values.setdefault(tuple(frozenset(img[v] for v in vs) for vs in classes), [])
+        coset.append(i)
+        coset_of.append(coset)
+    faults: list[tuple[str, dict]] = [
+        ("closure", {"alpha": list(ant[coset[0]]), "coset_members": len(coset)})
+        for coset in by_values.values() if len(coset) != size
+    ]
+    pairs = [(lam, invert(mu)) for lam, mu in _tf_generators(n, rows)]
     index = {img: i for i, img in enumerate(ant)}
     labels = [-1] * len(ant)
-    faults: list[tuple[str, dict]] = []
     norbits = 0
     for i, img in enumerate(ant):
         if labels[i] >= 0:
             continue
         labels[i] = norbits
-        frontier = [img]
-        while frontier:
-            cur = frontier.pop()
-            for lam, mu_inv in gens:
-                moved = tuple(lam[cur[u]] for u in mu_inv)
-                j = index.get(moved)
-                if j is None:
-                    faults.append(("closure", {"alpha": list(moved)}))
-                elif labels[j] < 0:
-                    labels[j] = norbits
-                    frontier.append(moved)
+        for lam, mu_inv in pairs:
+            moved = tuple(lam[img[u]] for u in mu_inv)
+            j = index.get(moved)
+            if j is None:
+                faults.append(("closure", {"alpha": list(moved)}))
+                continue
+            for k in coset_of[j]:
+                if labels[k] < 0:
+                    labels[k] = norbits
         norbits += 1
     orbit_cert: list = [None] * norbits
     for img, label, cert in zip(ant, labels, certs):
@@ -396,9 +404,9 @@ def _orbit_partition(n: int, rows: tuple[int, ...], ant: tuple[tuple[int, ...], 
             orbit_cert[label] = cert
         elif orbit_cert[label] != cert:
             faults.append(("within_orbit", {"alpha": list(img)}))
-    classes = len(set(orbit_cert))
-    if classes != norbits:
-        faults.append(("across_orbits", {"orbits": norbits, "classes": classes}))
+    classes_seen = len(set(orbit_cert))
+    if classes_seen != norbits:
+        faults.append(("across_orbits", {"orbits": norbits, "classes": classes_seen}))
     return labels, faults
 
 

@@ -151,6 +151,14 @@ _COMMANDS = {
 }
 
 
+def _refusal(exc: CapacityError, args) -> str:
+    """A capacity refusal with its override advice in command-line terms:
+    --force where the command takes it, no advice where it does not."""
+    if exc.guard is None:
+        return str(exc)
+    return f"{exc.guard}; pass --force" if hasattr(args, "force") else exc.guard
+
+
 def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -160,7 +168,10 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (UsageError, ParseError, CapacityError) as exc:
+    except CapacityError as exc:
+        print(f"error: {_refusal(exc, args)}", file=sys.stderr)
+        return EXIT_USAGE
+    except (UsageError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (InvalidAntiError, InvalidActionError) as exc:

@@ -14,13 +14,21 @@ class UsageError(CancelGraphError):
 
 
 class CapacityError(CancelGraphError):
-    """Size or budget guard exceeded without an explicit override."""
+    """Size or budget guard exceeded without an explicit override.
+
+    guard is the refusal without its advice to pass force=True where that
+    override exists (a check refusal), and None at a hard limit."""
+
+    def __init__(self, message: str, guard: str | None = None):
+        super().__init__(message)
+        self.guard = guard
 
     @classmethod
     def check(cls, n: int, limit: int, force: bool, work: str) -> None:
         """Refuse n above limit unless forced; work says what n bounds."""
         if n > limit and not force:
-            raise cls(f"{work}; guarded at n<={limit}; pass force=True")
+            guard = f"{work}; guarded at n<={limit}"
+            raise cls(f"{guard}; pass force=True", guard)
 
 
 class ParseError(CancelGraphError):

@@ -343,6 +343,15 @@ def row_classes(rows) -> dict[int, list[int]]:
     return classes
 
 
+def twin_quotient(classes: dict[int, list[int]]) -> tuple[int, ...]:
+    """Rows of the graph Q of the equal-row classes of row_classes, class d
+    numbered by its place in classes: C is adjacent to D (to itself when
+    looped) when G's vertices of C are adjacent to those of D."""
+    members = list(classes.values())
+    return tuple(sum(1 << d for d, vs in enumerate(members) if row >> vs[0] & 1)
+                 for row in classes)
+
+
 def r_partition(g: Graph) -> RPartition:
     return RPartition(tuple(map(tuple, row_classes(g.adj).values())))
 

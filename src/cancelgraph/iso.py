@@ -16,18 +16,20 @@ Known automorphisms prune sibling branches: a cell vertex is skipped when it
 lies in the orbit of a tried vertex under the group that the known
 automorphisms fixing the prefix generate. The twin swaps, each transposition
 of two vertices whose rows agree off their own two bits, are known before the
-search starts; the others are found at equal-encoding leaves.
+search starts, as are the checked automorphisms a caller passes in known
+(the layer swap of G x K2); the others are found at equal-encoding leaves.
 
 stamp_orbit enumerates an isomorphism class the other way round: it closes
 one labeled graph's enumeration index under two relabelings that generate
 every permutation, so that an exhaustive scan can visit each class once
-instead of each graph.
+instead of each graph. It checks the class size against n!/|Aut(G)|, with
+|Aut(G)| counted on the graph of the equal-row classes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Iterator
 
 from .errors import CapacityError, InvariantViolationError
@@ -42,6 +44,8 @@ from .graphs import (
     maps_neighborhoods,
     permute_mask,
     relabel_rows,
+    row_classes,
+    twin_quotient,
     upper_cells,
 )
 
@@ -140,20 +144,27 @@ def _twin_swaps(n: int, rows: tuple[int, ...]) -> list[tuple[int, ...]]:
     return swaps
 
 
-def canon_connected(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def canon_connected(
+    n: int, rows: tuple[int, ...], known=()
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Canonical rows and the old->new relabeling, for a connected graph.
 
-    The search starts from the twin swaps as known automorphisms. Pruning
-    skips only subtrees that are images of searched ones under automorphisms
-    fixing the prefix, so the first least leaf, and with it the rows and the
-    relabeling, is the same whichever automorphisms are known."""
+    The search starts from the twin swaps and the image tuples of known as
+    known automorphisms; each of known is first checked to be one, and
+    InvariantViolationError raised if it is not. Pruning skips only subtrees
+    that are images of searched ones under automorphisms fixing the prefix,
+    so the first least leaf, and with it the rows and the relabeling, is the
+    same whichever automorphisms are known."""
+    for s in known:
+        if sorted(s) != list(range(n)) or not maps_neighborhoods(rows, rows, s, s):
+            raise InvariantViolationError(f"known seed {s} is not an automorphism")
     if n <= 1:
         return tuple(rows), tuple(range(n))
     nbrs = _neighbour_lists(rows)
     best_key: list = [None]
     best_perm: list = [None]
     best_inv: list = [None]
-    autos = _twin_swaps(n, rows)
+    autos = _twin_swaps(n, rows) + list(known)
 
     def descend(colors: list[int], prefix: list[int]) -> None:
         counts: dict[int, int] = {}
@@ -224,11 +235,18 @@ def _canon_component(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], tu
     return canon_connected(n, rows)
 
 
-def canon_rows(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Component-aware canonical rows plus the full old->new relabeling."""
+def canon_rows(
+    n: int, rows: tuple[int, ...], known=()
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Component-aware canonical rows plus the full old->new relabeling.
+
+    known holds automorphisms of rows, as image tuples, that canon_connected
+    starts its search from on a connected graph; it prunes with them but
+    gives the same result. A disconnected graph's components are searched
+    without them."""
     comps = component_masks(n, rows)
     if len(comps) <= 1:
-        return canon_connected(n, tuple(rows))
+        return canon_connected(n, tuple(rows), known)
     pieces = []
     for mask in comps:
         verts = list(bits_of(mask))
@@ -394,6 +412,22 @@ def _orbit_generators(n: int, loops_allowed: bool) -> tuple[tuple[tuple[int, ...
     return tuple(_relabel_tables(n, loops_allowed, label) for label in (swap, cycle))
 
 
+def _automorphism_count(n: int, rows: tuple[int, ...]) -> int:
+    """|Aut(G)|, as |P| times the automorphisms of the twin-class graph Q
+    (graphs.twin_quotient) that keep class sizes, P the permutations inside
+    the equal-row classes: an automorphism maps each class onto one of its
+    size, and so acts on Q, and each such automorphism s of Q lifts to |P|
+    automorphisms of G, every bijection of each class C onto s(C). Without
+    twins Q is G, and the automorphisms are counted on G itself."""
+    classes = row_classes(rows)
+    if len(classes) == n:
+        return sum(1 for _ in iter_automorphism_images(n, rows))
+    sizes = [len(vs) for vs in classes.values()]
+    kept = sum(1 for s in iter_automorphism_images(len(sizes), twin_quotient(classes))
+               if all(sizes[c] == sizes[t] for c, t in enumerate(s)))
+    return kept * prod(map(factorial, sizes))
+
+
 def stamp_orbit(n: int, rows, loops_allowed: bool, seen: bytearray) -> list[int]:
     """Set in the bitset seen (bit k is byte k >> 3, bit k & 7) the
     enumeration index in iter_adj_rows(n, loops_allowed) of every relabeling
@@ -403,8 +437,8 @@ def stamp_orbit(n: int, rows, loops_allowed: bool, seen: bytearray) -> list[int]
     The orbit is closed under the two generators of _orbit_generators:
     each member's images under both are stamped in turn until no new index
     turns up. The class must come out with n!/|Aut(rows)| members, the
-    automorphisms counted by iter_automorphism_images; anything else
-    raises InvariantViolationError."""
+    automorphisms counted through the twin-class graph
+    (_automorphism_count); anything else raises InvariantViolationError."""
     k = adjacency_index(n, rows, loops_allowed)
     if seen[k >> 3] >> (k & 7) & 1:
         return []
@@ -425,7 +459,7 @@ def stamp_orbit(n: int, rows, loops_allowed: bool, seen: bytearray) -> list[int]
             if not seen[byte] & bit:
                 seen[byte] |= bit
                 members.append(y)
-    automorphisms = sum(1 for _ in iter_automorphism_images(n, tuple(rows)))
+    automorphisms = _automorphism_count(n, tuple(rows))
     if len(members) * automorphisms != factorial(n):
         raise InvariantViolationError(
             f"orbit of index {k} at n={n} has {len(members)} members, "

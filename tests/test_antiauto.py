@@ -6,6 +6,7 @@ pair, deliberately avoiding the bitmask shortcuts the implementation uses.
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,8 +34,8 @@ from cancelgraph import (
 import cancelgraph.antiauto as antiauto_mod
 from cancelgraph.antiauto import (_full_listing, _tf_generators, apply_anti_rows, iter_ant_images,
                                   iter_two_fold)
-from cancelgraph.graphs import iter_adj_rows, multiset_key, row_classes
-from cancelgraph.iso import involution_witness
+from cancelgraph.graphs import invert, iter_adj_rows, multiset_key, row_classes
+from cancelgraph.iso import _canonical, involution_witness
 from cancelgraph.oracle import _UniverseIndex
 
 from conftest import graph_and_permutation, graph_strategy, load_fixture
@@ -325,7 +326,7 @@ def check_two_fold_search(g: Graph) -> None:
     lams = [lam for lam, _ in pairs]
     assert len(set(lams)) == len(lams)
     assert set(lams) == lambdas_by_scan(g)
-    assert {lam for lam, _ in _tf_generators(g.n, g.adj)} == set(lams)
+    assert _tf_generators(g.n, g.adj) == pairs
     classes = [
         [x for x in range(g.n) if g.adj[x] == g.adj[v]] for v in range(g.n)
     ]
@@ -622,3 +623,128 @@ def test_orbit_guard(asym7):
     with pytest.raises(CapacityError):
         ant_orbits(asym7)
     assert len(ant_orbits(asym7, force=True).orbits) == 1
+
+
+# ---------------------------------------------------------------------------
+# the orbit partition by twin cosets, against closure under generators
+# ---------------------------------------------------------------------------
+
+
+def reference_orbit_partition(n, rows, ant, certs):
+    """Orbits by closure: every member of Ant(G) moved by every generator of
+    Aut^TF(G), iter_two_fold's pairs plus (id, t) for the transpositions t
+    inside each equal-row class, until no new member turns up. The reference
+    for _orbit_partition's labels."""
+    ident = tuple(range(n))
+    gens = list(iter_two_fold(rows, rows))
+    for verts in row_classes(rows).values():
+        for other in verts[1:]:
+            t = list(ident)
+            t[verts[0]], t[other] = t[other], t[verts[0]]
+            gens.append((ident, tuple(t)))
+    gens = [(lam, invert(mu)) for lam, mu in gens]
+    index = {img: i for i, img in enumerate(ant)}
+    labels = [-1] * len(ant)
+    faults = []
+    norbits = 0
+    for i, img in enumerate(ant):
+        if labels[i] >= 0:
+            continue
+        labels[i] = norbits
+        frontier = [img]
+        while frontier:
+            cur = frontier.pop()
+            for lam, mu_inv in gens:
+                moved = tuple(lam[cur[u]] for u in mu_inv)
+                j = index.get(moved)
+                if j is None:
+                    faults.append(("closure", {"alpha": list(moved)}))
+                elif labels[j] < 0:
+                    labels[j] = norbits
+                    frontier.append(moved)
+        norbits += 1
+    orbit_cert = [None] * norbits
+    for img, label, cert in zip(ant, labels, certs):
+        if orbit_cert[label] is None:
+            orbit_cert[label] = cert
+        elif orbit_cert[label] != cert:
+            faults.append(("within_orbit", {"alpha": list(img)}))
+    if len(set(orbit_cert)) != norbits:
+        faults.append(("across_orbits", {"orbits": norbits, "classes": len(set(orbit_cert))}))
+    return labels, faults
+
+
+def orbit_inputs(g: Graph):
+    ant, permuted = _full_listing(g, force=True)
+    return g.n, g.adj, ant, [_canonical(g.n, arows)[0] for arows in permuted]
+
+
+def check_orbit_partition(g: Graph) -> None:
+    args = orbit_inputs(g)
+    labels, faults = antiauto_mod._orbit_partition(*args)
+    assert faults == []
+    assert labels == reference_orbit_partition(*args)[0]
+
+
+def relabeled(g: Graph, seed: int) -> Graph:
+    image = list(range(g.n))
+    random.Random(seed).shuffle(image)
+    return g.relabel(Permutation(tuple(image)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_orbit_partition_is_the_closure_exhaustively(n):
+    for rows in iter_adj_rows(n, True):
+        check_orbit_partition(Graph(n, tuple(rows)))
+
+
+def test_orbit_partition_is_the_closure_on_the_n5_classes():
+    index = _UniverseIndex(5)
+    index.build()
+    assert len(index.class_rows) == 544
+    for rows in index.class_rows:
+        check_orbit_partition(Graph(5, rows))
+
+
+@pytest.mark.parametrize("g", [
+    *(load_fixture(name) for name in ("2k3", "c6", "lp", "p_reconstruct", "sql", "sql_alpha")),
+    relabeled(Graph.from_edges(6, [(v, (v + 1) % 6) for v in range(6)]), 1),
+    relabeled(Graph.from_edges(6, [(x, 3 + y) for x in range(3) for y in range(3)]), 2),
+    relabeled(Graph(6, (0,) * 6), 3),
+], ids=["2k3", "c6", "lp", "p_reconstruct", "sql", "sql_alpha", "C6", "K3,3", "E6"])
+def test_orbit_partition_is_the_closure_on_named_graphs(g):
+    assert g.n <= 6
+    check_orbit_partition(g)
+
+
+# a loops-allowed graph on 6 vertices with Aut(G) trivial and three two-fold
+# pairs, each sending the identity to another member of its orbit, so that
+# no pair can go without splitting that orbit. Dropping any one pair of a
+# loops-allowed graph up to n = 5 leaves the labels as they are
+THREE_PAIRS = Graph(6, (48, 56, 12, 14, 3, 35))
+
+
+@pytest.mark.parametrize("dropped", [1, 2])
+def test_orbit_partition_reports_a_dropped_pair(monkeypatch, dropped):
+    # the lost member starts an orbit of its own, in the identity's
+    # isomorphism class, which the theorem check reports
+    args = orbit_inputs(THREE_PAIRS)
+    pairs = antiauto_mod._tf_generators(6, THREE_PAIRS.adj)
+    assert len(pairs) == 3 and pairs[0] == (tuple(range(6)),) * 2
+    assert antiauto_mod._orbit_partition(*args)[1] == []
+    kept = pairs[:dropped] + pairs[dropped + 1:]
+    monkeypatch.setattr(antiauto_mod, "_tf_generators", lambda n, rows: kept)
+    labels, faults = antiauto_mod._orbit_partition(*args)
+    assert labels != reference_orbit_partition(*args)[0]
+    assert faults == [("across_orbits", {"orbits": max(labels) + 1, "classes": max(labels)})]
+
+
+def test_orbit_partition_reports_a_short_coset():
+    # a listing that lost one member of a coset aP fails the |P| count, and
+    # an image landing on the lost member is outside the listing
+    g = Graph.from_edges(3, [(0, 1), (0, 2)])
+    n, rows, ant, certs = orbit_inputs(g)
+    assert len(ant) == 2
+    labels, faults = antiauto_mod._orbit_partition(n, rows, ant[1:], certs[1:])
+    assert faults[0] == ("closure", {"alpha": list(ant[1]), "coset_members": 1})
+    assert ("closure", {"alpha": list(ant[0])}) in faults

@@ -159,12 +159,26 @@ def test_verify_guard_exits_usage(capsys):
         assert "bounded at 64 MiB" in err and "force" not in err
     assert run(["verify", "--max-n", "1", "--bip-max", "9"]) == EXIT_USAGE
     assert "bipartite sweep at n=9 " in capsys.readouterr().err
-    # within it --force does help
+    # within it --force does help, and the refusal says so in CLI terms
     assert run(["verify", "--max-n", "6", "--loops"]) == EXIT_USAGE
-    assert "verification (loops); guarded at n<=5; pass force=True" in capsys.readouterr().err
+    assert "verification (loops); guarded at n<=5; pass --force\n" in capsys.readouterr().err
     assert run(["verify", "--max-n", "1", "--jobs", "0"]) == EXIT_USAGE
     negative_bip = ["verify", "--max-n", "1", "--loops", "--bip-max", "-2", "--jobs", "1"]
     assert run(negative_bip) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command, n, guard", [
+    ("analyze", 9, "decider needs the anti-automorphism listing; guarded at n<=8"),
+    ("ant", 9, "anti-automorphism listing; guarded at n<=8"),
+    ("tf", 7, "two-fold listing; guarded at n<=6"),
+])
+def test_guards_without_force_give_no_override_advice(capsys, tmp_path, command, n, guard):
+    # these commands take no --force, so the refusal is the guard alone
+    path = tmp_path / "empty.graph"
+    path.write_text(f"p graph {n}\n")
+    assert run([command, str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {guard}\n"
+    assert run([command, "--force", str(path)]) == EXIT_USAGE
 
 
 def test_verify_reports_violations_with_exit_3(capsys, monkeypatch):

@@ -355,6 +355,8 @@ def test_capacity_check_refuses_only_unforced_n_above_the_limit():
     with pytest.raises(CapacityError) as refused:
         CapacityError.check(7, 6, False, "work")
     assert str(refused.value) == "work; guarded at n<=6; pass force=True"
+    assert refused.value.guard == "work; guarded at n<=6"
+    assert CapacityError("hard limit").guard is None
     assert CapacityError.check(6, 6, False, "work") is None
     assert CapacityError.check(7, 6, True, "work") is None
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+from math import factorial, prod
 from typing import Iterator
 
 import pytest
@@ -31,7 +32,9 @@ from cancelgraph import (
     is_isomorphic,
 )
 import cancelgraph.iso as iso_mod
-from cancelgraph.graphs import component_masks, enumerate_count, iter_adj_rows, relabel_rows, upper_cells
+import cancelgraph.oracle as oracle_mod
+from cancelgraph.graphs import (component_masks, enumerate_count, iter_adj_rows, relabel_rows,
+                                row_classes, upper_cells)
 from cancelgraph.iso import (
     automorphisms,
     canon_rows,
@@ -249,10 +252,11 @@ def reference_refine(n: int, rows: tuple[int, ...], colors: list[int]) -> list[i
         ncolors = len(rank)
 
 
-def reference_canon_connected(n: int, rows: tuple[int, ...]):
+def reference_canon_connected(n: int, rows: tuple[int, ...], known=()):
     """The search that prunes a cell vertex only when one found automorphism
     fixing the prefix maps a tried vertex onto it: the reference for
-    canon_connected, relabeling included."""
+    canon_connected, relabeling included. It finds every automorphism it
+    prunes with, so it ignores known."""
     if n <= 1:
         return tuple(rows), tuple(range(n))
     best_key: list = [None]
@@ -440,9 +444,9 @@ def test_twin_swaps_generate_every_automorphic_transposition(n):
     assert kinds == ({(0, 0), (1, 0), (0, 1), (1, 1)} if n > 1 else set())
 
 
-def leaf_counts(graphs) -> list[int]:
+def leaf_counts(graphs, seeded: bool = False) -> list[int]:
     """The search leaves canon_connected reaches on each graph, counted by
-    wrapping _leaf_key."""
+    wrapping _leaf_key; seeded, with the layer swap v <-> v ^ 1 known."""
     counts = []
     leaf_key = iso_mod._leaf_key
 
@@ -454,7 +458,8 @@ def leaf_counts(graphs) -> list[int]:
         mp.setattr(iso_mod, "_leaf_key", counted)
         for g in graphs:
             counts.append(0)
-            iso_mod.canon_connected(g.n, g.adj)
+            known = [tuple(v ^ 1 for v in range(g.n))] if seeded else []
+            iso_mod.canon_connected(g.n, g.adj, known)
     return counts
 
 
@@ -471,6 +476,49 @@ def test_twin_swaps_cut_the_search_leaves(monkeypatch):
     assert leaf_counts(graphs) == [1, 1, 1, 2]
     monkeypatch.setattr(iso_mod, "_twin_swaps", lambda n, rows: [])
     assert leaf_counts(graphs) == [29, 29, 22, 14]
+
+
+def double_covers(nmax: int) -> list[tuple[int, tuple[int, ...]]]:
+    """G x K2, as direct_product numbers it, of each loops-allowed class
+    representative up to nmax."""
+    k2 = Graph.from_edges(2, [(0, 1)])
+    out = []
+    for n in range(1, nmax + 1):
+        index = _UniverseIndex(n)
+        index.build()
+        out.extend((2 * n, direct_product(Graph(n, rows), k2).adj) for rows in index.class_rows)
+    return out
+
+
+def test_layer_swap_seed_keeps_the_canonical_rows_of_double_covers():
+    # seeded with the swap v <-> v ^ 1 the search prunes, and finds the same
+    # first least leaf; a disconnected cover is searched without the seed
+    covers = double_covers(5)
+    for n, rows in covers:
+        swap = tuple(v ^ 1 for v in range(n))
+        assert canon_rows(n, rows, (swap,)) == canon_rows(n, rows)
+    connected = [Graph(n, rows) for n, rows in covers if len(component_masks(n, rows)) == 1]
+    unseeded = leaf_counts(connected)
+    seeded = leaf_counts(connected, seeded=True)
+    assert all(s <= u for s, u in zip(seeded, unseeded))
+    assert (len(connected), sum(unseeded), sum(seeded)) == (408, 1212, 793)
+
+
+@pytest.mark.parametrize("seed", [
+    (1, 0, 2, 3, 4, 5),  # a permutation, not an automorphism of C6
+    (0, 0, 2, 3, 4, 5),  # not a permutation
+    (0, 1, 2),  # too short
+])
+def test_known_seed_that_is_not_an_automorphism_is_refused(monkeypatch, seed):
+    c6 = tuple(1 << (v + 1) % 6 | 1 << (v - 1) % 6 for v in range(6))
+    rotation = tuple((v + 1) % 6 for v in range(6))
+    assert canon_rows(6, c6, (rotation,)) == canon_rows(6, c6)
+    searched = []
+    monkeypatch.setattr(iso_mod, "_refine", lambda *args: searched.append(args))
+    for canon in (canon_rows, iso_mod.canon_connected):
+        with pytest.raises(InvariantViolationError, match="is not an automorphism"):
+            canon(6, c6, (rotation, seed))
+    assert searched == []
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +583,35 @@ def test_corrupted_transposition_table_trips_the_orbit_size_check(monkeypatch):
     monkeypatch.setattr(iso_mod, "_orbit_generators", lambda n, loops: (swap, identity))
     with pytest.raises(InvariantViolationError):
         stamp_orbit(4, rows, True, bytearray(size))
+
+
+def size_blind_count(n: int, rows: tuple[int, ...]) -> int:
+    """The twin-quotient count without its class-size test: every
+    automorphism of Q, times |P|."""
+    classes = row_classes(rows)
+    sizes = [len(vs) for vs in classes.values()]
+    quotient = iso_mod.twin_quotient(classes)
+    return sum(1 for _ in iter_automorphism_images(len(sizes), quotient)) * prod(map(factorial, sizes))
+
+
+def test_automorphism_count_is_the_brute_count():
+    # every loops-allowed graph up to n=4, every loopless one up to n=5, the
+    # n=5 loops-allowed classes, the n=7 bipartite classes, E7, K7 and K3,4
+    inputs = [(n, tuple(rows)) for n in range(1, 5) for rows in iter_adj_rows(n, True)]
+    inputs += [(n, tuple(rows)) for n in range(1, 6) for rows in iter_adj_rows(n, False)]
+    index = _UniverseIndex(5)
+    index.build()
+    inputs += [(5, rows) for rows in index.class_rows]
+    bipartite = {canon_rows(7, rows)[0]: rows for rows in oracle_mod._fixed_bipartition_rows(7)}
+    assert len(bipartite) == 88
+    inputs += [(7, rows) for rows in bipartite.values()]
+    k34 = (7, tuple(0b1111000 if v < 3 else 0b111 for v in range(7)))
+    inputs += [(7, (0,) * 7), (7, tuple(127 ^ 1 << v for v in range(7))), k34]
+    for n, rows in inputs:
+        assert iso_mod._automorphism_count(n, rows) == sum(1 for _ in iter_automorphism_images(n, rows))
+    # Q of K3,4 is an edge, whose swap exchanges classes of sizes 3 and 4
+    assert iso_mod._automorphism_count(*k34) == 3 * 2 * 4 * 3 * 2
+    assert size_blind_count(*k34) == 2 * iso_mod._automorphism_count(*k34)
 
 
 def test_orbit_stamping_past_32_cells():

@@ -837,8 +837,10 @@ def cosets_without_identity(n, rows):
 
 def test_ant_search_losing_the_identity_is_reported_by_the_main_pass(monkeypatch):
     # the coset search loses P, the identity's coset, and the full listing
-    # every member of it, so the orbit checks find generator images and odd
-    # powers outside the listing. G is then no G^a, so the full route reads
+    # every member of it, so the orbit checks find pair images and odd
+    # powers outside the listing: one closure fault for each pair that sends
+    # the least member left in G's own orbit into P, on the graphs where
+    # that orbit holds more than P. G is then no G^a, so the full route reads
     # G's certificate from the index rather than from the images'
     # certificates. The strong routes still agree: both read the coset
     # listing, and every coset left is one whose G^a differs from G. Where
@@ -846,9 +848,9 @@ def test_ant_search_losing_the_identity_is_reported_by_the_main_pass(monkeypatch
     # listing lost
     monkeypatch.setattr(antiauto_mod, "_iter_coset_images", cosets_without_identity)
     labeled, per_class = labeled_main_pass_kinds(4)
-    assert labeled == {"neighborhood_prop": 408, "simeqiso_closure": 720, "simplus2": 204}
+    assert labeled == {"neighborhood_prop": 408, "simeqiso_closure": 276, "simplus2": 204}
     assert main_pass_kinds(4) == per_class == {
-        "neighborhood_prop": 56, "simeqiso_closure": 110, "simplus2": 24,
+        "neighborhood_prop": 56, "simeqiso_closure": 42, "simplus2": 24,
     }
 
 
@@ -1005,10 +1007,10 @@ def test_universe_index_classes_are_the_canon_rows_classes(n, classes):
 @pytest.mark.parametrize("n", [3, 4])
 def test_universe_index_builds_without_canonical_forms(n, monkeypatch):
     # G x K2 on 2n vertices is canonicalized for its product class; G never is
-    def no_canon_rows(order, rows):
+    def no_canon_rows(order, rows, known=()):
         if order == n:
             raise AssertionError("the index build called canon_rows on G")
-        return canon_rows(order, rows)
+        return canon_rows(order, rows, known)
 
     monkeypatch.setattr(oracle_mod, "canon_rows", no_canon_rows)
     index = oracle_mod._UniverseIndex(n)
@@ -1061,9 +1063,9 @@ def test_index_certifies_only_the_colliding_product_keys(n, certified, monkeypat
     taken = []
     real = oracle_mod._certificate
 
-    def counting(order, rows):
+    def counting(order, rows, known=()):
         taken.append(order)
-        return real(order, rows)
+        return real(order, rows, known)
 
     monkeypatch.setattr(oracle_mod, "_certificate", counting)
     index = oracle_mod._UniverseIndex(n)
