@@ -190,12 +190,12 @@ def canon_connected(
         # orbit: the tried vertices' orbits under the known automorphisms that
         # fix the prefix; a vertex in it roots the image of a searched subtree.
         # The group, not single images: 9% fewer search nodes on analyze-mix
-        orbit = known = 0
+        orbit = used = 0
         gens: list[tuple[int, ...]] = []
         for v in [v for v in range(n) if colors[v] == target]:
-            if orbit and not orbit >> v & 1 and known < len(autos):
-                gens.extend(s for s in autos[known:] if all(s[p] == p for p in prefix))
-                known = len(autos)
+            if orbit and not orbit >> v & 1 and used < len(autos):
+                gens.extend(s for s in autos[used:] if all(s[p] == p for p in prefix))
+                used = len(autos)
                 orbit = _orbit_mask(orbit, gens)
             if orbit >> v & 1:
                 continue
@@ -412,16 +412,14 @@ def _orbit_generators(n: int, loops_allowed: bool) -> tuple[tuple[tuple[int, ...
     return tuple(_relabel_tables(n, loops_allowed, label) for label in (swap, cycle))
 
 
-def _automorphism_count(n: int, rows: tuple[int, ...]) -> int:
+def _automorphism_count(rows: tuple[int, ...]) -> int:
     """|Aut(G)|, as |P| times the automorphisms of the twin-class graph Q
     (graphs.twin_quotient) that keep class sizes, P the permutations inside
     the equal-row classes: an automorphism maps each class onto one of its
     size, and so acts on Q, and each such automorphism s of Q lifts to |P|
     automorphisms of G, every bijection of each class C onto s(C). Without
-    twins Q is G, and the automorphisms are counted on G itself."""
+    twins Q is G, every size is 1 and |P| = 1."""
     classes = row_classes(rows)
-    if len(classes) == n:
-        return sum(1 for _ in iter_automorphism_images(n, rows))
     sizes = [len(vs) for vs in classes.values()]
     kept = sum(1 for s in iter_automorphism_images(len(sizes), twin_quotient(classes))
                if all(sizes[c] == sizes[t] for c, t in enumerate(s)))
@@ -459,7 +457,7 @@ def stamp_orbit(n: int, rows, loops_allowed: bool, seen: bytearray) -> list[int]
             if not seen[byte] & bit:
                 seen[byte] |= bit
                 members.append(y)
-    automorphisms = _automorphism_count(n, tuple(rows))
+    automorphisms = _automorphism_count(tuple(rows))
     if len(members) * automorphisms != factorial(n):
         raise InvariantViolationError(
             f"orbit of index {k} at n={n} has {len(members)} members, "
