@@ -422,7 +422,7 @@ def _automorphism_count(rows: tuple[int, ...]) -> int:
     classes = row_classes(rows)
     sizes = [len(vs) for vs in classes.values()]
     kept = sum(1 for s in iter_automorphism_images(len(sizes), twin_quotient(classes))
-               if all(sizes[c] == sizes[t] for c, t in enumerate(s)))
+               if [sizes[t] for t in s] == sizes)
     return kept * prod(map(factorial, sizes))
 
 
