@@ -343,11 +343,12 @@ class _UniverseIndex:
 
     class_of[k] numbers the iso class of enumeration index k, in order of
     each class's least index. Stamping each orbit makes the numbers exact,
-    so canon_of reads them as certificates. class_rows holds each class's
-    least member, its representative, and class_size its member count,
-    n!/|Aut|. class_product_pure says no other class has its product class,
-    the isomorphism class of G x K2 as direct_product builds it (relabeling
-    G relabels the product, so any member gives it).
+    so canon_of, the one lookup by rows, reads them as certificates.
+    class_rows holds each class's least member, its representative, and
+    class_size its member count, n!/|Aut|. class_product_pure says no
+    other class has its product class, the isomorphism class of G x K2 as
+    direct_product builds it (relabeling G relabels the product, so any
+    member gives it).
 
     Equal product classes have equal product keys (_product_key), so a
     class alone in its key is product-pure without a canonical form. Only
@@ -401,9 +402,6 @@ class _UniverseIndex:
     def canon_of(self, rows) -> int:
         return self.class_of[adjacency_index(self.n, rows)]
 
-    def product_pure(self, rows) -> bool:
-        return self.class_product_pure[self.canon_of(rows)]
-
 
 def _main_pass_for_n(
     index: _UniverseIndex, loops_allowed: bool, violations: _Violations
@@ -439,7 +437,8 @@ def _graph_checks(
     bipartition. G's neighborhood mates are listed once: neighborhood_prop
     checks they are the G^a of that listing, and the neighborhood oracle
     that each lies in G's class. Only the orbit checks read all of Ant(G),
-    that listing expanded by P."""
+    that listing expanded by P. Every reader takes its classes from one
+    memoised lookup over index.canon_of, so no rows are looked up twice."""
     n, rows = g.n, g.adj
     edges = _edges_of_rows(n, rows)
     cosets, moved = _ant_cosets(g)
@@ -451,9 +450,10 @@ def _graph_checks(
     if mates != images:
         violations.add("neighborhood_prop", n, edges=edges,
                        missing=len(mates - images), extra=len(images - mates))
-    own = index.canon_of(rows)
-    nbhd_pure = all(index.canon_of(mate) == own for mate in mates)
-    slow = _full_route(rows, zip(cosets, moved), index.canon_of)
+    cert = lru_cache(maxsize=None)(index.canon_of)
+    own = cert(rows)
+    nbhd_pure = all(cert(mate) == own for mate in mates)
+    slow = _full_route(rows, zip(cosets, moved), cert)
     bip = bipartition(g)
     bip_verdict = _bip_decide(g, bip)[0] if bip.is_bipartite else None
     if involution_witness(g) is None:
@@ -465,7 +465,7 @@ def _graph_checks(
     if fast != slow:
         violations.add("fast_paths", n, edges=edges, fast=fast, slow=slow)
     for suite, oracle in (("theorem_vs_neighborhood_oracle", nbhd_pure),
-                          ("theorem_vs_cancellation_oracle", index.product_pure(rows))):
+                          ("theorem_vs_cancellation_oracle", index.class_product_pure[own])):
         if oracle != slow:
             violations.add(suite, n, edges=edges, decider=slow, oracle=oracle)
     direct = strong_counterexample(g) is None
@@ -475,9 +475,7 @@ def _graph_checks(
     if n <= ORBIT_CHECK_MAX:
         ant, ant_rows = _full_listing(g)
         if len(ant) > 1:
-            # a coset's members share one G^a: one lookup per distinct G^a
-            cert = {arows: index.canon_of(arows) for arows in set(ant_rows)}
-            _orbit_checks(n, rows, ant, [cert[r] for r in ant_rows], violations)
+            _orbit_checks(n, rows, ant, [cert(r) for r in ant_rows], violations)
     return slow, direct, bip_verdict is False
 
 
@@ -775,13 +773,13 @@ def verify_theorems(
     certificates from the universe index, once per iso class of the mode's
     universe, with each class counted by its size, checks that the
     neighborhood mates are the G^a (neighborhood_prop), and, up to
-    ORBIT_CHECK_MAX, checks orbit/isomorphism agreement and odd powers on
-    all of Ant(G). Five side
-    suites cover two-fold membership, digraph symmetry and product
-    structure, once per iso class of the loops-allowed universe up to
-    SIDE_SUITE_MAX, on the representatives of the universe index the main
-    suite built; every fact they check is invariant under relabeling. The
-    bipartite sweep always runs loopless up to bip_max, independent of mode.
+    ORBIT_CHECK_MAX, checks orbit/isomorphism agreement and odd powers on all
+    of Ant(G). Five side suites cover two-fold membership, digraph symmetry
+    and product structure, once per iso class of the loops-allowed universe
+    up to SIDE_SUITE_MAX, on the representatives of the universe index the
+    main suite built; every fact they check is invariant under relabeling.
+    The bipartite sweep always runs loopless up to bip_max, independent of
+    mode.
 
     Every suite runs in the calling process. jobs is accepted for
     compatibility and has no effect beyond refusing values below 1; the

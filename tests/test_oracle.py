@@ -188,7 +188,7 @@ def test_cancellation_oracle_matches_the_index_product_purity(n):
             continue
         numbered += 1
         g = Graph(n, tuple(rows))
-        pure = index.product_pure(g.adj)
+        pure = index.class_product_pure[index.canon_of(g.adj)]
         assert cancellation_oracle(g) == pure
         assert (cancellation_counterexample(g) is None) == pure
     assert numbered == max(index.class_of) + 1
@@ -490,10 +490,11 @@ def test_main_pass_expands_ant_only_for_the_orbit_checks(monkeypatch):
     assert expanded == {1: 2, 2: 6}
 
 
-def test_orbit_checks_look_up_each_distinct_g_a_once(monkeypatch):
-    # the members of a coset aP share one G^a, so the orbit checks read the
-    # index once per distinct G^a, not once per member of Ant(G): the
-    # lookups they add to the other checks' are counted per class at n <= 4
+@pytest.mark.parametrize("orbit_check_max", [0, 5])
+def test_graph_checks_look_up_no_rows_twice(monkeypatch, orbit_check_max):
+    # G's own class, both oracles, the full route and the orbit checks read
+    # one memoised lookup: within a class, no rows reach the index twice,
+    # and only G's neighborhood mates reach it
     calls = []
 
     class CountingIndex(oracle_mod._UniverseIndex):
@@ -501,20 +502,15 @@ def test_orbit_checks_look_up_each_distinct_g_a_once(monkeypatch):
             calls.append(rows)
             return super().canon_of(rows)
 
-    def lookups(index, g, orbit_check_max):
-        monkeypatch.setattr(oracle_mod, "ORBIT_CHECK_MAX", orbit_check_max)
-        calls.clear()
-        oracle_mod._graph_checks(index, g, oracle_mod._Violations())
-        return len(calls)
-
+    monkeypatch.setattr(oracle_mod, "ORBIT_CHECK_MAX", orbit_check_max)
     for n in range(1, 5):
         index = CountingIndex(n)
         index.build()
         for rows in index.class_rows:
-            g = Graph(n, rows)
-            ant, ant_rows = antiauto_mod._full_listing(g)
-            expected = len(set(ant_rows)) if len(ant) > 1 else 0
-            assert lookups(index, g, n) - lookups(index, g, 0) == expected
+            calls.clear()
+            oracle_mod._graph_checks(index, Graph(n, rows), oracle_mod._Violations())
+            assert rows in calls and len(calls) == len(set(calls))
+            assert set(calls) <= set(oracle_mod._neighborhood_mates(n, rows))
 
 
 @pytest.mark.parametrize("loops", [True, False])
@@ -820,8 +816,9 @@ def test_odd_power_fault_is_reported_by_the_main_pass():
         def canon_of(self, rows):
             return adjacency_index(self.n, rows)
 
-        def product_pure(self, rows):
-            return True
+        def build(self):
+            super().build()
+            self.class_product_pure = [True] * len(self.class_of)
 
     index = LabeledIndex(3)
     index.build()
@@ -952,7 +949,7 @@ def index_purity(index, rows) -> tuple[bool, bool]:
     index: every neighborhood mate in G's class, and the product flag."""
     own = index.canon_of(rows)
     mates = oracle_mod._neighborhood_mates(index.n, rows)
-    return all(index.canon_of(mate) == own for mate in mates), index.product_pure(rows)
+    return all(index.canon_of(mate) == own for mate in mates), index.class_product_pure[own]
 
 
 def labeled_purity(n: int) -> list[tuple[bool, bool]]:
