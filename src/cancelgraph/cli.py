@@ -2,12 +2,15 @@
 
 Exit codes: 0 success, 1 domain error (a mathematically invalid request,
 e.g. a permutation that is not an anti-automorphism), 2 usage error (bad
-arguments or malformed files), 3 verification found violations.
+arguments or malformed files), 3 verification found violations, 141 stdout
+closed before the output was written (128 + SIGPIPE, what a shell reports
+for a filter that `head` stops), with nothing on stderr.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .antiauto import apply_anti, enumerate_ant, enumerate_aut_tf
@@ -30,6 +33,7 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 EXIT_VIOLATIONS = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -167,7 +171,17 @@ def run(argv: list[str] | None = None) -> int:
         # argparse exits 2 on bad usage and 0 on --help; keep both.
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        # a closed stdout shows here, inside the try, not at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: point fd 1 at devnull so the final flush at
+        # interpreter exit stays quiet too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except CapacityError as exc:
         print(f"error: {_refusal(exc, args)}", file=sys.stderr)
         return EXIT_USAGE

@@ -71,7 +71,6 @@ and reversal failure, plus the failed checks of any faulty class. That is
 2 x 256 KiB at n=7 and 2 x 32 MiB at n=8 under force, exactly TABLE_MAX_MIB;
 n=9 is refused whatever force says. The tables of stamp_orbit's two
 generators add 160 KiB at n=8."""
-ORBIT_CHECK_MAX = 5
 SIDE_SUITE_MAX = 4
 """Largest n of the five side suites: pair_membership, digraph_symmetry,
 weichsel, lovasz and roundtrip. Each takes the graphs it checks as
@@ -428,9 +427,9 @@ def _main_pass_for_n(
 def _graph_checks(
     index: _UniverseIndex, g: Graph, violations: _Violations
 ) -> tuple[bool, bool, bool]:
-    """The decider's routes on g against both oracles, and the orbit checks
-    up to ORBIT_CHECK_MAX, with every certificate read off the universe
-    index at g's n: (reconstructible, strongly, reversal decider says no).
+    """The decider's routes on g against both oracles, and the orbit checks,
+    with every certificate read off the universe index at g's n:
+    (reconstructible, strongly, reversal decider says no).
     The full route, the multiset, neighborhood_prop and both strong tests
     read the coset listing of Ant(G) that the deciders read; the fast route
     takes the decider's route order over its involution search and
@@ -472,10 +471,9 @@ def _graph_checks(
     classwise = _classwise_strong(rows, cosets)
     if direct != classwise:
         violations.add("strong_routes", n, edges=edges, direct=direct, classwise=classwise)
-    if n <= ORBIT_CHECK_MAX:
-        ant, ant_rows = _full_listing(g)
-        if len(ant) > 1:
-            _orbit_checks(n, rows, ant, [cert(r) for r in ant_rows], violations)
+    ant, ant_rows = _full_listing(g)
+    if len(ant) > 1:
+        _orbit_checks(n, rows, ant, [cert(r) for r in ant_rows], violations)
     return slow, direct, bip_verdict is False
 
 
@@ -772,12 +770,12 @@ def verify_theorems(
     The main suite compares the decider against both oracles, with
     certificates from the universe index, once per iso class of the mode's
     universe, with each class counted by its size, checks that the
-    neighborhood mates are the G^a (neighborhood_prop), and, up to
-    ORBIT_CHECK_MAX, checks orbit/isomorphism agreement and odd powers on all
-    of Ant(G). Five side suites cover two-fold membership, digraph symmetry
-    and product structure, once per iso class of the loops-allowed universe
-    up to SIDE_SUITE_MAX, on the representatives of the universe index the
-    main suite built; every fact they check is invariant under relabeling.
+    neighborhood mates are the G^a (neighborhood_prop), and checks
+    orbit/isomorphism agreement and odd powers on all of Ant(G). Five side
+    suites cover two-fold membership, digraph symmetry and product
+    structure, once per iso class of the loops-allowed universe up to
+    SIDE_SUITE_MAX, on the representatives of the universe index the main
+    suite built; every fact they check is invariant under relabeling.
     The bipartite sweep always runs loopless up to bip_max, independent of
     mode.
 

@@ -7,6 +7,8 @@ budget covers them exactly once, like a user running the CLI twice.
 """
 from __future__ import annotations
 
+import hashlib
+import json
 import time
 
 import pytest
@@ -123,6 +125,26 @@ def test_exhaustive_verification_runs_clean(big_verification):
     ]
     assert [r.non_reconstructible for r in loopless.census] == [0, 1, 4, 47, 718, 19246]
     print(f"PASS: exhaustive verification, both universes clean ({elapsed:.1f}s)")
+
+
+def report_digest(report) -> str:
+    """sha256 of a verify report's JSON without its timings."""
+    data = report.to_json_dict()
+    del data["suite_seconds"]
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
+def test_flagship_reports_are_frozen(big_verification):
+    # every census row, bipartite census row and violation of both flagship
+    # runs; a change that moves any of them on purpose records new digests
+    loops, loopless, _ = big_verification
+    assert report_digest(loops) == (
+        "e94ddffe78583e0e5d751e2cbc8175258089b6a4a072d64af11aa6aa3fea333b"
+    )
+    assert report_digest(loopless) == (
+        "de7961f3830759713a9ffbe4243d86842a52a14368b50c16ad9183c54aa5d53a"
+    )
+    print("PASS: both flagship verify reports match their recorded digests")
 
 
 def test_triangle_factor_cancellation(big_verification):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -11,7 +12,14 @@ import pytest
 
 import cancelgraph.cli as cli
 from cancelgraph import InvariantViolationError, VerificationReport
-from cancelgraph.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VIOLATIONS, run
+from cancelgraph.cli import (
+    EXIT_BROKEN_PIPE,
+    EXIT_DOMAIN,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VIOLATIONS,
+    run,
+)
 
 from conftest import fixture_path
 
@@ -216,3 +224,21 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == [[0], [0, 1]]
+
+
+@pytest.mark.parametrize("argv", [["analyze", fixture_path("c6")], ["verify", "--max-n", "2"]])
+def test_closed_stdout_exits_broken_pipe_quietly(argv):
+    # stdout is a pipe whose read end is closed before the command starts,
+    # as when `head` has stopped reading: every write fails with EPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cancelgraph.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    assert EXIT_BROKEN_PIPE == 141
+    assert (proc.returncode, proc.stderr) == (EXIT_BROKEN_PIPE, b"")

@@ -4,7 +4,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -455,6 +455,30 @@ def test_orbit_fault_is_reported_by_the_main_pass(monkeypatch):
     assert violation_kinds(report.violations) == per_class == {"simeqiso_across_orbits": 14}
 
 
+class CertificateIndex:
+    """Stands in for the universe index at n=6, whose build takes seconds:
+    each class is named by its certificate, and no class is product pure,
+    which holds for C6 (C6 x K2 is 2K3 x K2)."""
+
+    class_product_pure = defaultdict(bool)
+
+    def canon_of(self, rows):
+        return oracle_mod._certificate(6, rows)
+
+
+def test_orbit_fault_is_reported_at_six(monkeypatch):
+    # the orbit checks run at n=6 too: without generators each of C6's 22
+    # anti-automorphisms is its own orbit, against 4 classes of G^a
+    violations = oracle_mod._Violations()
+    oracle_mod._graph_checks(CertificateIndex(), load_fixture("c6"), violations)
+    assert violations.total == 0
+    monkeypatch.setattr(antiauto_mod, "_tf_generators", lambda n, rows: [])
+    oracle_mod._graph_checks(CertificateIndex(), load_fixture("c6"), violations)
+    assert [(v["suite"], v["n"], v["orbits"], v["classes"]) for v in violations.items] == [
+        ("simeqiso_across_orbits", 6, 22, 4)
+    ]
+
+
 def test_oracle_purity_fault_is_reported_by_the_main_pass(monkeypatch):
     # every graph reads reconstructible: the 0 + 2 + 20 non-reconstructible
     # graphs up to n=3, in 0 + 2 + 8 classes, now disagree with both oracles
@@ -479,19 +503,17 @@ def test_fast_path_fault_is_reported_by_the_main_pass(monkeypatch):
         assert violation_kinds(report.violations) == per_class == {"fast_paths": class_count}
 
 
-def test_main_pass_expands_ant_only_for_the_orbit_checks(monkeypatch):
-    # with orbit checks up to n=2, all of Ant(G) is listed once for each of
-    # the 2 + 6 loops-allowed classes at n <= 2, and never at n=3
+def test_main_pass_expands_ant_once_per_class_at_every_n(monkeypatch):
+    # the orbit checks run at every n: all of Ant(G) is listed once for each
+    # of the 2 + 6 + 20 loops-allowed classes at n <= 3, and nowhere else
     expanded: Counter = Counter()
-    monkeypatch.setattr(oracle_mod, "ORBIT_CHECK_MAX", 2)
     monkeypatch.setattr(oracle_mod, "_full_listing",
                         lambda g: expanded.update([g.n]) or antiauto_mod._full_listing(g))
     assert verify_theorems(3, True, bip_max=0).ok
-    assert expanded == {1: 2, 2: 6}
+    assert expanded == {1: 2, 2: 6, 3: 20}
 
 
-@pytest.mark.parametrize("orbit_check_max", [0, 5])
-def test_graph_checks_look_up_no_rows_twice(monkeypatch, orbit_check_max):
+def test_graph_checks_look_up_no_rows_twice():
     # G's own class, both oracles, the full route and the orbit checks read
     # one memoised lookup: within a class, no rows reach the index twice,
     # and only G's neighborhood mates reach it
@@ -502,7 +524,6 @@ def test_graph_checks_look_up_no_rows_twice(monkeypatch, orbit_check_max):
             calls.append(rows)
             return super().canon_of(rows)
 
-    monkeypatch.setattr(oracle_mod, "ORBIT_CHECK_MAX", orbit_check_max)
     for n in range(1, 5):
         index = CountingIndex(n)
         index.build()
