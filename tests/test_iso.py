@@ -308,18 +308,23 @@ def reference_canon_connected(n: int, rows: tuple[int, ...], known=()):
     return tuple(canon), tuple(perm)
 
 
-def check_against_reference_search(graphs) -> None:
-    """canon_rows and refine against the reference search on each (n, rows);
-    refine from the initial coloring, from it with vertex 0 individualized,
-    and from a discrete coloring."""
-    got = [canon_rows(n, rows) for n, rows in graphs]
+def check_against_reference_search(graphs, seeded: bool = False) -> None:
+    """canon_rows and refine against the reference search on each (n, rows),
+    with the layer swap v <-> v ^ 1 known if seeded; refine from the initial
+    coloring, from it with vertex 0 individualized, and from a discrete
+    coloring."""
+    def canon_all():
+        return [canon_rows(n, rows, (tuple(v ^ 1 for v in range(n)),) if seeded else ())
+                for n, rows in graphs]
+
+    got = canon_all()
     # a cached component would skip the reference search, and one the
     # reference searched must not outlive the patch
     iso_mod._canon_component.cache_clear()
     try:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(iso_mod, "canon_connected", reference_canon_connected)
-            assert got == [canon_rows(n, rows) for n, rows in graphs]
+            assert got == canon_all()
     finally:
         iso_mod._canon_component.cache_clear()
     for n, rows in graphs:
@@ -444,23 +449,29 @@ def test_twin_swaps_generate_every_automorphic_transposition(n):
     assert kinds == ({(0, 0), (1, 0), (0, 1), (1, 1)} if n > 1 else set())
 
 
-def leaf_counts(graphs, seeded: bool = False) -> list[int]:
-    """The search leaves canon_connected reaches on each graph, counted by
-    wrapping _leaf_key; seeded, with the layer swap v <-> v ^ 1 known."""
+def call_counts(name: str, graphs, seeded: bool = False) -> list[int]:
+    """The calls of iso_mod.<name> canon_connected makes on each graph,
+    counted by wrapping it; seeded, with the layer swap v <-> v ^ 1 known."""
     counts = []
-    leaf_key = iso_mod._leaf_key
+    fn = getattr(iso_mod, name)
 
     def counted(*args):
         counts[-1] += 1
-        return leaf_key(*args)
+        return fn(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(iso_mod, "_leaf_key", counted)
+        mp.setattr(iso_mod, name, counted)
         for g in graphs:
             counts.append(0)
             known = [tuple(v ^ 1 for v in range(g.n))] if seeded else []
             iso_mod.canon_connected(g.n, g.adj, known)
     return counts
+
+
+def leaf_counts(graphs, seeded: bool = False) -> list[int]:
+    """The search leaves canon_connected reaches on each graph, counted by
+    wrapping _leaf_key."""
+    return call_counts("_leaf_key", graphs, seeded)
 
 
 def test_twin_swaps_cut_the_search_leaves(monkeypatch):
@@ -502,6 +513,162 @@ def test_layer_swap_seed_keeps_the_canonical_rows_of_double_covers():
     seeded = leaf_counts(connected, seeded=True)
     assert all(s <= u for s, u in zip(seeded, unseeded))
     assert (len(connected), sum(unseeded), sum(seeded)) == (408, 1212, 793)
+
+
+# ---------------------------------------------------------------------------
+# the twin step: a target cell of mutual twins individualized without _refine
+# ---------------------------------------------------------------------------
+
+
+def multipartite_rows(parts, loops: bool = False) -> tuple[int, ...]:
+    """The complete multipartite graph with parts of the given sizes,
+    numbered part by part; with loops, every vertex looped."""
+    part = [i for i, size in enumerate(parts) for _ in range(size)]
+    n = len(part)
+    return tuple(sum(1 << w for w in range(n) if part[w] != part[v] or (loops and w == v))
+                 for v in range(n))
+
+
+def partitions(n: int, most: int | None = None) -> Iterator[tuple[int, ...]]:
+    """The partitions of n, parts descending, none above most."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, most or n), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first, *rest)
+
+
+def pendant_rows(a: int, b: int, hung) -> tuple[int, tuple[int, ...]]:
+    """K_{a,b} (sides 0..a-1 and a..a+b-1) with one new pendant vertex
+    hung on each vertex of hung."""
+    n = a + b + len(hung)
+    edges = [(x, a + y) for x in range(a) for y in range(b)]
+    edges += [(v, a + b + i) for i, v in enumerate(hung)]
+    return n, Graph.from_edges(n, edges).adj
+
+
+def twin_families() -> list[tuple[int, tuple[int, ...]]]:
+    """K_n and looped K_n for n <= 9, every other complete multipartite
+    graph on at most 8 vertices with and without loops, and K_{a,b} with
+    pendant vertices."""
+    out = []
+    for n in range(1, 10):
+        out.append((n, multipartite_rows((1,) * n)))
+        out.append((n, multipartite_rows((1,) * n, loops=True)))
+    for n in range(2, 9):
+        for parts in partitions(n):
+            if 1 < len(parts) < n:
+                out.extend((n, multipartite_rows(parts, loops)) for loops in (False, True))
+    for a in range(1, 5):
+        for b in range(a, 5):
+            for hung in ([0], [0, 1], [a], list(range(a, a + b)), list(range(a + b))):
+                if max(hung) < a + b:
+                    out.append(pendant_rows(a, b, hung))
+    return out
+
+
+# connected graphs in which the search individualizes a twin-class member
+# that is not the least vertex of its mixed cell, leaving two or more of its
+# twins in the cell: K_{3,3}, and relabeled blow-ups of random graphs on 3-5
+# vertices into twin classes of 1-3 vertices
+MIXED_CELL_SPLITS = [
+    (6, (56, 56, 56, 7, 7, 7)),
+    (9, (486, 189, 507, 486, 486, 383, 189, 479, 189)),
+    (8, (246, 187, 189, 246, 95, 111, 249, 207)),
+    (8, (90, 89, 232, 255, 75, 204, 255, 108)),
+    (9, (430, 223, 375, 379, 430, 253, 430, 499, 477)),
+    (9, (364, 496, 361, 357, 482, 479, 447, 370, 255)),
+    (9, (245, 350, 511, 350, 495, 245, 511, 245, 350)),
+    (7, (126, 15, 15, 15, 113, 113, 113)),
+    (8, (222, 179, 109, 109, 179, 222, 109, 179)),
+]
+
+
+def twin_classes(n: int, rows: tuple[int, ...]) -> list[int]:
+    """The least member of each vertex's twin class, by brute force."""
+    return [min(w for w in range(n) if w == v or swap_is_automorphism(rows, v, w))
+            for v in range(n)]
+
+
+def splits_a_twin_class_in_a_mixed_cell(n: int, rows: tuple[int, ...]) -> bool:
+    """Whether canon_connected individualizes a vertex v, not the least of
+    its cell, in a cell that holds a vertex outside v's twin class and at
+    least two of v's twins; read off the colourings _refine is given."""
+    twin = twin_classes(n, rows)
+    seen = []
+    refine_ = iso_mod._refine
+
+    def watched(n_, nbrs, colors):
+        new = [v for v in range(n) if colors[v] >= n]
+        if len(new) == 1:
+            v = new[0]
+            mates = [w for w in range(n) if w != v and twin[w] == twin[v] and colors[w] < n]
+            cell = [x for x in range(n) if mates and colors[x] == colors[mates[0]]]
+            seen.append(len(mates) >= 2 and min(cell) < v and any(twin[x] != twin[v] for x in cell))
+        return refine_(n_, nbrs, colors)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(iso_mod, "_refine", watched)
+        iso_mod.canon_connected(n, rows)
+    return any(seen)
+
+
+def test_twin_step_matches_the_reference_search_on_twin_families():
+    families = twin_families()
+    assert (8, multipartite_rows((2, 2, 2, 2))) in families
+    assert (8, multipartite_rows((4, 3, 1))) in families
+    assert all(splits_a_twin_class_in_a_mixed_cell(n, rows) for n, rows in MIXED_CELL_SPLITS)
+    check_against_reference_search(families + MIXED_CELL_SPLITS)
+
+
+def test_twin_step_matches_the_reference_search_on_seeded_double_covers():
+    # the G x K2 of the loops-allowed class representatives up to n=5, the
+    # connected ones searched with the layer swap known
+    covers = double_covers(5)
+    check_against_reference_search(covers, seeded=True)
+
+
+@st.composite
+def twin_blowups(draw, max_n: int = 8) -> tuple[int, tuple[int, ...]]:
+    """A graph with loops on at most 4 vertices, each vertex blown up into a
+    class of 1-3 twins, open or closed, on at most max_n vertices in all,
+    then relabeled."""
+    base = draw(graph_strategy(max_n=4, loops=True))
+    sizes = [draw(st.integers(1, 3)) for _ in range(base.n)]
+    while sum(sizes) > max_n:
+        sizes[sizes.index(max(sizes))] -= 1
+    joined = [draw(st.booleans()) for _ in range(base.n)]
+    part = [x for x in range(base.n) for _ in range(sizes[x])]
+    n = len(part)
+    image = draw(st.permutations(range(n)))
+    rows = [0] * n
+    for v, w in itertools.product(range(n), repeat=2):
+        x, y = part[v], part[w]
+        if (base.adj[x] >> y & 1) if x != y or v == w else joined[x]:
+            rows[image[v]] |= 1 << image[w]
+    return n, tuple(rows)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(twin_blowups())
+def test_twin_step_matches_the_reference_search_on_twin_blowups(graph):
+    check_against_reference_search([graph])
+
+
+def test_twin_step_cuts_the_refine_calls(monkeypatch):
+    # _refine calls, the root's included: K8, K8 with all loops and K1,7
+    # reach their leaf by twin steps alone, and K4,4 and K2,2,2,2 step each
+    # cell of twins they reach; the search before the twin step made 8, 8,
+    # 7, 13 and 21 calls. K8's twins have unequal rows, so twin classes read
+    # off equal rows alone would not step it
+    graphs = [Graph(8, multipartite_rows(parts, loops)) for parts, loops in [
+        ((1,) * 8, False), ((1,) * 8, True), ((1, 7), False), ((4, 4), False), ((2, 2, 2, 2), False),
+    ]]
+    assert call_counts("_refine", graphs) == [1, 1, 1, 3, 14]
+    assert leaf_counts(graphs) == [1, 1, 1, 2, 7]
+    monkeypatch.setattr(iso_mod, "_twin_swaps", lambda n, rows: [])
+    assert call_counts("_refine", graphs) == [92, 92, 63, 51, 31]
 
 
 @pytest.mark.parametrize("seed", [
