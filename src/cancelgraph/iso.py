@@ -51,7 +51,6 @@ from .graphs import (
     is_involution,
     maps_neighborhoods,
     permute_mask,
-    relabel_rows,
     row_classes,
     twin_quotient,
     upper_cells,
@@ -64,6 +63,10 @@ def initial_colors(n: int, rows: tuple[int, ...]) -> list[int]:
     pairs = [(rows[v] >> v & 1, rows[v].bit_count()) for v in range(n)]
     rank = {p: i for i, p in enumerate(sorted(set(pairs)))}
     return [rank[p] for p in pairs]
+
+
+# the set bits of each byte value, ascending
+_BYTE_BITS = tuple(tuple(b for b in range(8) if x >> b & 1) for x in range(256))
 
 
 def refine(n: int, rows: tuple[int, ...], colors: list[int]) -> list[int]:
@@ -80,11 +83,13 @@ def _setup(n: int, rows: tuple[int, ...]) -> tuple[list[list[int]], list[int]]:
     for v, m in enumerate(rows):
         loop = m >> v & 1
         nb = []
-        # inline bit loop, not bits_of: once per refine call and per canonical-form search
+        base = 0
+        # a byte at a time, not bits_of: half the time of a bit loop over
+        # the canonical-form inputs of an analyze-mix round (timeit)
         while m:
-            b = m & -m
-            nb.append(b.bit_length() - 1)
-            m ^= b
+            nb += [base + b for b in _BYTE_BITS[m & 255]] if base else _BYTE_BITS[m & 255]
+            m >>= 8
+            base += 8
         nbrs.append(nb)
         start.append(loop * (n + 1) + len(nb))
     return nbrs, start
@@ -164,8 +169,10 @@ _REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 def _rows_of_key(n: int, key: tuple[int, ...]) -> tuple[int, ...]:
     """The rows a leaf key stands for: each n-bit row with its bit order
-    reversed back, bytewise."""
+    reversed back, bytewise, once shifted up to whole bytes."""
     shift = -n % 8
+    if n <= 8:
+        return tuple([_REVERSED_BYTES[k << shift] for k in key])
     size = (n + shift) >> 3
     return tuple([int.from_bytes((k << shift).to_bytes(size, "little").translate(_REVERSED_BYTES), "big")
                   for k in key])
