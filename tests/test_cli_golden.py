@@ -4,8 +4,8 @@ Each case runs cli.run in process from the repository root and compares
 stdout, stderr and the exit code with tests/golden/cli: stdout in
 <case>.out, argv, stderr and exit code in cases.json. The cases are analyze,
 ant, tf and nbhd on every fixture; iso of every fixture against a copy
-relabeled by one fixed permutation (tests/golden/relabeled), whose witness
-is built from both canonical relabelings; and the documented refusals.
+relabeled by a fixed shuffle (tests/golden/relabeled), whose witness is
+built from both canonical relabelings; and the documented refusals.
 
 A change that alters an output on purpose rewrites the goldens with
 
