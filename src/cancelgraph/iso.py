@@ -5,20 +5,13 @@ plus individualization: starting colors are (loop flag, neighborhood size),
 refinement re-colors by sorted neighbor colors until stable, and when classes
 remain ambiguous the search individualizes each vertex of the smallest class
 in turn, keeping the relabeling whose adjacency encoding (see graphs) is
-least. The certificate is that encoding of the canonical rows. One pass over
-the rows gives the neighbour lists and the starting colors. A discrete
-coloring is final, so it is renumbered without a refinement round. A target
-class made only of mutual twins (the classes the twin swaps below join) is
-individualized least vertex first, one new color each, also without a
-refinement round: every other class is joined to all of it or to none, so
-refinement would change nothing more, and its other vertices root images of
-the least one's subtree that the search would reach later. The canonical
-rows are read off the least leaf's key, the relabeled rows in reversed bit
-order, instead of relabeling the rows once more. The components of a
-disconnected graph go through a cache keyed by their compact rows, so a
-component that recurs, as G does in G + G and in the G x K2 of a connected
-bipartite G, is searched once; a connected graph is searched directly and
-adds no entry.
+least. The certificate is that encoding of the canonical rows, read off the
+least leaf's key. A target class made only of mutual twins is individualized
+without a refinement round; canon_connected says why that is exact. The
+components of a disconnected graph go through a cache keyed by their compact
+rows, so a component that recurs, as G does in G + G and in the G x K2 of a
+connected bipartite G, is searched once; a connected graph is searched
+directly and adds no entry.
 
 Known automorphisms prune sibling branches: a cell vertex is skipped when it
 lies in the orbit of a tried vertex under the group that the known
@@ -59,23 +52,6 @@ from .graphs import (
 AUT_MAX = 8
 
 
-def initial_colors(n: int, rows: tuple[int, ...]) -> list[int]:
-    pairs = [(rows[v] >> v & 1, rows[v].bit_count()) for v in range(n)]
-    rank = {p: i for i, p in enumerate(sorted(set(pairs)))}
-    return [rank[p] for p in pairs]
-
-
-# the set bits of each byte value, ascending: the values 2^b..2^(b+1)-1 are
-# those below 2^b with bit b added. Built at import, in a quarter of the time
-# of testing each bit of each value
-_BYTE_BITS: tuple[tuple[int, ...], ...] = ((),)
-for _b in range(8):
-    _BYTE_BITS += tuple(bits + (_b,) for bits in _BYTE_BITS)
-del _b
-# each byte value with its bit order reversed
-_REVERSED_BYTES = bytes(sum(128 >> b for b in bits) for bits in _BYTE_BITS)
-
-
 def refine(n: int, rows: tuple[int, ...], colors: list[int]) -> list[int]:
     """Stable re-coloring: color plus sorted multiset of neighbor colors."""
     return _refine(n, _setup(n, rows)[0], colors)
@@ -83,20 +59,18 @@ def refine(n: int, rows: tuple[int, ...], colors: list[int]) -> list[int]:
 
 def _setup(n: int, rows: tuple[int, ...]) -> tuple[list[list[int]], list[int]]:
     """The neighbour lists and start colours, in one pass over the rows. The
-    start colour loop * (n + 1) + degree orders vertices as initial_colors'
-    (loop, degree) ranks do, and _refine's result depends only on that order."""
+    start colour loop * (n + 1) + degree orders vertices by (loop, degree),
+    and _refine's result depends only on the order of the colours."""
     nbrs = []
     start = []
     for v, m in enumerate(rows):
         loop = m >> v & 1
         nb = []
-        base = 0
-        # a byte at a time, not bits_of: half the time of a bit loop over
-        # the canonical-form inputs of an analyze-mix round (timeit)
+        # inline bit loop, not bits_of: once per refine call and per canonical-form search
         while m:
-            nb += [base + b for b in _BYTE_BITS[m & 255]] if base else _BYTE_BITS[m & 255]
-            m >>= 8
-            base += 8
+            b = m & -m
+            nb.append(b.bit_length() - 1)
+            m ^= b
         nbrs.append(nb)
         start.append(loop * (n + 1) + len(nb))
     return nbrs, start
@@ -170,12 +144,14 @@ def _twin_swaps(n: int, rows: tuple[int, ...]) -> list[tuple[int, ...]]:
     return swaps
 
 
+# each byte with its bit order reversed
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def _rows_of_key(n: int, key: tuple[int, ...]) -> tuple[int, ...]:
     """The rows a leaf key stands for: each n-bit row with its bit order
-    reversed back, bytewise, once shifted up to whole bytes."""
+    reversed back, bytewise."""
     shift = -n % 8
-    if n <= 8:
-        return tuple([_REVERSED_BYTES[k << shift] for k in key])
     size = (n + shift) >> 3
     return tuple([int.from_bytes((k << shift).to_bytes(size, "little").translate(_REVERSED_BYTES), "big")
                   for k in key])
@@ -193,11 +169,13 @@ def canon_connected(
     so the first least leaf, and with it the rows and the relabeling, is the
     same whichever automorphisms are known.
 
-    A target cell of mutual twins is individualized least member first
-    without a _refine call: every other cell is joined to all of it or to
-    none, so _refine would only give the member the next new colour, and
-    the other members root images of its subtree under twin swaps that fix
-    the prefix, searched after it."""
+    A target cell of mutual twins is individualized least member first, one
+    new colour each, without a _refine call: every other cell is joined to
+    all of it or to none, so _refine would only give the member the next new
+    colour, and the other members root images of its subtree under twin
+    swaps that fix the prefix, searched after it. The rest of the cell is
+    then the smallest cell, so the whole class goes in turn, and its last
+    member keeps the cell's colour."""
     for s in known:
         if sorted(s) != list(range(n)) or not maps_neighborhoods(rows, rows, s, s):
             raise InvariantViolationError(f"known seed {s} is not an automorphism")
@@ -239,8 +217,7 @@ def canon_connected(
             return
         cell = [v for v in range(n) if colors[v] == target]
         if swaps and all(twin[v] == twin[cell[0]] for v in cell):
-            # the twin step: colors is this search's own list, so it is
-            # recoloured in place; the last member keeps the cell's colour
+            # the twin step; colors is this search's own list
             for i, v in enumerate(cell[:-1]):
                 colors[v] = len(counts) + i
             descend(colors, prefix + cell[:-1])
@@ -387,7 +364,8 @@ def iter_automorphism_images(n: int, rows: tuple[int, ...]) -> Iterator[tuple[in
     ascending: img[v] ranges over one mask, the unused vertices of v's colour
     cell (which fixes the loop bit), ANDed with rows[img[u]] or its
     complement for each u < v as bit u of rows[v] is set or not."""
-    colors = refine(n, rows, initial_colors(n, rows))
+    nbrs, start = _setup(n, rows)
+    colors = _refine(n, nbrs, start)
     cells: dict[int, int] = {}
     for v in range(n):
         cells[colors[v]] = cells.get(colors[v], 0) | 1 << v

@@ -38,7 +38,6 @@ from cancelgraph.graphs import (component_masks, enumerate_count, iter_adj_rows,
 from cancelgraph.iso import (
     automorphisms,
     canon_rows,
-    initial_colors,
     iter_automorphism_images,
     refine,
     stamp_orbit,
@@ -174,6 +173,14 @@ def test_involution_witness_is_least(c6, lp, asym7, p_reconstruct):
 @given(graph_strategy(max_n=5, loops=True))
 def test_has_involution_matches_listing(g):
     assert has_involution(g) == any(p.is_involution() for p in automorphisms(g))
+
+
+def initial_colors(n: int, rows: tuple[int, ...]) -> list[int]:
+    """Each vertex's rank among the (loop, degree) pairs: the start colouring
+    of the reference searches."""
+    pairs = [(rows[v] >> v & 1, rows[v].bit_count()) for v in range(n)]
+    rank = {p: i for i, p in enumerate(sorted(set(pairs)))}
+    return [rank[p] for p in pairs]
 
 
 def per_bit_automorphism_images(n: int, rows: tuple[int, ...]):
