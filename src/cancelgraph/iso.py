@@ -52,11 +52,6 @@ from .graphs import (
 AUT_MAX = 8
 
 
-def refine(n: int, rows: tuple[int, ...], colors: list[int]) -> list[int]:
-    """Stable re-coloring: color plus sorted multiset of neighbor colors."""
-    return _refine(n, _setup(n, rows)[0], colors)
-
-
 def _setup(n: int, rows: tuple[int, ...]) -> tuple[list[list[int]], list[int]]:
     """The neighbour lists and start colours, in one pass over the rows. The
     start colour loop * (n + 1) + degree orders vertices by (loop, degree),
@@ -66,7 +61,7 @@ def _setup(n: int, rows: tuple[int, ...]) -> tuple[list[list[int]], list[int]]:
     for v, m in enumerate(rows):
         loop = m >> v & 1
         nb = []
-        # inline bit loop, not bits_of: once per refine call and per canonical-form search
+        # inline bit loop, not bits_of: once per canonical-form and automorphism search
         while m:
             b = m & -m
             nb.append(b.bit_length() - 1)
@@ -77,8 +72,9 @@ def _setup(n: int, rows: tuple[int, ...]) -> tuple[list[list[int]], list[int]]:
 
 
 def _refine(n: int, nbrs: list[list[int]], colors: list[int]) -> list[int]:
-    """refine over neighbour lists; a discrete coloring is stable, so it is
-    renumbered without a round, and a round that makes one is the last."""
+    """Stable re-coloring: color plus sorted multiset of neighbor colors. A
+    discrete coloring is stable, so it is renumbered without a round, and a
+    round that makes one is the last."""
     ncolors = len(set(colors))
     if ncolors == n:
         rank = {c: i for i, c in enumerate(sorted(colors))}

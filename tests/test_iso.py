@@ -39,7 +39,6 @@ from cancelgraph.iso import (
     automorphisms,
     canon_rows,
     iter_automorphism_images,
-    refine,
     stamp_orbit,
 )
 from cancelgraph.oracle import _UniverseIndex
@@ -189,7 +188,7 @@ def per_bit_automorphism_images(n: int, rows: tuple[int, ...]):
     if n == 0:
         yield ()
         return
-    colors = refine(n, rows, initial_colors(n, rows))
+    colors = reference_refine(n, rows, initial_colors(n, rows))
     members: dict[int, list[int]] = {}
     for v in range(n):
         members.setdefault(colors[v], []).append(v)
@@ -239,7 +238,7 @@ def test_automorphism_search_matches_the_per_bit_search(g):
 
 def reference_refine(n: int, rows: tuple[int, ...], colors: list[int]) -> list[int]:
     """Refinement reading neighbours off the row bits, one round more than
-    needed: the reference for refine."""
+    needed: the reference for _refine."""
     ncolors = len(set(colors))
     while True:
         sigs = []
@@ -316,8 +315,8 @@ def reference_canon_connected(n: int, rows: tuple[int, ...], known=()):
 
 
 def check_against_reference_search(graphs, seeded: bool = False) -> None:
-    """canon_rows and refine against the reference search on each (n, rows),
-    with the layer swap v <-> v ^ 1 known if seeded; refine from the initial
+    """canon_rows and _refine against the reference search on each (n, rows),
+    with the layer swap v <-> v ^ 1 known if seeded; _refine from the initial
     coloring, from it with vertex 0 individualized, and from a discrete
     coloring."""
     def canon_all():
@@ -335,9 +334,11 @@ def check_against_reference_search(graphs, seeded: bool = False) -> None:
     finally:
         iso_mod._canon_component.cache_clear()
     for n, rows in graphs:
+        nbrs, start = iso_mod._setup(n, rows)
+        assert iso_mod._refine(n, nbrs, start) == reference_refine(n, rows, initial_colors(n, rows))
         start = initial_colors(n, rows)
         for colors in (start, [n, *start[1:]], [2 * (n - v) for v in range(n)]):
-            assert refine(n, rows, colors) == reference_refine(n, rows, colors)
+            assert iso_mod._refine(n, nbrs, colors) == reference_refine(n, rows, colors)
 
 
 def circulant_rows(n: int, jumps, loops: bool) -> tuple[int, ...]:
