@@ -45,7 +45,7 @@ from .graphs import (
     invert,
     maps_neighborhoods,
     permute_mask,
-    row_classes,
+    twin_classes,
     twin_quotient,
 )
 from .iso import _canonical
@@ -128,14 +128,13 @@ def _iter_coset_images(n: int, rows: tuple[int, ...]):
     of its coset. With the classes numbered by their least vertex, the s
     ascend as these members do. Without twins Q is G and P is trivial.
     """
-    classes = row_classes(rows)
-    if len(classes) == n:
+    members = twin_classes(rows)[0]
+    if len(members) == n:
         # the general path yields the same images here, in about twice the
         # time: building Q and mapping each image cost as much as the walk
         yield from iter_ant_images(n, rows)
         return
-    members = list(classes.values())
-    for s in iter_ant_images(len(members), twin_quotient(classes)):
+    for s in iter_ant_images(len(members), twin_quotient(rows, members)):
         if all(len(members[c]) == len(members[t]) for c, t in enumerate(s)):
             yield _coset_least(n, members, s)
 
@@ -226,7 +225,7 @@ def _full_listing(g: Graph, force: bool = False):
     """All of Ant(G), ascending, as image tuples, and the rows of each G^a,
     as two parallel tuples: each coset of _ant_cosets expanded by P, every
     member checked against the definition on its coset's G^a."""
-    classes = list(row_classes(g.adj).values())
+    classes = twin_classes(g.adj)[0]
     listing = sorted((member, arows) for image, arows in zip(*_ant_cosets(g, force))
                      for member in _rearranged(image, classes))
     for member, arows in listing:
@@ -295,7 +294,7 @@ def is_two_fold(g: Graph, pair: TwoFoldPair) -> bool:
 def enumerate_aut_tf(g: Graph, *, force: bool = False) -> list[TwoFoldPair]:
     """All of Aut^TF(G). Can reach (n!)^2 pairs on degenerate inputs."""
     CapacityError.check(g.n, TF_MAX, force, "two-fold listing")
-    classes = list(row_classes(g.adj).values())
+    classes = twin_classes(g.adj)[0]
     # mu may permute its images freely inside each equal-row class
     out = [TwoFoldPair(Permutation(lam), Permutation(other))
            for lam, mu in iter_two_fold(g.adj, g.adj) for other in _rearranged(mu, classes)]
@@ -367,7 +366,7 @@ def _orbit_partition(n: int, rows: tuple[int, ...], ant: tuple[tuple[int, ...], 
     its orbit's first, and one "across_orbits" when two orbits share an
     isomorphism class.
     """
-    classes = list(row_classes(rows).values())
+    classes = twin_classes(rows)[0]
     size = prod(factorial(len(vs)) for vs in classes)
     # the coset aP is known by the set of a's values on each class
     by_values: dict[tuple, list[int]] = {}

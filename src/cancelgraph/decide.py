@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from .antiauto import ANT_MAX, _ant_cosets, _coset_least, iter_ant_images
 from .errors import CapacityError, InvariantViolationError, UsageError
 from .graphs import (Graph, Permutation, adjacency_index, invert, is_involution, perm_order,
-                     row_classes)
+                     twin_classes)
 from .iso import _canonical, involution_witness
 from .product import Bipartition, bipartition
 
@@ -59,11 +59,10 @@ def _two_power_coset(rows: tuple[int, ...]):
     class to itself pointwise after one class cycle has exactly the class
     cycle lengths, so the coset holds one iff the class permutation has
     2-power order."""
-    number: dict[int, int] = {}
-    cls = [number.setdefault(row, len(number)) for row in rows]
+    classes, cls = twin_classes(rows)
 
     def two_power(image: tuple[int, ...]) -> bool:
-        moved = [0] * len(number)
+        moved = [0] * len(classes)
         for v, w in enumerate(image):
             moved[cls[v]] = cls[w]
         order = perm_order(moved)
@@ -134,9 +133,7 @@ def _spread_certificates(rows: tuple[int, ...], cosets, permuted, moved: dict) -
             for v, w in enumerate(s):
                 orbit = [orbit[v] if o == orbit[w] else o for o in orbit]
     rows_of = dict(zip(cosets, permuted))
-    members = list(row_classes(rows).values())
-    number: dict[int, int] = {}
-    home = [number.setdefault(row, len(number)) for row in rows]
+    members, home = twin_classes(rows)
 
     def steps(a: tuple[int, ...]):
         for s, s_inv in gens:

@@ -335,25 +335,27 @@ def multiset_key(rows: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(rows))
 
 
-def row_classes(rows) -> dict[int, list[int]]:
-    """Each distinct row (open neighborhood) mapped to its vertices, ascending."""
-    classes: dict[int, list[int]] = {}
-    for v, row in enumerate(rows):
-        classes.setdefault(row, []).append(v)
-    return classes
+def twin_classes(rows) -> tuple[list[list[int]], list[int]]:
+    """The equal-row (equal open neighborhood) classes, each ascending and
+    numbered in order of its least vertex, and each vertex's class number."""
+    number: dict[int, int] = {}
+    home = [number.setdefault(row, len(number)) for row in rows]
+    classes: list[list[int]] = [[] for _ in number]
+    for v, c in enumerate(home):
+        classes[c].append(v)
+    return classes, home
 
 
-def twin_quotient(classes: dict[int, list[int]]) -> tuple[int, ...]:
-    """Rows of the graph Q of the equal-row classes of row_classes, class d
-    numbered by its place in classes: C is adjacent to D (to itself when
-    looped) when G's vertices of C are adjacent to those of D."""
-    members = list(classes.values())
-    return tuple(sum(1 << d for d, vs in enumerate(members) if row >> vs[0] & 1)
-                 for row in classes)
+def twin_quotient(rows, classes: list[list[int]]) -> tuple[int, ...]:
+    """Rows of the graph Q of the equal-row classes of rows (twin_classes),
+    class d numbered by its place in classes: C is adjacent to D (to itself
+    when looped) when G's vertices of C are adjacent to those of D."""
+    return tuple(sum(1 << d for d, vs in enumerate(classes) if rows[c[0]] >> vs[0] & 1)
+                 for c in classes)
 
 
 def r_partition(g: Graph) -> RPartition:
-    return RPartition(tuple(map(tuple, row_classes(g.adj).values())))
+    return RPartition(tuple(map(tuple, twin_classes(g.adj)[0])))
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:

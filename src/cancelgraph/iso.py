@@ -17,8 +17,7 @@ Known automorphisms prune sibling branches: a cell vertex is skipped when it
 lies in the orbit of a tried vertex under the group that the known
 automorphisms fixing the prefix generate. The twin swaps, each transposition
 of two vertices whose rows agree off their own two bits, are known before the
-search starts, as are the checked automorphisms a caller passes in known
-(the layer swap of G x K2); the others are found at equal-encoding leaves.
+search starts; every other automorphism is found at an equal-encoding leaf.
 
 stamp_orbit enumerates an isomorphism class the other way round: it closes
 one labeled graph's enumeration index under two relabelings that generate
@@ -44,7 +43,7 @@ from .graphs import (
     is_involution,
     maps_neighborhoods,
     permute_mask,
-    row_classes,
+    twin_classes,
     twin_quotient,
     upper_cells,
 )
@@ -153,17 +152,15 @@ def _rows_of_key(n: int, key: tuple[int, ...]) -> tuple[int, ...]:
                   for k in key])
 
 
-def canon_connected(
-    n: int, rows: tuple[int, ...], known=()
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def canon_connected(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Canonical rows and the old->new relabeling, for a connected graph.
 
-    The search starts from the twin swaps and the image tuples of known as
-    known automorphisms; each of known is first checked to be one, and
-    InvariantViolationError raised if it is not. Pruning skips only subtrees
-    that are images of searched ones under automorphisms fixing the prefix,
-    so the first least leaf, and with it the rows and the relabeling, is the
-    same whichever automorphisms are known.
+    The search starts from the twin swaps as known automorphisms and adds
+    each automorphism it finds at a leaf whose key equals the least one.
+    Pruning skips only subtrees that are images of searched ones under
+    automorphisms fixing the prefix, so the first least leaf, and with it
+    the rows and the relabeling, is the same whichever automorphisms are
+    known.
 
     A target cell of mutual twins is individualized least member first, one
     new colour each, without a _refine call: every other cell is joined to
@@ -172,9 +169,6 @@ def canon_connected(
     swaps that fix the prefix, searched after it. The rest of the cell is
     then the smallest cell, so the whole class goes in turn, and its last
     member keeps the cell's colour."""
-    for s in known:
-        if sorted(s) != list(range(n)) or not maps_neighborhoods(rows, rows, s, s):
-            raise InvariantViolationError(f"known seed {s} is not an automorphism")
     if n <= 1:
         return tuple(rows), tuple(range(n))
     nbrs, start = _setup(n, rows)
@@ -188,7 +182,7 @@ def canon_connected(
     best_key: list = [None]
     best_perm: list = [None]
     best_inv: list = [None]
-    autos = swaps + list(known)
+    autos = list(swaps)
 
     def descend(colors: list[int], prefix: list[int]) -> None:
         counts: dict[int, int] = {}
@@ -266,18 +260,12 @@ def _canon_component(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], tu
     return canon_connected(n, rows)
 
 
-def canon_rows(
-    n: int, rows: tuple[int, ...], known=()
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Component-aware canonical rows plus the full old->new relabeling.
-
-    known holds automorphisms of rows, as image tuples, that canon_connected
-    starts its search from on a connected graph; it prunes with them but
-    gives the same result. A disconnected graph's components are searched
-    without them."""
+def canon_rows(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Component-aware canonical rows plus the full old->new relabeling; each
+    component's search starts from its twin swaps alone (canon_connected)."""
     comps = component_masks(n, rows)
     if len(comps) <= 1:
-        return canon_connected(n, tuple(rows), known)
+        return canon_connected(n, tuple(rows))
     pieces = []
     for mask in comps:
         verts = list(bits_of(mask))
@@ -451,9 +439,9 @@ def _automorphism_count(rows: tuple[int, ...]) -> int:
     size, and so acts on Q, and each such automorphism s of Q lifts to |P|
     automorphisms of G, every bijection of each class C onto s(C). Without
     twins Q is G, every size is 1 and |P| = 1."""
-    classes = row_classes(rows)
-    sizes = [len(vs) for vs in classes.values()]
-    kept = sum(1 for s in iter_automorphism_images(len(sizes), twin_quotient(classes))
+    classes = twin_classes(rows)[0]
+    sizes = [len(vs) for vs in classes]
+    kept = sum(1 for s in iter_automorphism_images(len(sizes), twin_quotient(rows, classes))
                if [sizes[t] for t in s] == sizes)
     return kept * prod(map(factorial, sizes))
 

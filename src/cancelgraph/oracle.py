@@ -81,18 +81,10 @@ K2 = Graph(2, (2, 1))
 K3 = Graph(3, (6, 5, 3))
 
 
-def _certificate(n: int, rows, known=()) -> bytes:
+def _certificate(n: int, rows) -> bytes:
     """The isomorphism certificate of rows: equal exactly on isomorphic
-    graphs of order n. known holds automorphisms of rows that the search
-    may prune with (see canon_rows); they do not change the certificate."""
-    return cert_bytes(n, canon_rows(n, rows, known)[0])
-
-
-def _cover_certificate(n: int, cover) -> bytes:
-    """The certificate of G x K2 from its rows as direct_product(G, K2)
-    numbers them, (x, i) at 2x + i, so that the layer swap v <-> v ^ 1 is an
-    automorphism known before the search."""
-    return _certificate(2 * n, cover, (tuple(v ^ 1 for v in range(2 * n)),))
+    graphs of order n."""
+    return cert_bytes(n, canon_rows(n, rows)[0])
 
 
 def _product_key(rows) -> tuple[tuple[int, ...], ...]:
@@ -141,19 +133,16 @@ def neighborhood_oracle(g: Graph, *, force: bool = False) -> list[Graph]:
 def _cancellation_scan(g: Graph, force: bool) -> tuple[bool, Graph | None]:
     CapacityError.check(g.n, ORACLE_MAX, force, "cancellation oracle scans 2^(n(n+1)/2) graphs")
     n = g.n
-    base_prod = direct_product(g, K2).adj
-    base_class = _cover_certificate(n, base_prod)
-    base_sizes = sorted(m.bit_count() for m in component_masks(2 * n, base_prod))
+    base_class = _certificate(2 * n, direct_product(g, K2).adj)
+    base_key = _product_key(g.adj)
     own_cert = _certificate(n, g.adj)
     degs = sorted(r.bit_count() for r in g.adj)
     offenders = []
     for rows in iter_adj_rows(n, True):
-        if sorted(r.bit_count() for r in rows) != degs:
+        # equal product classes have equal degree sequences and product keys
+        if sorted(r.bit_count() for r in rows) != degs or _product_key(rows) != base_key:
             continue
-        prod = direct_product(Graph(n, rows), K2).adj
-        if sorted(m.bit_count() for m in component_masks(2 * n, prod)) != base_sizes:
-            continue
-        if _cover_certificate(n, prod) != base_class:
+        if _certificate(2 * n, direct_product(Graph(n, rows), K2).adj) != base_class:
             continue
         if _certificate(n, rows) != own_cert:
             offenders.append(rows)
@@ -389,7 +378,7 @@ class _UniverseIndex:
         # equal product classes have equal keys, so only classes that share
         # their key can share their product class
         products = {
-            c: _cover_certificate(n, direct_product(Graph(n, rows), K2).adj)
+            c: _certificate(2 * n, direct_product(Graph(n, rows), K2).adj)
             for c, rows in enumerate(class_rows)
             if colliding[keys[c]] > 1
         }
@@ -666,7 +655,7 @@ def _bip_class_checks(n: int, rows: tuple[int, ...]) -> tuple[bool, list[tuple[s
             "reversal_decider": bip_verdict, "anti_route": slow,
         }))
     doubled = _certificate(2 * n, disjoint_union(g, g).adj)
-    if doubled != _cover_certificate(n, direct_product(g, K2).adj):
+    if doubled != _certificate(2 * n, direct_product(g, K2).adj):
         found.append(("double_cover", {"edges": _edges_of_rows(n, rows)}))
     return bip_verdict, found
 

@@ -34,7 +34,7 @@ from cancelgraph import (
 import cancelgraph.antiauto as antiauto_mod
 from cancelgraph.antiauto import (_full_listing, _tf_generators, apply_anti_rows, iter_ant_images,
                                   iter_two_fold)
-from cancelgraph.graphs import invert, iter_adj_rows, multiset_key, row_classes
+from cancelgraph.graphs import invert, iter_adj_rows, multiset_key, twin_classes
 from cancelgraph.iso import _canonical, involution_witness
 from cancelgraph.oracle import _UniverseIndex
 
@@ -289,7 +289,7 @@ def tf_by_inline_expansion(g: Graph) -> list[tuple[tuple[int, ...], tuple[int, .
     """enumerate_aut_tf as it was before it shared the coset expansion: each
     pair of iter_two_fold with its mu permuted inside the equal-row classes,
     placed vertex by vertex."""
-    classes = list(row_classes(g.adj).values())
+    classes = twin_classes(g.adj)[0]
     out = []
     for lam, mu in iter_two_fold(g.adj, g.adj):
         per_class = [itertools.permutations([mu[x] for x in xs]) for xs in classes]
@@ -637,7 +637,7 @@ def reference_orbit_partition(n, rows, ant, certs):
     for _orbit_partition's labels."""
     ident = tuple(range(n))
     gens = list(iter_two_fold(rows, rows))
-    for verts in row_classes(rows).values():
+    for verts in twin_classes(rows)[0]:
         for other in verts[1:]:
             t = list(ident)
             t[verts[0]], t[other] = t[other], t[verts[0]]

@@ -47,7 +47,7 @@ import cancelgraph.product as product_mod
 from cancelgraph import decide
 from cancelgraph.antiauto import apply_anti_rows, iter_ant_images
 from cancelgraph.graphs import (adjacency_index, invert, is_involution, iter_adj_rows, multiset_key,
-                                perm_order, relabel_rows, row_classes)
+                                perm_order, relabel_rows, twin_classes)
 from cancelgraph.iso import _canonical, involution_witness
 from cancelgraph.oracle import _UniverseIndex, _fixed_bipartition_rows
 
@@ -442,7 +442,7 @@ def cosets_of(rows: tuple[int, ...], ant) -> list[list[tuple[int, ...]]]:
     """The ascending listing ant of Ant(G) cut into its cosets aP, P the
     permutations inside the equal-row classes T: a and b share a coset iff
     a(T) = b(T) for every T. Members ascend within each coset."""
-    classes = list(row_classes(rows).values())
+    classes = twin_classes(rows)[0]
     groups: dict = {}
     for img in ant:
         groups.setdefault(tuple(frozenset(img[v] for v in verts) for verts in classes), []).append(img)
@@ -451,7 +451,7 @@ def cosets_of(rows: tuple[int, ...], ant) -> list[list[tuple[int, ...]]]:
 
 def twin_group_order(rows: tuple[int, ...]) -> int:
     """|P|, the product of the class-size factorials."""
-    return prod(factorial(len(verts)) for verts in row_classes(rows).values())
+    return prod(factorial(len(verts)) for verts in twin_classes(rows)[0])
 
 
 def plain_listing(g: Graph) -> tuple[list, list]:

@@ -34,7 +34,7 @@ from cancelgraph import (
 import cancelgraph.iso as iso_mod
 import cancelgraph.oracle as oracle_mod
 from cancelgraph.graphs import (component_masks, enumerate_count, iter_adj_rows, relabel_rows,
-                                row_classes, upper_cells)
+                                twin_classes, upper_cells)
 from cancelgraph.iso import (
     automorphisms,
     canon_rows,
@@ -258,11 +258,11 @@ def reference_refine(n: int, rows: tuple[int, ...], colors: list[int]) -> list[i
         ncolors = len(rank)
 
 
-def reference_canon_connected(n: int, rows: tuple[int, ...], known=()):
+def reference_canon_connected(n: int, rows: tuple[int, ...]):
     """The search that prunes a cell vertex only when one found automorphism
     fixing the prefix maps a tried vertex onto it: the reference for
     canon_connected, relabeling included. It finds every automorphism it
-    prunes with, so it ignores known."""
+    prunes with."""
     if n <= 1:
         return tuple(rows), tuple(range(n))
     best_key: list = [None]
@@ -314,14 +314,12 @@ def reference_canon_connected(n: int, rows: tuple[int, ...], known=()):
     return tuple(canon), tuple(perm)
 
 
-def check_against_reference_search(graphs, seeded: bool = False) -> None:
-    """canon_rows and _refine against the reference search on each (n, rows),
-    with the layer swap v <-> v ^ 1 known if seeded; _refine from the initial
-    coloring, from it with vertex 0 individualized, and from a discrete
-    coloring."""
+def check_against_reference_search(graphs) -> None:
+    """canon_rows and _refine against the reference search on each (n, rows);
+    _refine from the initial coloring, from it with vertex 0 individualized,
+    and from a discrete coloring."""
     def canon_all():
-        return [canon_rows(n, rows, (tuple(v ^ 1 for v in range(n)),) if seeded else ())
-                for n, rows in graphs]
+        return [canon_rows(n, rows) for n, rows in graphs]
 
     got = canon_all()
     # a cached component would skip the reference search, and one the
@@ -457,9 +455,9 @@ def test_twin_swaps_generate_every_automorphic_transposition(n):
     assert kinds == ({(0, 0), (1, 0), (0, 1), (1, 1)} if n > 1 else set())
 
 
-def call_counts(name: str, graphs, seeded: bool = False) -> list[int]:
+def call_counts(name: str, graphs) -> list[int]:
     """The calls of iso_mod.<name> canon_connected makes on each graph,
-    counted by wrapping it; seeded, with the layer swap v <-> v ^ 1 known."""
+    counted by wrapping it."""
     counts = []
     fn = getattr(iso_mod, name)
 
@@ -471,15 +469,14 @@ def call_counts(name: str, graphs, seeded: bool = False) -> list[int]:
         mp.setattr(iso_mod, name, counted)
         for g in graphs:
             counts.append(0)
-            known = [tuple(v ^ 1 for v in range(g.n))] if seeded else []
-            iso_mod.canon_connected(g.n, g.adj, known)
+            iso_mod.canon_connected(g.n, g.adj)
     return counts
 
 
-def leaf_counts(graphs, seeded: bool = False) -> list[int]:
+def leaf_counts(graphs) -> list[int]:
     """The search leaves canon_connected reaches on each graph, counted by
     wrapping _leaf_key."""
-    return call_counts("_leaf_key", graphs, seeded)
+    return call_counts("_leaf_key", graphs)
 
 
 def test_twin_swaps_cut_the_search_leaves(monkeypatch):
@@ -495,32 +492,6 @@ def test_twin_swaps_cut_the_search_leaves(monkeypatch):
     assert leaf_counts(graphs) == [1, 1, 1, 2]
     monkeypatch.setattr(iso_mod, "_twin_swaps", lambda n, rows: [])
     assert leaf_counts(graphs) == [29, 29, 22, 14]
-
-
-def double_covers(nmax: int) -> list[tuple[int, tuple[int, ...]]]:
-    """G x K2, as direct_product numbers it, of each loops-allowed class
-    representative up to nmax."""
-    k2 = Graph.from_edges(2, [(0, 1)])
-    out = []
-    for n in range(1, nmax + 1):
-        index = _UniverseIndex(n)
-        index.build()
-        out.extend((2 * n, direct_product(Graph(n, rows), k2).adj) for rows in index.class_rows)
-    return out
-
-
-def test_layer_swap_seed_keeps_the_canonical_rows_of_double_covers():
-    # seeded with the swap v <-> v ^ 1 the search prunes, and finds the same
-    # first least leaf; a disconnected cover is searched without the seed
-    covers = double_covers(5)
-    for n, rows in covers:
-        swap = tuple(v ^ 1 for v in range(n))
-        assert canon_rows(n, rows, (swap,)) == canon_rows(n, rows)
-    connected = [Graph(n, rows) for n, rows in covers if len(component_masks(n, rows)) == 1]
-    unseeded = leaf_counts(connected)
-    seeded = leaf_counts(connected, seeded=True)
-    assert all(s <= u for s, u in zip(seeded, unseeded))
-    assert (len(connected), sum(unseeded), sum(seeded)) == (408, 1212, 793)
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +564,7 @@ MIXED_CELL_SPLITS = [
 ]
 
 
-def twin_classes(n: int, rows: tuple[int, ...]) -> list[int]:
+def least_twins(n: int, rows: tuple[int, ...]) -> list[int]:
     """The least member of each vertex's twin class, by brute force."""
     return [min(w for w in range(n) if w == v or swap_is_automorphism(rows, v, w))
             for v in range(n)]
@@ -603,7 +574,7 @@ def splits_a_twin_class_in_a_mixed_cell(n: int, rows: tuple[int, ...]) -> bool:
     """Whether canon_connected individualizes a vertex v, not the least of
     its cell, in a cell that holds a vertex outside v's twin class and at
     least two of v's twins; read off the colourings _refine is given."""
-    twin = twin_classes(n, rows)
+    twin = least_twins(n, rows)
     seen = []
     refine_ = iso_mod._refine
 
@@ -630,11 +601,17 @@ def test_twin_step_matches_the_reference_search_on_twin_families():
     check_against_reference_search(families + MIXED_CELL_SPLITS)
 
 
-def test_twin_step_matches_the_reference_search_on_seeded_double_covers():
-    # the G x K2 of the loops-allowed class representatives up to n=5, the
-    # connected ones searched with the layer swap known
-    covers = double_covers(5)
-    check_against_reference_search(covers, seeded=True)
+def test_twin_step_matches_the_reference_search_on_class_double_covers():
+    # G x K2, as direct_product numbers it, of the 662 loops-allowed class
+    # representatives up to n=5
+    k2 = Graph.from_edges(2, [(0, 1)])
+    covers = []
+    for n in range(1, 6):
+        index = _UniverseIndex(n)
+        index.build()
+        covers.extend((2 * n, direct_product(Graph(n, rows), k2).adj) for rows in index.class_rows)
+    assert len(covers) == 662
+    check_against_reference_search(covers)
 
 
 @st.composite
@@ -677,23 +654,6 @@ def test_twin_step_cuts_the_refine_calls(monkeypatch):
     assert leaf_counts(graphs) == [1, 1, 1, 2, 7]
     monkeypatch.setattr(iso_mod, "_twin_swaps", lambda n, rows: [])
     assert call_counts("_refine", graphs) == [92, 92, 63, 51, 31]
-
-
-@pytest.mark.parametrize("seed", [
-    (1, 0, 2, 3, 4, 5),  # a permutation, not an automorphism of C6
-    (0, 0, 2, 3, 4, 5),  # not a permutation
-    (0, 1, 2),  # too short
-])
-def test_known_seed_that_is_not_an_automorphism_is_refused(monkeypatch, seed):
-    c6 = tuple(1 << (v + 1) % 6 | 1 << (v - 1) % 6 for v in range(6))
-    rotation = tuple((v + 1) % 6 for v in range(6))
-    assert canon_rows(6, c6, (rotation,)) == canon_rows(6, c6)
-    searched = []
-    monkeypatch.setattr(iso_mod, "_refine", lambda *args: searched.append(args))
-    for canon in (canon_rows, iso_mod.canon_connected):
-        with pytest.raises(InvariantViolationError, match="is not an automorphism"):
-            canon(6, c6, (rotation, seed))
-    assert searched == []
 
 
 # ---------------------------------------------------------------------------
@@ -763,9 +723,9 @@ def test_corrupted_transposition_table_trips_the_orbit_size_check(monkeypatch):
 def size_blind_count(rows: tuple[int, ...]) -> int:
     """The twin-quotient count without its class-size test: every
     automorphism of Q, times |P|."""
-    classes = row_classes(rows)
-    sizes = [len(vs) for vs in classes.values()]
-    quotient = iso_mod.twin_quotient(classes)
+    classes = twin_classes(rows)[0]
+    sizes = [len(vs) for vs in classes]
+    quotient = iso_mod.twin_quotient(rows, classes)
     return sum(1 for _ in iter_automorphism_images(len(sizes), quotient)) * prod(map(factorial, sizes))
 
 

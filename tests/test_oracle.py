@@ -162,6 +162,23 @@ def test_oracles_and_decider_agree_exhaustively(n):
         assert all(is_isomorphic(m, g) for m in mates) == expected
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cancellation_counterexample_is_the_least_offender_exhaustively(n):
+    # the least H by adjacency_index with H x K2 isomorphic to G x K2 and H
+    # not isomorphic to G, from certificates of every labeled graph, unfiltered
+    graphs = [Graph(n, tuple(rows)) for rows in iter_adj_rows(n, True)]
+    own = [canon_rows(n, h.adj)[0] for h in graphs]
+    cover = [canon_rows(2 * n, direct_product(h, K2).adj)[0] for h in graphs]
+    offended = 0
+    for g, g_own, g_cover in zip(graphs, own, cover):
+        offenders = [h for h, h_own, h_cover in zip(graphs, own, cover)
+                     if h_cover == g_cover and h_own != g_own]
+        least = min(offenders, key=lambda h: adjacency_index(n, h.adj), default=None)
+        assert cancellation_counterexample(g) == least
+        offended += least is not None
+    assert offended == {1: 0, 2: 2, 3: 20}[n]
+
+
 def test_cancellation_oracle_guard(asym7):
     with pytest.raises(CapacityError, match=r"scans 2\^\(n\(n\+1\)/2\) graphs; guarded at n<=6"):
         cancellation_oracle(asym7)
@@ -1025,10 +1042,10 @@ def test_universe_index_classes_are_the_canon_rows_classes(n, classes):
 @pytest.mark.parametrize("n", [3, 4])
 def test_universe_index_builds_without_canonical_forms(n, monkeypatch):
     # G x K2 on 2n vertices is canonicalized for its product class; G never is
-    def no_canon_rows(order, rows, known=()):
+    def no_canon_rows(order, rows):
         if order == n:
             raise AssertionError("the index build called canon_rows on G")
-        return canon_rows(order, rows, known)
+        return canon_rows(order, rows)
 
     monkeypatch.setattr(oracle_mod, "canon_rows", no_canon_rows)
     index = oracle_mod._UniverseIndex(n)
@@ -1081,9 +1098,9 @@ def test_index_certifies_only_the_colliding_product_keys(n, certified, monkeypat
     taken = []
     real = oracle_mod._certificate
 
-    def counting(order, rows, known=()):
+    def counting(order, rows):
         taken.append(order)
-        return real(order, rows, known)
+        return real(order, rows)
 
     monkeypatch.setattr(oracle_mod, "_certificate", counting)
     index = oracle_mod._UniverseIndex(n)
