@@ -4,7 +4,20 @@ The central objects: a graph's neighborhood multiset, the anti-automorphisms
 that realize every graph sharing it, the permuted graphs G^a they induce, and
 the deciders/oracles that settle whether a graph is determined by its
 neighborhoods (equivalently, cancels in direct products).
+
+The verification layer, ``VerificationReport``, ``verify_theorems`` and the
+brute-force oracles (``neighborhood_oracle``, ``cancellation_oracle``,
+``cancellation_counterexample``, ``product_iso_witness``,
+``extract_anti_from_product_iso``), loads on first use: ``oracle.py`` is the
+largest module of the package, and the per-graph path (``parse_graph`` ->
+``classify``) never runs it, so ``import cancelgraph`` does not compile it.
+Each access resolves the name in ``cancelgraph.oracle`` anew and nothing is
+cached here, so a name rebound in that module (by a test's patch or a
+tracer) is what the package hands out, and unbinding it restores the
+original everywhere.
 """
+
+from typing import TYPE_CHECKING
 
 from .antiauto import (
     AntOrbitPartition,
@@ -67,16 +80,30 @@ from .iso import (
     involution_witness,
     is_isomorphic,
 )
-from .oracle import (
-    VerificationReport,
-    cancellation_counterexample,
-    cancellation_oracle,
-    extract_anti_from_product_iso,
-    neighborhood_oracle,
-    product_iso_witness,
-    verify_theorems,
-)
 from .product import Bipartition, bipartition, components, direct_product, is_bipartite
+
+# Never run: type checkers read these names from here, and so does any tool
+# that scans the package's relative imports for its cross-module names.
+if TYPE_CHECKING:
+    from .oracle import (
+        VerificationReport,
+        cancellation_counterexample,
+        cancellation_oracle,
+        extract_anti_from_product_iso,
+        neighborhood_oracle,
+        product_iso_witness,
+        verify_theorems,
+    )
+
+_ORACLE_NAMES = frozenset({
+    "VerificationReport",
+    "cancellation_counterexample",
+    "cancellation_oracle",
+    "extract_anti_from_product_iso",
+    "neighborhood_oracle",
+    "product_iso_witness",
+    "verify_theorems",
+})
 
 __version__ = "0.1.0"
 
@@ -143,3 +170,15 @@ __all__ = [
     "strong_counterexample",
     "verify_theorems",
 ]
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _ORACLE_NAMES)

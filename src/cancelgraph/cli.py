@@ -26,7 +26,6 @@ from .errors import (
 from .fileformat import parse_graph_file, parse_permutation, serialize_graph
 from .graphs import neighborhood_multiset
 from .iso import find_isomorphism
-from .oracle import BIP_SWEEP_MAX, verify_theorems
 from .product import direct_product
 
 EXIT_OK = 0
@@ -75,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="accepted for compatibility; every suite runs in one process (must be at least 1)",
     )
     p.add_argument(
-        "--bip-max", type=int, default=BIP_SWEEP_MAX, dest="bip_max",
+        "--bip-max", type=int, default=None, dest="bip_max",
         help="cap for the bipartite-only sweep",
     )
     p.add_argument("--force", action="store_true", help="override capacity guards")
@@ -132,10 +131,13 @@ def _cmd_nbhd(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # the one command that needs the verification layer loads it
+    from .oracle import BIP_SWEEP_MAX, verify_theorems
+
     report = verify_theorems(
         args.max_n,
         args.loops,
-        bip_max=args.bip_max,
+        bip_max=BIP_SWEEP_MAX if args.bip_max is None else args.bip_max,
         jobs=args.jobs,
         force=args.force,
     )

@@ -200,7 +200,8 @@ def test_verify_reports_violations_with_exit_3(capsys, monkeypatch):
         violations=({"suite": "main", "n": 1, "detail": "forced for the test"},),
         suite_seconds=(),
     )
-    monkeypatch.setattr(cli, "verify_theorems", lambda *a, **k: stub)
+    # _cmd_verify looks verify_theorems up in the oracle module when it runs
+    monkeypatch.setattr("cancelgraph.oracle.verify_theorems", lambda *a, **k: stub)
     code, data = run_json(capsys, ["verify", "--max-n", "1"])
     assert code == EXIT_VIOLATIONS
     jsonschema.validate(data, VERIFICATION_SCHEMA)
