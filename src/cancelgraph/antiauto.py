@@ -52,6 +52,9 @@ from .iso import _canonical
 
 ANT_MAX = 8
 TF_MAX = 6
+ANT_LISTING_MAX = 50_000
+"""Bound on the coset images one Ant(G) listing keeps, whatever force says;
+within ANT_MAX a listing holds at most 8! = 40,320."""
 
 
 def _require_length(g: Graph, p: Permutation) -> None:
@@ -253,11 +256,17 @@ def _reverses(rows: tuple[int, ...], image: tuple[int, ...], arows: tuple[int, .
 
 def _checked_listing(g: Graph):
     """The images of _iter_coset_images and the rows of each G^a, as two
-    parallel tuples, every image checked against the definition."""
+    parallel tuples, every image checked against the definition. Refuses a
+    listing past ANT_LISTING_MAX images."""
     rows = g.adj
     interned = {rows: rows}
     kept, permuted = [], []
     for image in _iter_coset_images(g.n, rows):
+        if len(kept) == ANT_LISTING_MAX:
+            raise CapacityError(
+                f"anti-automorphism listing at n={g.n} has more than {ANT_LISTING_MAX} "
+                f"coset images; listings bounded at {ANT_LISTING_MAX}"
+            )
         if sorted(image) != list(range(g.n)):
             raise InvariantViolationError(f"search produced a non-bijection {image}")
         arows = apply_anti_rows(rows, image)

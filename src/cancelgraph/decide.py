@@ -9,7 +9,8 @@ theory, from each class's neighborhood mates and product certificates in its
 universe index, so the two routes can be compared.
 
 The decider takes one fixed route:
-  involution  no order-2 automorphism means reconstructible outright
+  involution  no order-2 automorphism means reconstructible outright;
+              a swap of twins (equal rows) is one
   bipartite   bipartite graphs delegate to the reversal-involution decider
   full        every distinct G^a must share G's certificate, checked over
               the a whose coset aP (below) holds a 2-power-order member:
@@ -23,17 +24,17 @@ each coset, which is also the least a for its G^a, checked, with the rows of
 each G^a.
 classify makes one pass over it, certifies each distinct G^a with one
 canonical form per class of relabelings, and yields the verdict, the orbit
-classes, the counterexample and the strong witness. The least involution is
-the first one in that listing when G has no twins (P is trivial), and
-otherwise the first one of the full Ant search, walked lazily. The verdict is
-checked against both public deciders, which read the coset listing, the
-involution and the bipartition that the Graph keeps.
+classes, the counterexample and the strong witness; without twins its
+involutions are read off the listing. The verdict is checked against both
+public deciders, which read the coset listing, involution and bipartition
+the Graph keeps and keep their reversal and full-route verdicts there: each
+search runs once per Graph.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .antiauto import ANT_MAX, _ant_cosets, _coset_least, iter_ant_images
+from .antiauto import ANT_MAX, _ant_cosets, _coset_least
 from .errors import CapacityError, InvariantViolationError, UsageError
 from .graphs import (Graph, Permutation, adjacency_index, invert, is_involution, perm_order,
                      twin_classes)
@@ -184,13 +185,13 @@ def _ant_pass(g: Graph, force: bool):
 
 def is_neighborhood_reconstructible(g: Graph, *, force: bool = False) -> bool:
     CapacityError.check(g.n, ANT_MAX, force, "decider needs the anti-automorphism listing")
-    if involution_witness(g) is None:
+    if len(set(g.adj)) == g.n and involution_witness(g) is None:
         return True
     bp = bipartition(g)
     if bp.is_bipartite:
         return _bip_decide(g, bp)[0]
-    cosets, permuted = _ant_cosets(g, force)
-    return _full_route(g.adj, zip(cosets, permuted), lambda rows: _canonical(g.n, rows)[0])
+    return g._kept("_full", lambda: _full_route(
+        g.adj, zip(*_ant_cosets(g, force)), lambda rows: _canonical(g.n, rows)[0]))
 
 
 def reconstruction_counterexample(
@@ -233,15 +234,12 @@ def bipartite_reversal_witness(g: Graph) -> Permutation | None:
 def _bip_decide(g: Graph, bp: Bipartition) -> tuple[bool, Permutation | None]:
     if not bp.is_bipartite:
         raise UsageError("bipartite decider called on a non-bipartite graph")
-    for sides in bp.component_sides:
-        assert sides is not None
-        xs, ys = sides
-        if not ys or len(xs) != len(ys):
-            continue
-        image = _reversing_involution(g.n, g.adj, xs, ys)
-        if image is not None:
-            return False, Permutation(image)
-    return True, None
+    # kept past the check: each call checks bp
+    return g._kept("_reversal", lambda: next((
+        (False, Permutation(image)) for image in (
+            _reversing_involution(g.n, g.adj, xs, ys)
+            for xs, ys in bp.component_sides if ys and len(xs) == len(ys)) if image),
+        (True, None)))
 
 
 def _reversing_involution(
@@ -348,11 +346,11 @@ def classify(g: Graph, *, force: bool = False) -> AnalysisReport:
     bp = bipartition(g)
     reversal = _bip_decide(g, bp)[1] if bp.is_bipartite else None
     cosets, certs, counterexample, strong_witness = _ant_pass(g, force)
-    # the involutions in Ant(G) are the involutory automorphisms and both
-    # searches ascend, so this is the key iso.involution_witness keeps; with
-    # twins, the coset listing need not hold the least one
-    involution = g._kept("_involution", lambda: next(filter(is_involution, (
-        cosets if len(set(g.adj)) == g.n else iter_ant_images(g.n, g.adj))), None))
+    # a twin swap is an involution. Without twins the listing is Ant(G), its
+    # involutions are the involutory automorphisms and both searches ascend,
+    # so this is the key iso.involution_witness keeps
+    has_involution = len(set(g.adj)) < g.n or g._kept(
+        "_involution", lambda: next(filter(is_involution, cosets), None)) is not None
     reconstructible = len(certs) == 1
     # The decider's fixed route answers from the involution or bipartite
     # test when one applies, else from the cosets that hold a 2-power-order
@@ -370,7 +368,7 @@ def classify(g: Graph, *, force: bool = False) -> AnalysisReport:
         strongly=_strong_verdict(g.adj, cosets, strong_witness is None),
         cancellation=is_cancellation_graph(g, force=force),
         bipartite=bp.is_bipartite,
-        has_involution=involution is not None,
+        has_involution=has_involution,
         orbit_count=len(certs),
         orbit_classes=tuple(sorted(c.hex() for c in certs)),
         counterexample_alpha=None if counterexample is None else Permutation(counterexample[0]),

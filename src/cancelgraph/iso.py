@@ -382,10 +382,11 @@ def automorphisms(g: Graph, *, force: bool = False) -> list[Permutation]:
 
 def involution_witness(g: Graph) -> Permutation | None:
     """Lexicographically least order-2 automorphism, or None, kept on the
-    Graph. The decider's first route and verify's main pass read it; this
-    search fills it, or decide.classify off its Ant listing when it runs
-    first. They agree, as the involutions in Ant(G) are the involutory
-    automorphisms and both searches ascend."""
+    Graph. Verify's main pass reads it, and the decider's first route on
+    graphs without twins. This search fills it, or decide.classify off its
+    Ant listing when it runs first on a graph without twins. They agree, as
+    the involutions in Ant(G) are the involutory automorphisms and both
+    searches ascend."""
     img = g._kept("_involution", lambda: next(
         filter(is_involution, iter_automorphism_images(g.n, g.adj)), None))
     return None if img is None else Permutation(img)

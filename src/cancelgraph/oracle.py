@@ -421,8 +421,10 @@ def _graph_checks(
     (reconstructible, strongly, reversal decider says no).
     The full route, the multiset, neighborhood_prop and both strong tests
     read the coset listing of Ant(G) that the deciders read; the fast route
-    takes the decider's route order over its involution search and
-    bipartition. G's neighborhood mates are listed once: neighborhood_prop
+    takes the decider's route order over its involution search, run on
+    every graph, and bipartition, and twin_involution checks that the
+    search finds an involution on graphs with twins, as the decider
+    assumes. G's neighborhood mates are listed once: neighborhood_prop
     checks they are the G^a of that listing, and the neighborhood oracle
     that each lies in G's class. Only the orbit checks read all of Ant(G),
     that listing expanded by P. Every reader takes its classes from one
@@ -445,6 +447,10 @@ def _graph_checks(
     bip = bipartition(g)
     bip_verdict = _bip_decide(g, bip)[0] if bip.is_bipartite else None
     if involution_witness(g) is None:
+        # swapping two twins is an involution: the decider skips this
+        # search on graphs with twins, so it must find one on them
+        if len(set(rows)) < n:
+            violations.add("twin_involution", n, edges=edges)
         fast = True
     elif bip_verdict is not None:
         fast = bip_verdict

@@ -11,10 +11,14 @@ import dataclasses
 import functools
 import itertools
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 from math import factorial, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -784,19 +788,23 @@ def counting(monkeypatch, module, name: str) -> list[tuple]:
 
 def test_classify_searches_once_per_graph(monkeypatch):
     cosets = counting(monkeypatch, antiauto_mod, "iter_ant_images")
-    walks = counting(monkeypatch, decide, "iter_ant_images")
     aut = counting(monkeypatch, iso_mod, "iter_automorphism_images")
     bip = counting(monkeypatch, product_mod, "_bipartition")
-    # the coset listing walks Ant of the graph of the twin classes once: K6
-    # has no twins, so that graph is K6 and the least involution is read off
-    # the listing; E8 (one class) and K4,4 (two) have twins, and it comes off
-    # a lazy walk of the full Ant search
-    for g, classes, walked in ((complete(6), 6, 0), (empty(8), 1, 1), (complete_bipartite(4), 2, 1)):
-        for calls in (cosets, walks, aut, bip):
+    reversals = counting(monkeypatch, decide, "_reversing_involution")
+    full = counting(monkeypatch, decide, "_full_route")
+    # the coset listing walks Ant of the graph of the twin classes once and
+    # nothing else is walked: K6 has no twins, so that graph is K6 and the
+    # least involution is read off the listing; E8 (one class) and K4,4 (two)
+    # have twins, so they have an involution. classify and both decider
+    # calls share one reversal search (K4,4) or one full route (K6)
+    for g, classes, reversed_, full_routes in (
+            (complete(6), 6, 0, 1), (empty(8), 1, 0, 0), (complete_bipartite(4), 2, 1, 0)):
+        for calls in (cosets, aut, bip, reversals, full):
             calls.clear()
         classify(Graph(g.n, g.adj))
         assert [args[0] for args in cosets] == [classes]
-        assert (len(walks), len(aut), len(bip)) == (walked, 0, 1)
+        assert (len(aut), len(bip)) == (0, 1)
+        assert (len(reversals), len(full)) == (reversed_, full_routes)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -805,6 +813,57 @@ def test_classify_keeps_the_searched_involution(n):
         g = Graph(n, rows)
         classify(g)
         assert involution_witness(g) == involution_witness(Graph(n, rows))
+
+
+def twin_class_rows(rng: random.Random, n: int) -> tuple[int, ...]:
+    """Rows of a random loops-allowed graph on n vertices with twins: each
+    vertex joins one of k < n classes, and its row is the union of the
+    classes adjacent to its own in a random graph on the k classes."""
+    k = rng.randrange(1, n)
+    home = list(range(k)) + [rng.randrange(k) for _ in range(n - k)]
+    rng.shuffle(home)
+    q = [0] * k
+    for c, d in itertools.combinations_with_replacement(range(k), 2):
+        if rng.random() < 0.5:
+            q[c] |= 1 << d
+            q[d] |= 1 << c
+    return tuple(sum(1 << w for w in range(n) if q[home[v]] >> home[w] & 1) for v in range(n))
+
+
+def test_twin_shortcut_and_kept_verdicts_match_fresh_searches(monkeypatch):
+    # classify reads an involution off two equal rows without a search, and
+    # the deciders keep their verdicts on the Graph: each answer must be the
+    # one the searches give on a fresh Graph. The 32768 labeled graphs at
+    # n=5 check the involution only
+    rng = random.Random(36)
+    every = ((n, rows) for n in range(1, 6) for rows in iter_adj_rows(n, True))
+    twins = [(n, twin_class_rows(rng, n)) for n in (6, 7, 8) for _ in range(20)]
+    for n, rows in itertools.chain(every, twins):
+        g = Graph(n, rows)
+        rep = classify(g)
+        assert rep.has_involution == (involution_witness(Graph(n, rows)) is not None)
+        if n == 5:
+            continue
+        deciders = [is_neighborhood_reconstructible, is_cancellation_graph]
+        if rep.bipartite:
+            deciders += [bipartite_cancellation_decider, bipartite_reversal_witness]
+        else:
+            with pytest.raises(UsageError):
+                bipartite_cancellation_decider(g)
+        for decider in deciders:
+            assert decider(g) == decider(Graph(n, rows))
+    # a kept reversal verdict does not pass over the bipartite check
+    k44 = complete_bipartite(4)
+    assert bipartite_reversal_witness(k44) is not None
+    with pytest.raises(UsageError):
+        decide._bip_decide(k44, bipartition(complete(3)))
+    # twin-free, no involution, not bipartite: the decider answers outright
+    full = counting(monkeypatch, decide, "_full_route")
+    rows = Graph.from_edges(3, [(0, 0), (0, 1), (1, 2)]).adj
+    assert len(set(rows)) == 3 and involution_witness(Graph(3, rows)) is None
+    assert not is_bipartite(Graph(3, rows))
+    assert is_neighborhood_reconstructible(Graph(3, rows)) and classify(Graph(3, rows)).reconstructible
+    assert full == []
 
 
 def test_classify_keeps_one_coset_of_the_empty_graph():
@@ -819,7 +878,7 @@ def test_classify_keeps_one_coset_of_the_empty_graph():
         tracemalloc.stop()
     assert rep.strongly and rep.has_involution
     assert peak < 1 << 20
-    assert set(g.__dict__) - {"n", "adj"} == {"_cosets", "_involution", "_bipartition"}
+    assert set(g.__dict__) - {"n", "adj"} == {"_cosets", "_bipartition", "_reversal"}
     assert g.__dict__["_cosets"] == ((tuple(range(8)),), (g.adj,))
     assert involution_witness(g) == involution_witness(empty(8))
 
@@ -845,3 +904,27 @@ def test_kept_listing_does_not_lift_the_capacity_guard():
     assert len(enumerate_ant(path, force=True)) == 1
     with pytest.raises(CapacityError):
         enumerate_ant(path)
+
+
+def test_forced_classify_refuses_a_listing_past_its_bound():
+    # 7K2 has no twins, so its coset listing is all of Ant(7K2), about 2.4
+    # million images; forced, classify must refuse at ANT_LISTING_MAX, in a
+    # few seconds and tens of MiB rather than minutes and gigabytes
+    code = (
+        "import resource\n"
+        "from cancelgraph import CapacityError, Graph, classify\n"
+        "try:\n"
+        "    classify(Graph.from_edges(14, [(v, v + 1) for v in range(0, 14, 2)]), force=True)\n"
+        "except CapacityError as refused:\n"
+        "    print(refused)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    refusal, peak_kib = proc.stdout.splitlines()
+    assert refusal == ("anti-automorphism listing at n=14 has more than 50000 coset images; "
+                       "listings bounded at 50000")
+    assert int(peak_kib) < 128 << 10

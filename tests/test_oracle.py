@@ -511,13 +511,32 @@ def test_oracle_purity_fault_is_reported_by_the_main_pass(monkeypatch):
 def test_fast_path_fault_is_reported_by_the_main_pass(monkeypatch):
     # an involution search that never finds one sends every graph down the
     # "reconstructible outright" route, so the non-reconstructible graphs (22
-    # up to n=3, 384 up to n=4, in 10 and 54 classes) disagree with the full route
+    # up to n=3, 384 up to n=4, in 10 and 54 classes) disagree with the full
+    # route; it also misses the twin swap of every graph with twins (22 and
+    # 330 graphs, in 10 and 48 classes)
     monkeypatch.setattr(iso_mod, "is_involution", lambda image: False)
-    for nmax, labeled_count, class_count in ((3, 22, 10), (4, 384, 54)):
+    for nmax, labeled_count, class_count, twin_labeled, twin_class_count in (
+            (3, 22, 10, 22, 10), (4, 384, 54, 330, 48)):
         labeled, per_class = labeled_main_pass_kinds(nmax)
-        assert labeled == {"fast_paths": labeled_count}
+        assert labeled == {"fast_paths": labeled_count, "twin_involution": twin_labeled}
         report = verify_theorems(nmax, True, bip_max=1, jobs=1)
-        assert violation_kinds(report.violations) == per_class == {"fast_paths": class_count}
+        assert violation_kinds(report.violations) == per_class == {
+            "fast_paths": class_count, "twin_involution": twin_class_count}
+
+
+def test_twin_involution_fault_is_reported_by_the_main_pass(monkeypatch):
+    # an involution search that misses the twin swap breaks the lemma the
+    # decider's shortcut rests on: each of the 330 labeled graphs with twins
+    # up to n=4, in 48 classes, is reported, and the non-reconstructible ones
+    # among them (54 graphs in 10 classes) also disagree with the full route
+    real = oracle_mod.involution_witness
+    monkeypatch.setattr(oracle_mod, "involution_witness",
+                        lambda g: None if len(set(g.adj)) < g.n else real(g))
+    labeled, per_class = labeled_main_pass_kinds(4)
+    assert labeled == {"twin_involution": 330, "fast_paths": 54}
+    report = verify_theorems(4, True, bip_max=1, jobs=1)
+    assert violation_kinds(report.violations) == per_class == {
+        "twin_involution": 48, "fast_paths": 10}
 
 
 def test_main_pass_expands_ant_once_per_class_at_every_n(monkeypatch):
