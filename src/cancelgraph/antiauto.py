@@ -53,8 +53,9 @@ from .iso import _canonical
 ANT_MAX = 8
 TF_MAX = 6
 ANT_LISTING_MAX = 50_000
-"""Bound on the coset images one Ant(G) listing keeps, whatever force says;
-within ANT_MAX a listing holds at most 8! = 40,320."""
+"""Bound on the images one Ant(G) listing keeps, the coset listing and the
+full one each, whatever force says; within ANT_MAX a listing holds at most
+8! = 40,320."""
 
 
 def _require_length(g: Graph, p: Permutation) -> None:
@@ -227,9 +228,18 @@ def _ant_cosets(g: Graph, force: bool = False):
 def _full_listing(g: Graph, force: bool = False):
     """All of Ant(G), ascending, as image tuples, and the rows of each G^a,
     as two parallel tuples: each coset of _ant_cosets expanded by P, every
-    member checked against the definition on its coset's G^a."""
+    member checked against the definition on its coset's G^a. Refuses a
+    listing past ANT_LISTING_MAX images, whatever force says, before
+    expanding any: each coset has |P| members, the product of the class
+    sizes' factorials."""
     classes = twin_classes(g.adj)[0]
-    listing = sorted((member, arows) for image, arows in zip(*_ant_cosets(g, force))
+    cosets = _ant_cosets(g, force)
+    if len(cosets[0]) * prod(factorial(len(vs)) for vs in classes) > ANT_LISTING_MAX:
+        raise CapacityError(
+            f"anti-automorphism listing at n={g.n} has more than {ANT_LISTING_MAX} "
+            f"images; listings bounded at {ANT_LISTING_MAX}"
+        )
+    listing = sorted((member, arows) for image, arows in zip(*cosets)
                      for member in _rearranged(image, classes))
     for member, arows in listing:
         if not _reverses(g.adj, member, arows):

@@ -165,9 +165,14 @@ def _check_shape(n: int, rows: tuple[int, ...]) -> None:
 def _check_rows(n: int, adj: tuple[int, ...]) -> None:
     _check_shape(n, adj)
     for x in range(n):
-        for y in bits_of(adj[x]):
-            if y > x and not adj[y] >> x & 1:
+        above = adj[x] >> x + 1 << x + 1
+        # inline bit loop, not bits_of: runs for every Graph built
+        while above:
+            b = above & -above
+            y = b.bit_length() - 1
+            if not adj[y] >> x & 1:
                 raise UsageError(f"asymmetric adjacency between {x} and {y}")
+            above ^= b
 
 
 @dataclass(frozen=True)

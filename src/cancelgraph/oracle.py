@@ -362,14 +362,21 @@ class _UniverseIndex:
         class_of = array("H", [0]) * total
         class_rows = []
         class_size = []
-        for k in range(total):
-            if not seen[k >> 3] >> (k & 7) & 1:
-                rows = next(iter_adj_rows(n, True, start=k, stop=k + 1))
-                members = stamp_orbit(n, rows, True, seen)
-                for member in members:
-                    class_of[member] = len(class_rows)
-                class_rows.append(rows)
-                class_size.append(len(members))
+        # the first unseen index k has no orbit member below it, or that
+        # member would have stamped k, so stamping sets no bit below k and
+        # a byte read as 0xFF holds no first unseen index; the scan tests
+        # bits only in the other bytes, rereading the byte it is in
+        for byte, bits in enumerate(seen):
+            if bits == 0xFF:
+                continue
+            for k in range(byte << 3, min(byte + 1 << 3, total)):
+                if not seen[byte] >> (k & 7) & 1:
+                    rows = next(iter_adj_rows(n, True, start=k, stop=k + 1))
+                    members = stamp_orbit(n, rows, True, seen)
+                    for member in members:
+                        class_of[member] = len(class_rows)
+                    class_rows.append(rows)
+                    class_size.append(len(members))
         self.class_of = class_of
         self.class_rows = class_rows
         self.class_size = class_size
@@ -634,11 +641,14 @@ def _roundtrip_pass(graphs: _Feed, violations: _Violations) -> None:
 
 
 def _fixed_bipartition_rows(n: int) -> Iterator[tuple[int, ...]]:
-    """Every graph with all edges between {0..k-1} and {k..n-1}, k <= n/2.
-    Each bipartite graph on n vertices is a relabeling of one of them: put
-    its smaller colour class first."""
+    """Every graph with all edges between {0..k-1} and {k..n-1}, k <= n/2,
+    whose rows on {0..k-1} ascend. Each bipartite graph on n vertices is a
+    relabeling of one of them: put its smaller colour class first, then
+    permute that class so its rows ascend. Permuting {0..k-1} among
+    themselves moves no edge off the sides, so every class keeps a seed:
+    1,409 at n=7 against 5,185 side-row tuples in all."""
     for k in range(n // 2 + 1):
-        for sides in itertools.product(range(1 << n - k), repeat=k):
+        for sides in itertools.combinations_with_replacement(range(1 << n - k), k):
             rows = [side << k for side in sides]
             rows.extend(mask_of(a for a in range(k) if sides[a] >> b & 1) for b in range(n - k))
             yield tuple(rows)

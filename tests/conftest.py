@@ -5,6 +5,7 @@ through the text parser on every run keeps the file format honest.
 """
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 
 import pytest
@@ -73,6 +74,16 @@ def build_graph(n: int, bits: int, loops: bool) -> Graph:
             rows[i] |= 1 << j
             rows[j] |= 1 << i
     return Graph(n, tuple(rows))
+
+
+def product_bipartition_rows(n: int):
+    """Every graph with all edges between {0..k-1} and {k..n-1}, k <= n/2,
+    the rows on {0..k-1} in every order: each tuple of k rows of n - k bits."""
+    for k in range(n // 2 + 1):
+        for sides in itertools.product(range(1 << n - k), repeat=k):
+            rows = [side << k for side in sides]
+            rows.extend(sum(1 << a for a in range(k) if sides[a] >> b & 1) for b in range(n - k))
+            yield tuple(rows)
 
 
 def graph_strategy(

@@ -6,7 +6,11 @@ pair, deliberately avoiding the bitmask shortcuts the implementation uses.
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -222,6 +226,45 @@ def test_permuted_rows_guard():
         _full_listing(path)
     reflection = tuple(reversed(range(9)))
     assert _full_listing(path, force=True)[1] == (path.adj, apply_anti_rows(path.adj, reflection))
+
+
+@pytest.mark.parametrize("bound, refused", [(23, True), (24, False)])
+def test_full_listing_refuses_past_its_bound(monkeypatch, bound, refused):
+    # E4 has one coset image and 4! = 24 members
+    monkeypatch.setattr(antiauto_mod, "ANT_LISTING_MAX", bound)
+    empty = Graph(4, (0,) * 4)
+    if refused:
+        with pytest.raises(CapacityError, match="^anti-automorphism listing at n=4 has more than 23 "
+                                                "images; listings bounded at 23$"):
+            enumerate_ant(empty, force=True)
+    else:
+        assert len(enumerate_ant(empty, force=True)) == 24
+
+
+def test_forced_full_listing_of_e9_refuses_in_seconds():
+    # E9's coset listing holds one image, its full listing 9! = 362,880;
+    # forced, enumerate_ant must refuse at ANT_LISTING_MAX rather than build
+    # them all, which took 2.3 s and 127 MiB peak RSS. The child bounds what
+    # it allocates: its ru_maxrss would carry the test runner's own peak
+    code = (
+        "import tracemalloc\n"
+        "from cancelgraph import CapacityError, Graph, enumerate_ant\n"
+        "tracemalloc.start()\n"
+        "try:\n"
+        "    enumerate_ant(Graph(9, (0,) * 9), force=True)\n"
+        "except CapacityError as refused:\n"
+        "    print(refused)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    refusal, peak_bytes = proc.stdout.splitlines()
+    assert refusal == ("anti-automorphism listing at n=9 has more than 50000 images; "
+                       "listings bounded at 50000")
+    assert int(peak_bytes) < 1 << 20
 
 
 def test_length_mismatch_rejected(c6):

@@ -53,9 +53,9 @@ from cancelgraph.antiauto import apply_anti_rows, iter_ant_images
 from cancelgraph.graphs import (adjacency_index, invert, is_involution, iter_adj_rows, multiset_key,
                                 perm_order, relabel_rows, twin_classes)
 from cancelgraph.iso import _canonical, involution_witness
-from cancelgraph.oracle import _UniverseIndex, _fixed_bipartition_rows
+from cancelgraph.oracle import _UniverseIndex
 
-from conftest import graph_and_permutation, graph_strategy, load_fixture
+from conftest import graph_and_permutation, graph_strategy, load_fixture, product_bipartition_rows
 
 
 def scan_reconstructible(g: Graph) -> bool:
@@ -265,9 +265,13 @@ def test_reversal_search_matches_the_pair_test_exhaustively(n):
 
 
 def test_reversal_search_matches_the_pair_test_at_seven():
-    # every seed of the n=7 bipartite sweep, smaller colour class first
-    for rows in _fixed_bipartition_rows(7):
+    # all 5,185 n=7 graphs with the smaller colour class first, its rows in
+    # every order, not only the sweep's 1,409 seeds with those rows ascending
+    count = 0
+    for rows in product_bipartition_rows(7):
         check_reversal_searches_agree(7, rows)
+        count += 1
+    assert count == 5185
 
 
 # ---------------------------------------------------------------------------

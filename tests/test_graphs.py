@@ -163,6 +163,21 @@ def test_graph_validation():
         Graph.from_edges(2, []).degree(2)
 
 
+@pytest.mark.parametrize("n, rows, pair", [
+    (3, (2, 0, 0), (0, 1)),
+    # 0-1 is symmetric, 0-2 is not, and 0-3 comes after it
+    (4, (0b1110, 0b0001, 0b0000, 0b0001), (0, 2)),
+    (5, (0, 0b11000, 0, 0b00010, 0), (1, 4)),
+    # a loop is its own mirror image; the walk starts above the diagonal
+    (3, (1, 0b110, 0), (1, 2)),
+    (6, (0, 0b100100, 0b100010, 0, 0, 0b000100), (1, 5)),
+])
+def test_graph_validation_names_the_first_asymmetric_pair(n, rows, pair):
+    # the pairs x < y are checked with x, then y, ascending
+    with pytest.raises(UsageError, match=rf"^asymmetric adjacency between {pair[0]} and {pair[1]}$"):
+        Graph(n, rows)
+
+
 def test_relabel_moves_edges():
     path = Graph.from_edges(3, [(0, 1), (1, 2)])
     moved = path.relabel(Permutation((2, 0, 1)))

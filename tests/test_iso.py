@@ -33,8 +33,8 @@ from cancelgraph import (
 )
 import cancelgraph.iso as iso_mod
 import cancelgraph.oracle as oracle_mod
-from cancelgraph.graphs import (component_masks, enumerate_count, iter_adj_rows, relabel_rows,
-                                twin_classes, upper_cells)
+from cancelgraph.graphs import (adjacency_index, component_masks, enumerate_count, iter_adj_rows,
+                                relabel_rows, twin_classes, upper_cells)
 from cancelgraph.iso import (
     automorphisms,
     canon_rows,
@@ -697,6 +697,38 @@ def test_loopless_orbit_classes_are_the_canon_rows_classes(n):
 def test_orbit_class_counts_match_oeis(loops, counts):
     for n, count in enumerate(counts, start=1):
         assert max(orbit_classes(n, loops)) + 1 == count
+
+
+def generator_loop_orbit(n: int, rows: tuple[int, ...], loops: bool, seen: bytearray) -> list[int]:
+    """stamp_orbit's closure as one loop over the generators, each member's
+    chunks split once per generator; no class size check."""
+    k = adjacency_index(n, rows, loops)
+    if seen[k >> 3] >> (k & 7) & 1:
+        return []
+    seen[k >> 3] |= 1 << (k & 7)
+    members = [k]
+    width = -(-len(upper_cells(n, loops)) // 3)
+    low = (1 << width) - 1
+    for x in members:
+        for t0, t1, t2 in iso_mod._orbit_generators(n, loops):
+            y = t0[x & low] | t1[x >> width & low] | t2[x >> 2 * width]
+            if not seen[y >> 3] >> (y & 7) & 1:
+                seen[y >> 3] |= 1 << (y & 7)
+                members.append(y)
+    return members
+
+
+@pytest.mark.parametrize(
+    "n, loops", [(n, True) for n in range(6)] + [(n, False) for n in range(7)]
+)
+def test_stamp_orbit_lists_members_in_generator_loop_order(n, loops):
+    # the swap's image of each member before the cycle's, on every graph
+    seen = bytearray((enumerate_count(n, loops) + 7) // 8)
+    reference = bytearray(len(seen))
+    for rows in iter_adj_rows(n, loops):
+        frozen = tuple(rows)
+        assert stamp_orbit(n, frozen, loops, seen) == generator_loop_orbit(n, frozen, loops, reference)
+    assert seen == reference
 
 
 def test_stamp_orbit_skips_a_stamped_index():

@@ -45,10 +45,10 @@ from cancelgraph.graphs import (
     iter_adj_rows,
     multiset_key,
 )
-from cancelgraph.iso import canon_connected, canon_rows, cert_bytes, compact_rows
-from cancelgraph.product import bipartition
+from cancelgraph.iso import canon_connected, canon_rows, cert_bytes, compact_rows, stamp_orbit
+from cancelgraph.product import bipartition, is_bipartite
 
-from conftest import graph_strategy, load_fixture
+from conftest import graph_strategy, load_fixture, product_bipartition_rows
 
 K2 = Graph.from_edges(2, [(0, 1)])
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -1058,6 +1058,35 @@ def test_universe_index_classes_are_the_canon_rows_classes(n, classes):
     ]
 
 
+def bitwise_index(n: int):
+    """class_of, class_rows, class_size and class_product_pure of the
+    loops-allowed universe at n, testing the bit of every index in turn, with
+    purity from the canonical rows of every class's G x K2."""
+    total = enumerate_count(n, True)
+    seen = bytearray((total + 7) // 8)
+    class_of = [0] * total
+    class_rows, class_size = [], []
+    for k, rows in enumerate(iter_adj_rows(n, True)):
+        if not seen[k >> 3] >> (k & 7) & 1:
+            members = stamp_orbit(n, tuple(rows), True, seen)
+            for member in members:
+                class_of[member] = len(class_rows)
+            class_rows.append(tuple(rows))
+            class_size.append(len(members))
+    products = [canon_rows(2 * n, direct_product(Graph(n, rows), K2).adj)[0] for rows in class_rows]
+    shared = Counter(products)
+    return class_of, class_rows, class_size, [shared[p] == 1 for p in products]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_universe_index_scan_matches_a_bitwise_scan(n):
+    # the build skips the bytes of its bitset that are full
+    index = oracle_mod._UniverseIndex(n)
+    index.build()
+    built = (list(index.class_of), index.class_rows, index.class_size, index.class_product_pure)
+    assert built == bitwise_index(n)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_universe_index_builds_without_canonical_forms(n, monkeypatch):
     # G x K2 on 2n vertices is canonicalized for its product class; G never is
@@ -1195,15 +1224,46 @@ def test_class_sweep_matches_the_labeled_sweep(n):
     assert oracle_mod._worker_bip_sweep((n, 0, total)) == (*summed, [], 0)
 
 
+def canonical_forms(n: int, seeds) -> set[tuple[int, ...]]:
+    return {canon_rows(n, tuple(rows))[0] for rows in seeds}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
+def test_sweep_seeds_reach_every_bipartite_class(n):
+    # the seeds list the rows of the smaller side ascending only
+    labeled = (rows for rows in iter_adj_rows(n, False) if is_bipartite(Graph(n, tuple(rows))))
+    assert canonical_forms(n, oracle_mod._fixed_bipartition_rows(n)) == canonical_forms(n, labeled)
+
+
+def test_sweep_seeds_reach_every_bipartite_class_at_seven():
+    seeds = list(oracle_mod._fixed_bipartition_rows(7))
+    assert len(seeds) == 1409
+    reached = canonical_forms(7, seeds)
+    assert len(reached) == 88
+    assert reached == canonical_forms(7, product_bipartition_rows(7))
+
+
+def looped_union(g: Graph, h: Graph) -> Graph:
+    """G + H with a loop at vertex 0: never isomorphic to the loopless
+    G x K2 of a bipartite G, so every class fails the double-cover check."""
+    union = disjoint_union(g, h)
+    return Graph(union.n, (union.adj[0] | 1,) + union.adj[1:])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_bip_classes_do_not_depend_on_the_seeds(n, monkeypatch, fresh_bip_classes):
+    # every class's fault is listed at its least member, whichever seed
+    # reached it
+    monkeypatch.setattr(oracle_mod, "disjoint_union", looped_union)
+    got = oracle_mod._bip_classes(n)
+    monkeypatch.setattr(oracle_mod, "_fixed_bipartition_rows", product_bipartition_rows)
+    assert got == oracle_mod._bip_classes.__wrapped__(n)
+    assert len(got[2]) == (1, 1, 2, 3, 7, 13, 35, 88)[n]
+
+
 # OEIS A033995: bipartite graphs, n = 1..6
 @pytest.mark.parametrize("n, classes", [(1, 1), (2, 2), (3, 3), (4, 7), (5, 13), (6, 35)])
 def test_double_cover_fault_is_reported_once_per_class(n, classes, monkeypatch, fresh_bip_classes):
-    # G + G with a loop at vertex 0 is never isomorphic to the loopless
-    # G x K2 of a bipartite G
-    def looped_union(g, h):
-        union = disjoint_union(g, h)
-        return Graph(union.n, (union.adj[0] | 1,) + union.adj[1:])
-
     monkeypatch.setattr(oracle_mod, "disjoint_union", looped_union)
     *_, items, total = oracle_mod._worker_bip_sweep((n, 0, enumerate_count(n, False)))
     assert Counter(item["suite"] for item in items) == {"double_cover": classes}
