@@ -164,8 +164,12 @@ def _check_shape(n: int, rows: tuple[int, ...]) -> None:
 
 def _check_rows(n: int, adj: tuple[int, ...]) -> None:
     _check_shape(n, adj)
+    # bits below the diagonal less bits above it
+    excess = 0
     for x in range(n):
-        above = adj[x] >> x + 1 << x + 1
+        row = adj[x]
+        above = row >> x + 1 << x + 1
+        excess += (row & (1 << x) - 1).bit_count() - above.bit_count()
         # inline bit loop, not bits_of: runs for every Graph built
         while above:
             b = above & -above
@@ -173,6 +177,12 @@ def _check_rows(n: int, adj: tuple[int, ...]) -> None:
             if not adj[y] >> x & 1:
                 raise UsageError(f"asymmetric adjacency between {x} and {y}")
             above ^= b
+    # each bit above the diagonal has its mirror below it, so no excess
+    # leaves none below without its mirror above
+    if excess:
+        x, y = min((y, x) for x in range(n) for y in bits_of(adj[x] & (1 << x) - 1)
+                   if not adj[y] >> x & 1)
+        raise UsageError(f"asymmetric adjacency between {x} and {y}")
 
 
 @dataclass(frozen=True)

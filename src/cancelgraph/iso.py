@@ -7,7 +7,8 @@ remain ambiguous the search individualizes each vertex of the smallest class
 in turn, keeping the relabeling whose adjacency encoding (see graphs) is
 least. The certificate is that encoding of the canonical rows, read off the
 least leaf's key. A target class made only of mutual twins is individualized
-without a refinement round; canon_connected says why that is exact. The
+without a refinement round; canon_connected says why that is exact, and
+how each node keeps its work small. The
 components of a disconnected graph go through a cache keyed by their compact
 rows, so a component that recurs, as G does in G + G and in the G x K2 of a
 connected bipartite G, is searched once; a connected graph is searched
@@ -71,38 +72,39 @@ def _setup(n: int, rows: tuple[int, ...]) -> tuple[list[list[int]], list[int]]:
 
 
 def _refine(n: int, nbrs: list[list[int]], colors: list[int]) -> list[int]:
-    """Stable re-coloring: color plus sorted multiset of neighbor colors. A
-    discrete coloring is stable, so it is renumbered without a round, and a
+    """Stable re-coloring: a round sorts the vertices on (color, sorted
+    neighbor colors) and numbers the runs, so colors come out dense. A
+    discrete coloring is stable, so it is ranked without a round, and a
     round that makes one is the last."""
     ncolors = len(set(colors))
     if ncolors == n:
-        rank = {c: i for i, c in enumerate(sorted(colors))}
-        return [rank[c] for c in colors]
+        new = [0] * n
+        for i, v in enumerate(sorted(range(n), key=colors.__getitem__)):
+            new[v] = i
+        return new
     while True:
         get = colors.__getitem__
-        sigs = [(colors[v], tuple(sorted(map(get, nbrs[v])))) for v in range(n)]
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        colors = [rank[s] for s in sigs]
-        if len(rank) == ncolors or len(rank) == n:
+        sigs = [(c, sorted(map(get, nb))) for c, nb in zip(colors, nbrs)]
+        colors = [0] * n
+        k = 0
+        prev = None
+        for v in sorted(range(n), key=sigs.__getitem__):
+            if sigs[v] != prev:
+                prev = sigs[v]
+                k += 1
+            colors[v] = k - 1
+        if k == ncolors or k == n:
             return colors
-        ncolors = len(rank)
+        ncolors = k
 
 
-def _leaf_key(n: int, rows: tuple[int, ...], perm: list[int]) -> tuple[int, ...]:
+def _leaf_key(n: int, nbrs: list[list[int]], perm: list[int]) -> tuple[int, ...]:
     """Relabeled rows with reversed bit order, so tuple comparison matches
     row-major lexicographic comparison of the adjacency encoding."""
-    # one pass, not permute_mask then adjacency_index: 1.7x faster at n=5, 2.1x at n=8 (timeit)
+    bit = [1 << n - 1 - p for p in perm]
     out = [0] * n
-    top = n - 1
-    for v in range(n):
-        m = rows[v]
-        acc = 0
-        # inline bit loop, not bits_of: one call per search leaf
-        while m:
-            b = m & -m
-            acc |= 1 << (top - perm[b.bit_length() - 1])
-            m ^= b
-        out[perm[v]] = acc
+    for p, nb in zip(perm, nbrs):
+        out[p] = sum(map(bit.__getitem__, nb))
     return tuple(out)
 
 
@@ -118,15 +120,17 @@ def _orbit_mask(mask: int, gens: list[tuple[int, ...]]) -> int:
     return mask
 
 
-def _twin_swaps(n: int, rows: tuple[int, ...]) -> list[tuple[int, ...]]:
+def _twin_swaps(n: int, rows: tuple[int, ...]) -> tuple[list[tuple[int, ...]], list[int]]:
     """Each transposition (u w) that is an automorphism, w the next such
-    partner of u, as image tuples. (u w) is one iff rows[u] and rows[w] agree
+    partner of u, as image tuples, and each vertex's twin representative,
+    the least vertex of its class. (u w) is one iff rows[u] and rows[w] agree
     off bits u and w and u and w have the same loop bit, that is iff the rows
     are equal (u, w adjacent iff looped) or equal once each has its own bit
     flipped (adjacent iff unlooped). Being such a pair is an equivalence, and
     the swaps of each vertex to its next partner generate each class's whole
     symmetric group."""
     swaps = []
+    twin = list(range(n))
     last: tuple[dict[int, int], dict[int, int]] = ({}, {})
     for w, row in enumerate(rows):
         for seen, key in zip(last, (row, row ^ 1 << w)):
@@ -136,7 +140,8 @@ def _twin_swaps(n: int, rows: tuple[int, ...]) -> list[tuple[int, ...]]:
                 swap = list(range(n))
                 swap[u], swap[w] = w, u
                 swaps.append(tuple(swap))
-    return swaps
+                twin[w] = twin[u]
+    return swaps, twin
 
 
 # each byte with its bit order reversed
@@ -168,35 +173,24 @@ def canon_connected(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], tup
     colour, and the other members root images of its subtree under twin
     swaps that fix the prefix, searched after it. The rest of the cell is
     then the smallest cell, so the whole class goes in turn, and its last
-    member keeps the cell's colour."""
+    member keeps the cell's colour.
+
+    Per node: colours stay dense, so a node is a leaf when there are n of
+    them and counts its cells in a list; a leaf key sums neighbour bits
+    from one table per leaf; _twin_swaps gives each twin representative."""
     if n <= 1:
         return tuple(rows), tuple(range(n))
     nbrs, start = _setup(n, rows)
-    swaps = _twin_swaps(n, rows)
-    # twin[v]: the least vertex of v's twin class; each swap joins u to its
-    # next partner w, and the swaps come in order of w
-    twin = list(range(n))
-    for s in swaps:
-        u, w = [v for v in range(n) if s[v] != v]
-        twin[w] = twin[u]
+    swaps, twin = _twin_swaps(n, rows)
     best_key: list = [None]
     best_perm: list = [None]
     best_inv: list = [None]
     autos = list(swaps)
 
     def descend(colors: list[int], prefix: list[int]) -> None:
-        counts: dict[int, int] = {}
-        for c in colors:
-            counts[c] = counts.get(c, 0) + 1
-        target = -1
-        tcount = n + 1
-        for c, cnt in counts.items():
-            if cnt > 1 and (cnt < tcount or (cnt == tcount and c < target)):
-                target = c
-                tcount = cnt
-        if target < 0:
-            # a discrete coloring is already 0..n-1
-            key = _leaf_key(n, rows, colors)
+        k = max(colors) + 1
+        if k == n:
+            key = _leaf_key(n, nbrs, colors)
             if best_key[0] is None or key < best_key[0]:
                 best_key[0] = key
                 best_perm[0] = colors
@@ -205,11 +199,17 @@ def canon_connected(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], tup
                 inv = best_inv[0]
                 autos.append(tuple(inv[colors[v]] for v in range(n)))
             return
-        cell = [v for v in range(n) if colors[v] == target]
-        if swaps and all(twin[v] == twin[cell[0]] for v in cell):
+        counts = [0] * k
+        for c in colors:
+            counts[c] += 1
+        # the least colour of the smallest cell that is not a singleton
+        target = counts.index(min(filter((1).__lt__, counts)))
+        cell = [v for v, c in enumerate(colors) if c == target]
+        t = twin[cell[0]]
+        if swaps and all(twin[v] == t for v in cell):
             # the twin step; colors is this search's own list
             for i, v in enumerate(cell[:-1]):
-                colors[v] = len(counts) + i
+                colors[v] = k + i
             descend(colors, prefix + cell[:-1])
             return
         # orbit: the tried vertices' orbits under the known automorphisms that

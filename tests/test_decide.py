@@ -914,14 +914,16 @@ def test_forced_classify_refuses_a_listing_past_its_bound():
     # 7K2 has no twins, so its coset listing is all of Ant(7K2), about 2.4
     # million images; forced, classify must refuse at ANT_LISTING_MAX, in a
     # few seconds and tens of MiB rather than minutes and gigabytes
+    # the child's own peak, VmHWM in KiB: ru_maxrss would inherit the high
+    # water mark of the pytest process it was forked from
     code = (
-        "import resource\n"
         "from cancelgraph import CapacityError, Graph, classify\n"
         "try:\n"
         "    classify(Graph.from_edges(14, [(v, v + 1) for v in range(0, 14, 2)]), force=True)\n"
         "except CapacityError as refused:\n"
         "    print(refused)\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "with open('/proc/self/status') as status:\n"
+        "    print(next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
     )
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))

@@ -171,6 +171,12 @@ def test_graph_validation():
     # a loop is its own mirror image; the walk starts above the diagonal
     (3, (1, 0b110, 0), (1, 2)),
     (6, (0, 0b100100, 0b100010, 0, 0, 0b000100), (1, 5)),
+    # a bit below the diagonal with no mirror above it: the walk passes, the
+    # count of the bits below against those above refuses, naming the least
+    (3, (0, 1, 0), (0, 1)),
+    (4, (0b0010, 0b0001, 0b0011, 0), (0, 2)),
+    (3, (0b001, 0b011, 0), (0, 1)),
+    (5, (0, 0, 0, 0, 0b01010), (1, 4)),
 ])
 def test_graph_validation_names_the_first_asymmetric_pair(n, rows, pair):
     # the pairs x < y are checked with x, then y, ascending

@@ -258,6 +258,17 @@ def reference_refine(n: int, rows: tuple[int, ...], colors: list[int]) -> list[i
         ncolors = len(rank)
 
 
+def reference_leaf_key(n: int, rows: tuple[int, ...], perm: list[int]) -> tuple[int, ...]:
+    """The relabeled rows, each with its bit order reversed, read off the
+    row bits: the reference for _leaf_key."""
+    out = [0] * n
+    for v in range(n):
+        for w in range(n):
+            if rows[v] >> w & 1:
+                out[perm[v]] |= 1 << (n - 1 - perm[w])
+    return tuple(out)
+
+
 def reference_canon_connected(n: int, rows: tuple[int, ...]):
     """The search that prunes a cell vertex only when one found automorphism
     fixing the prefix maps a tried vertex onto it: the reference for
@@ -284,7 +295,7 @@ def reference_canon_connected(n: int, rows: tuple[int, ...]):
             perm = [0] * n
             for pos, v in enumerate(sorted(range(n), key=colors.__getitem__)):
                 perm[v] = pos
-            key = iso_mod._leaf_key(n, rows, perm)
+            key = reference_leaf_key(n, rows, perm)
             if best_key[0] is None or key < best_key[0]:
                 best_key[0] = key
                 best_perm[0] = perm
@@ -317,7 +328,8 @@ def reference_canon_connected(n: int, rows: tuple[int, ...]):
 def check_against_reference_search(graphs) -> None:
     """canon_rows and _refine against the reference search on each (n, rows);
     _refine from the initial coloring, from it with vertex 0 individualized,
-    and from a discrete coloring."""
+    from a discrete coloring, from it shifted up by n, and from it with
+    its last two vertices individualized, the later one first."""
     def canon_all():
         return [canon_rows(n, rows) for n, rows in graphs]
 
@@ -335,7 +347,8 @@ def check_against_reference_search(graphs) -> None:
         nbrs, start = iso_mod._setup(n, rows)
         assert iso_mod._refine(n, nbrs, start) == reference_refine(n, rows, initial_colors(n, rows))
         start = initial_colors(n, rows)
-        for colors in (start, [n, *start[1:]], [2 * (n - v) for v in range(n)]):
+        for colors in (start, [n, *start[1:]], [2 * (n - v) for v in range(n)],
+                       [n + c for c in start], start[:-2] + [n + 1, n][-n:]):
             assert iso_mod._refine(n, nbrs, colors) == reference_refine(n, rows, colors)
 
 
@@ -418,6 +431,44 @@ def test_canonical_search_matches_the_reference_search(g):
     check_against_reference_search([(g.n, g.adj)])
 
 
+def random_connected_rows(rng: random.Random, n: int, p: float, loops: bool) -> tuple[int, ...]:
+    """Each edge, and each loop when loops are allowed, with probability p,
+    over a random recursive tree that keeps the graph connected."""
+    rows = [0] * n
+    for v in range(1, n):
+        u = rng.randrange(v)
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    for u in range(n):
+        for w in range(u if loops else u + 1, n):
+            if rng.random() < p:
+                rows[u] |= 1 << w
+                rows[w] |= 1 << u
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("loops", [False, True])
+def test_canonical_search_matches_the_reference_search_past_nine_vertices(loops):
+    rng = random.Random(10 + loops)
+    check_against_reference_search([
+        (n, random_connected_rows(rng, n, p, loops))
+        for n in range(10, 17) for p in (0.03, 0.1, 0.5, 0.9) for _ in range(3)
+    ])
+
+
+def test_canonical_search_matches_the_reference_search_on_repeated_components():
+    # 3 C5, and G + G + K1 with loops for random connected G with loops on
+    # 2-6 vertices; each also relabeled, which interleaves the components
+    rng = random.Random(5)
+    c5 = Graph.from_edges(5, [(v, (v + 1) % 5) for v in range(5)])
+    graphs = [disjoint_union(disjoint_union(c5, c5), c5)]
+    for n in range(2, 7):
+        g = Graph(n, random_connected_rows(rng, n, 0.4, True))
+        graphs.append(disjoint_union(disjoint_union(g, g), Graph(1, (1,))))
+    graphs += [shuffled(rng, h) for h in graphs]
+    check_against_reference_search([(h.n, h.adj) for h in graphs])
+
+
 # ---------------------------------------------------------------------------
 # the twin swaps the canonical-form search starts from
 # ---------------------------------------------------------------------------
@@ -433,11 +484,13 @@ def swap_is_automorphism(rows: tuple[int, ...], u: int, w: int) -> bool:
 def test_twin_swaps_generate_every_automorphic_transposition(n):
     # by brute force over every loops-allowed labeled graph: each seeded swap
     # is an automorphism joining a vertex u to its next partner w, one swap
-    # per u, and every transposition that is an automorphism joins two
-    # vertices that the seeded swaps connect, so it lies in their group
+    # per u, every transposition that is an automorphism joins two vertices
+    # that the seeded swaps connect, so it lies in their group, and each
+    # vertex's twin representative is the least vertex of its twin class
     kinds = set()
     for rows in iter_adj_rows(n, True):
-        swaps = iso_mod._twin_swaps(n, rows)
+        swaps, twin = iso_mod._twin_swaps(n, rows)
+        assert twin == least_twins(n, rows)
         joined = list(range(n))
         lower = []
         for swap in swaps:
@@ -490,7 +543,7 @@ def test_twin_swaps_cut_the_search_leaves(monkeypatch):
         Graph.from_edges(8, [(x, 4 + y) for x in range(4) for y in range(4)]),
     ]
     assert leaf_counts(graphs) == [1, 1, 1, 2]
-    monkeypatch.setattr(iso_mod, "_twin_swaps", lambda n, rows: [])
+    monkeypatch.setattr(iso_mod, "_twin_swaps", lambda n, rows: ([], list(range(n))))
     assert leaf_counts(graphs) == [29, 29, 22, 14]
 
 
@@ -652,7 +705,7 @@ def test_twin_step_cuts_the_refine_calls(monkeypatch):
     ]]
     assert call_counts("_refine", graphs) == [1, 1, 1, 3, 14]
     assert leaf_counts(graphs) == [1, 1, 1, 2, 7]
-    monkeypatch.setattr(iso_mod, "_twin_swaps", lambda n, rows: [])
+    monkeypatch.setattr(iso_mod, "_twin_swaps", lambda n, rows: ([], list(range(n))))
     assert call_counts("_refine", graphs) == [92, 92, 63, 51, 31]
 
 
