@@ -131,9 +131,9 @@ def _twin_swaps(n: int, rows: tuple[int, ...]) -> tuple[list[tuple[int, ...]], l
     symmetric group."""
     swaps = []
     twin = list(range(n))
-    last: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    seen: dict[int, int] = {}  # a flipped row keyed by its complement, < 0
     for w, row in enumerate(rows):
-        for seen, key in zip(last, (row, row ^ 1 << w)):
+        for key in (row, ~(row ^ 1 << w)):
             u = seen.get(key)
             seen[key] = w
             if u is not None:
