@@ -387,14 +387,24 @@ def upper_cells(n: int, loops_allowed: bool) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + lo, n)]
 
 
+# each byte with its bit order reversed
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def adjacency_index(n: int, rows, loops_allowed: bool = True) -> int:
     """Position of rows in iter_adj_rows(n, loops_allowed): the upper-triangle
     bit vector, cell (0,0) (loopless: (0,1)) most significant. Only cells on
     or above the diagonal (loopless: above it) are read, so on symmetric rows
     the index orders graphs like row-major comparison of their adjacency
-    matrices."""
+    matrices. Up to 8 vertices each row is reversed by a table lookup."""
     lo = 0 if loops_allowed else 1
     k = 0
+    if n <= 8:
+        shift = 8 - n
+        for i, row in enumerate(rows):
+            width = n - i - lo
+            k = k << width | _REVERSED_BYTES[row] >> shift & (1 << width) - 1
+        return k
     for i, row in enumerate(rows):
         width = n - i - lo  # cells (i, i + lo) .. (i, n-1), most significant first
         k <<= width

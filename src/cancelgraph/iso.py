@@ -8,7 +8,7 @@ in turn, keeping the relabeling whose adjacency encoding (see graphs) is
 least. The certificate is that encoding of the canonical rows, read off the
 least leaf's key. A target class made only of mutual twins is individualized
 without a refinement round; canon_connected says why that is exact, and
-how each node keeps its work small. The
+what keeps each node cheap. The
 components of a disconnected graph go through a cache keyed by their compact
 rows, so a component that recurs, as G does in G + G and in the G x K2 of a
 connected bipartite G, is searched once; a connected graph is searched
@@ -35,6 +35,7 @@ from typing import Iterator
 
 from .errors import CapacityError, InvariantViolationError
 from .graphs import (
+    _REVERSED_BYTES,
     Graph,
     Permutation,
     adjacency_index,
@@ -52,26 +53,32 @@ from .graphs import (
 AUT_MAX = 8
 
 
-def _setup(n: int, rows: tuple[int, ...]) -> tuple[list[list[int]], list[int]]:
-    """The neighbour lists and start colours, in one pass over the rows. The
-    start colour loop * (n + 1) + degree orders vertices by (loop, degree),
-    and _refine's result depends only on the order of the colours."""
+# each byte's set bits, ascending
+_BYTE_BITS = tuple(tuple(b for b in range(8) if x >> b & 1) for x in range(256))
+
+
+def _setup(n: int, rows: tuple[int, ...]) -> tuple[list, list[int]]:
+    """The neighbours, those below 8 from a table, and start colours, in one
+    pass over the rows. The start colour loop * (n + 1) + degree orders
+    vertices by (loop, degree), and _refine's result depends only on the
+    order of the colours."""
     nbrs = []
     start = []
     for v, m in enumerate(rows):
-        loop = m >> v & 1
-        nb = []
-        # inline bit loop, not bits_of: once per canonical-form and automorphism search
-        while m:
-            b = m & -m
-            nb.append(b.bit_length() - 1)
-            m ^= b
+        nb = _BYTE_BITS[m & 255]
+        x = m >> 8 << 8
+        if x:
+            nb = list(nb)
+            while x:
+                b = x & -x
+                nb.append(b.bit_length() - 1)
+                x ^= b
         nbrs.append(nb)
-        start.append(loop * (n + 1) + len(nb))
+        start.append((m >> v & 1) * (n + 1) + len(nb))
     return nbrs, start
 
 
-def _refine(n: int, nbrs: list[list[int]], colors: list[int]) -> list[int]:
+def _refine(n: int, nbrs: list, colors: list[int]) -> list[int]:
     """Stable re-coloring: a round sorts the vertices on (color, sorted
     neighbor colors) and numbers the runs, so colors come out dense. A
     discrete coloring is stable, so it is ranked without a round, and a
@@ -98,7 +105,7 @@ def _refine(n: int, nbrs: list[list[int]], colors: list[int]) -> list[int]:
         ncolors = k
 
 
-def _leaf_key(n: int, nbrs: list[list[int]], perm: list[int]) -> tuple[int, ...]:
+def _leaf_key(n: int, nbrs: list, perm: list[int]) -> tuple[int, ...]:
     """Relabeled rows with reversed bit order, so tuple comparison matches
     row-major lexicographic comparison of the adjacency encoding."""
     bit = [1 << n - 1 - p for p in perm]
@@ -144,14 +151,12 @@ def _twin_swaps(n: int, rows: tuple[int, ...]) -> tuple[list[tuple[int, ...]], l
     return swaps, twin
 
 
-# each byte with its bit order reversed
-_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
 def _rows_of_key(n: int, key: tuple[int, ...]) -> tuple[int, ...]:
     """The rows a leaf key stands for: each n-bit row with its bit order
     reversed back, bytewise."""
     shift = -n % 8
+    if n <= 8:
+        return tuple([_REVERSED_BYTES[k << shift] for k in key])
     size = (n + shift) >> 3
     return tuple([int.from_bytes((k << shift).to_bytes(size, "little").translate(_REVERSED_BYTES), "big")
                   for k in key])
@@ -175,29 +180,24 @@ def canon_connected(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], tup
     then the smallest cell, so the whole class goes in turn, and its last
     member keeps the cell's colour.
 
-    Per node: colours stay dense, so a node is a leaf when there are n of
-    them and counts its cells in a list; a leaf key sums neighbour bits
-    from one table per leaf; _twin_swaps gives each twin representative."""
+    Per node: colours stay dense, so a leaf has n of them and a node counts
+    its cells in a list; a leaf key sums neighbour bits from one table."""
     if n <= 1:
         return tuple(rows), tuple(range(n))
     nbrs, start = _setup(n, rows)
     swaps, twin = _twin_swaps(n, rows)
-    best_key: list = [None]
-    best_perm: list = [None]
-    best_inv: list = [None]
+    best: list = [None, None, None]  # least key, its relabeling, inverse if used
     autos = list(swaps)
 
     def descend(colors: list[int], prefix: list[int]) -> None:
         k = max(colors) + 1
         if k == n:
             key = _leaf_key(n, nbrs, colors)
-            if best_key[0] is None or key < best_key[0]:
-                best_key[0] = key
-                best_perm[0] = colors
-                best_inv[0] = invert(colors)
-            elif key == best_key[0]:
-                inv = best_inv[0]
-                autos.append(tuple(inv[colors[v]] for v in range(n)))
+            if best[0] is None or key < best[0]:
+                best[:] = key, colors, None
+            elif key == best[0]:
+                best[2] = best[2] or invert(best[1])
+                autos.append(tuple(map(best[2].__getitem__, colors)))
             return
         counts = [0] * k
         for c in colors:
@@ -205,8 +205,7 @@ def canon_connected(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], tup
         # the least colour of the smallest cell that is not a singleton
         target = counts.index(min(filter((1).__lt__, counts)))
         cell = [v for v, c in enumerate(colors) if c == target]
-        t = twin[cell[0]]
-        if swaps and all(twin[v] == t for v in cell):
+        if swaps and all(map(twin[cell[0]].__eq__, map(twin.__getitem__, cell))):
             # the twin step; colors is this search's own list
             for i, v in enumerate(cell[:-1]):
                 colors[v] = k + i
@@ -230,7 +229,7 @@ def canon_connected(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], tup
             orbit = _orbit_mask(orbit | 1 << v, gens)
 
     descend(_refine(n, nbrs, start), [])
-    return _rows_of_key(n, best_key[0]), tuple(best_perm[0])
+    return _rows_of_key(n, best[0]), tuple(best[1])
 
 
 def compact_rows(rows, mask: int) -> tuple[int, ...]:

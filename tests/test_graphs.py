@@ -335,6 +335,16 @@ def test_loopless_adjacency_index_inverts_the_loopless_enumeration(n):
         assert adjacency_index(n, [row | 1 << v for v, row in enumerate(rows)], False) == k
 
 
+@settings(max_examples=200)
+@given(graph_strategy(16, loops=True), st.booleans())
+def test_adjacency_index_reads_the_upper_cells_in_order(g, loops_allowed):
+    # both sides of the table lookup's 8-vertex limit, against one cell at a time
+    k = 0
+    for i, j in upper_cells(g.n, loops_allowed):
+        k = k << 1 | g.adj[i] >> j & 1
+    assert adjacency_index(g.n, g.adj, loops_allowed) == k
+
+
 def adjacency_key(n: int, rows) -> tuple[int, ...]:
     """Each row with its bit order reversed: tuple comparison is row-major
     comparison of the adjacency matrix, 0 < 1."""
