@@ -53,8 +53,10 @@ from .graphs import (
 AUT_MAX = 8
 
 
-# each byte's set bits, ascending
-_BYTE_BITS = tuple(tuple(b for b in range(8) if x >> b & 1) for x in range(256))
+# each byte's set bits, ascending: those of x + 2^b are those of x, then b
+_BYTE_BITS: list = [()]
+for _b in range(8):
+    _BYTE_BITS += [bits + (_b,) for bits in _BYTE_BITS]
 
 
 def _setup(n: int, rows: tuple[int, ...]) -> tuple[list, list[int]]:
