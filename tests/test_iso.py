@@ -326,10 +326,20 @@ def reference_canon_connected(n: int, rows: tuple[int, ...]):
 
 
 def check_against_reference_search(graphs) -> None:
-    """canon_rows and _refine against the reference search on each (n, rows);
+    """_refine and canon_rows against the reference search on each (n, rows);
     _refine from the initial coloring, from it with vertex 0 individualized,
-    from a discrete coloring, from it shifted up by n, and from it with
-    its last two vertices individualized, the later one first."""
+    from a discrete coloring, from the initial coloring shifted up by n, and
+    from it with its last two vertices individualized, the later one first.
+    _refine goes first: a wrong refinement can blow up the search tree, and
+    would then keep the canon_rows comparison running instead of failing."""
+    for n, rows in graphs:
+        nbrs, start = iso_mod._setup(n, rows)
+        assert iso_mod._refine(n, nbrs, start) == reference_refine(n, rows, initial_colors(n, rows))
+        start = initial_colors(n, rows)
+        for colors in (start, [n, *start[1:]], [2 * (n - v) for v in range(n)],
+                       [n + c for c in start], start[:-2] + [n + 1, n][-n:]):
+            assert iso_mod._refine(n, nbrs, colors) == reference_refine(n, rows, colors)
+
     def canon_all():
         return [canon_rows(n, rows) for n, rows in graphs]
 
@@ -343,13 +353,6 @@ def check_against_reference_search(graphs) -> None:
             assert got == canon_all()
     finally:
         iso_mod._canon_component.cache_clear()
-    for n, rows in graphs:
-        nbrs, start = iso_mod._setup(n, rows)
-        assert iso_mod._refine(n, nbrs, start) == reference_refine(n, rows, initial_colors(n, rows))
-        start = initial_colors(n, rows)
-        for colors in (start, [n, *start[1:]], [2 * (n - v) for v in range(n)],
-                       [n + c for c in start], start[:-2] + [n + 1, n][-n:]):
-            assert iso_mod._refine(n, nbrs, colors) == reference_refine(n, rows, colors)
 
 
 def circulant_rows(n: int, jumps, loops: bool) -> tuple[int, ...]:
