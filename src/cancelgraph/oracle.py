@@ -28,7 +28,6 @@ from typing import Callable, Iterator
 
 from .antiauto import (
     _ant_cosets,
-    _full_listing,
     _orbit_partition,
     apply_anti_rows,
     enumerate_aut_tf,
@@ -426,27 +425,28 @@ def _graph_checks(
     """The decider's routes on g against both oracles, and the orbit checks,
     with every certificate read off the universe index at g's n:
     (reconstructible, strongly, reversal decider says no).
-    The full route, the multiset, neighborhood_prop and both strong tests
-    read the coset listing of Ant(G) that the deciders read; the fast route
-    takes the decider's route order over its involution search, run on
-    every graph, and bipartition, and twin_involution checks that the
-    search finds an involution on graphs with twins, as the decider
-    assumes. G's neighborhood mates are listed once: neighborhood_prop
-    checks they are the G^a of that listing, and the neighborhood oracle
-    that each lies in G's class. Only the orbit checks read all of Ant(G),
-    that listing expanded by P. Every reader takes its classes from one
-    memoised lookup over index.canon_of, so no rows are looked up twice."""
+    Every check, the orbit checks too, reads the coset listing of Ant(G)
+    that the deciders read; the fast route takes the decider's route order
+    over its involution search, run on every graph, and bipartition, and
+    twin_involution checks that the search finds an involution on graphs
+    with twins, as the decider assumes. G's neighborhood mates are listed
+    once: neighborhood_prop checks they are the G^a of that listing, and
+    the neighborhood oracle that each lies in G's class. Every reader takes
+    its classes from one memoised lookup over index.canon_of, so no rows
+    are looked up twice. Only a violation lists G's edges."""
     n, rows = g.n, g.adj
-    edges = _edges_of_rows(n, rows)
+
+    def add(suite: str, **detail) -> None:
+        violations.add(suite, n, edges=_edges_of_rows(n, rows), **detail)
+
     cosets, moved = _ant_cosets(g)
     mkey = multiset_key(rows)
     for img, arows in zip(cosets, moved):
         if multiset_key(arows) != mkey:
-            violations.add("eq1_multiset", n, edges=edges, alpha=list(img))
+            add("eq1_multiset", alpha=list(img))
     mates, images = set(_neighborhood_mates(n, rows)), set(moved)
     if mates != images:
-        violations.add("neighborhood_prop", n, edges=edges,
-                       missing=len(mates - images), extra=len(images - mates))
+        add("neighborhood_prop", missing=len(mates - images), extra=len(images - mates))
     cert = lru_cache(maxsize=None)(index.canon_of)
     own = cert(rows)
     nbhd_pure = all(cert(mate) == own for mate in mates)
@@ -457,42 +457,43 @@ def _graph_checks(
         # swapping two twins is an involution: the decider skips this
         # search on graphs with twins, so it must find one on them
         if len(set(rows)) < n:
-            violations.add("twin_involution", n, edges=edges)
+            add("twin_involution")
         fast = True
     elif bip_verdict is not None:
         fast = bip_verdict
     else:
         fast = slow
     if fast != slow:
-        violations.add("fast_paths", n, edges=edges, fast=fast, slow=slow)
+        add("fast_paths", fast=fast, slow=slow)
     for suite, oracle in (("theorem_vs_neighborhood_oracle", nbhd_pure),
                           ("theorem_vs_cancellation_oracle", index.class_product_pure[own])):
         if oracle != slow:
-            violations.add(suite, n, edges=edges, decider=slow, oracle=oracle)
+            add(suite, decider=slow, oracle=oracle)
     direct = strong_counterexample(g) is None
     classwise = _classwise_strong(rows, cosets)
     if direct != classwise:
-        violations.add("strong_routes", n, edges=edges, direct=direct, classwise=classwise)
-    ant, ant_rows = _full_listing(g)
-    if len(ant) > 1:
-        _orbit_checks(n, rows, ant, [cert(r) for r in ant_rows], violations)
+        add("strong_routes", direct=direct, classwise=classwise)
+    if len(cosets) > 1:
+        _orbit_checks(n, rows, cosets, [cert(r) for r in moved], add)
     return slow, direct, bip_verdict is False
 
 
 def _orbit_checks(
     n: int,
     rows: tuple[int, ...],
-    ant: tuple[tuple[int, ...], ...],
+    cosets: tuple[tuple[int, ...], ...],
     certs: list[int],
-    violations: _Violations,
+    add: Callable[..., None],
 ) -> None:
-    """certs[i] is the certificate of G^ant[i]. simeqiso: the Aut^TF(G)
+    """certs[i] is the certificate of G^cosets[i]. simeqiso: the Aut^TF(G)
     orbits are the isomorphism classes of the G^a. simplus2: G^a is
-    isomorphic to G^(a^e) for every odd exponent e."""
-    for kind, detail in _orbit_partition(n, rows, ant, certs)[1]:
-        violations.add(f"simeqiso_{kind}", n, edges=_edges_of_rows(n, rows), **detail)
-    position = {img: i for i, img in enumerate(ant)}
-    for img, cert in zip(ant, certs):
+    isomorphic to G^(a^e) for every odd exponent e, on each coset's least
+    member a: (ap)^e lies in a^eP, as aPa^-1 = P, and a^e maps each twin
+    class onto another in vertex order, as a does, so it is listed."""
+    for kind, detail in _orbit_partition(n, rows, cosets, certs)[1]:
+        add(f"simeqiso_{kind}", **detail)
+    position = {img: i for i, img in enumerate(cosets)}
+    for img, cert in zip(cosets, certs):
         order = perm_order(img)
         if order <= 2:
             continue
@@ -503,10 +504,7 @@ def _orbit_checks(
             j = position.get(power)
             # an odd power outside Ant(G) has no G^(a^e) to compare
             if j is None or certs[j] != cert:
-                violations.add(
-                    "simplus2", n, edges=_edges_of_rows(n, rows),
-                    alpha=list(img), exponent_image=list(power),
-                )
+                add("simplus2", alpha=list(img), exponent_image=list(power))
 
 
 def _pair_membership_pass(graphs: _Feed, violations: _Violations) -> None:
@@ -776,7 +774,8 @@ def verify_theorems(
     certificates from the universe index, once per iso class of the mode's
     universe, with each class counted by its size, checks that the
     neighborhood mates are the G^a (neighborhood_prop), and checks
-    orbit/isomorphism agreement and odd powers on all of Ant(G). Five side
+    orbit/isomorphism agreement and odd powers on the cosets aP of Ant(G),
+    never listing all of it. Five side
     suites cover two-fold membership, digraph symmetry and product
     structure, once per iso class of the loops-allowed universe up to
     SIDE_SUITE_MAX, on the representatives of the universe index the main

@@ -718,15 +718,31 @@ def reference_orbit_partition(n, rows, ant, certs):
 
 
 def orbit_inputs(g: Graph):
-    ant, permuted = _full_listing(g, force=True)
-    return g.n, g.adj, ant, [_canonical(g.n, arows)[0] for arows in permuted]
+    """_orbit_partition's arguments: the coset listing and its certificates."""
+    cosets, permuted = antiauto_mod._ant_cosets(g, force=True)
+    return g.n, g.adj, cosets, [_canonical(g.n, arows)[0] for arows in permuted]
+
+
+def least_in_coset(image: tuple[int, ...], classes: list[list[int]]) -> tuple[int, ...]:
+    """The least member of image's coset aP: image's values sorted inside
+    each equal-row class."""
+    least = list(image)
+    for vs in classes:
+        for v, w in zip(vs, sorted(image[v] for v in vs)):
+            least[v] = w
+    return tuple(least)
 
 
 def check_orbit_partition(g: Graph) -> None:
-    args = orbit_inputs(g)
-    labels, faults = antiauto_mod._orbit_partition(*args)
+    # each member of all of Ant(G) has its coset's label under the closure
+    n, rows, cosets, certs = orbit_inputs(g)
+    labels, faults = antiauto_mod._orbit_partition(n, rows, cosets, certs)
     assert faults == []
-    assert labels == reference_orbit_partition(*args)[0]
+    ant, permuted = _full_listing(g, force=True)
+    reference = reference_orbit_partition(n, rows, ant, [_canonical(n, r)[0] for r in permuted])[0]
+    label_of = dict(zip(cosets, labels))
+    classes = twin_classes(rows)[0]
+    assert [label_of[least_in_coset(img, classes)] for img in ant] == reference
 
 
 def relabeled(g: Graph, seed: int) -> Graph:
@@ -772,6 +788,7 @@ def test_orbit_partition_reports_a_dropped_pair(monkeypatch, dropped):
     # the lost member starts an orbit of its own, in the identity's
     # isomorphism class, which the theorem check reports
     args = orbit_inputs(THREE_PAIRS)
+    assert args[2] == _full_listing(THREE_PAIRS)[0]  # no twins: cosets of one member
     pairs = antiauto_mod._tf_generators(6, THREE_PAIRS.adj)
     assert len(pairs) == 3 and pairs[0] == (tuple(range(6)),) * 2
     assert antiauto_mod._orbit_partition(*args)[1] == []
@@ -782,12 +799,18 @@ def test_orbit_partition_reports_a_dropped_pair(monkeypatch, dropped):
     assert faults == [("across_orbits", {"orbits": max(labels) + 1, "classes": max(labels)})]
 
 
-def test_orbit_partition_reports_a_short_coset():
-    # a listing that lost one member of a coset aP fails the |P| count, and
-    # an image landing on the lost member is outside the listing
-    g = Graph.from_edges(3, [(0, 1), (0, 2)])
-    n, rows, ant, certs = orbit_inputs(g)
-    assert len(ant) == 2
-    labels, faults = antiauto_mod._orbit_partition(n, rows, ant[1:], certs[1:])
-    assert faults[0] == ("closure", {"alpha": list(ant[1]), "coset_members": 1})
-    assert ("closure", {"alpha": list(ant[0])}) in faults
+def test_orbit_partition_reports_a_lost_coset():
+    # 2K1 + K3: the isolated twins 0 and 1 make each coset two members, and
+    # the three cosets that reflect K3 form one orbit. A listing
+    # that lost the least of them starts that orbit at the next, whose image
+    # lands on the lost coset
+    g = Graph.from_edges(5, [(2, 3), (2, 4), (3, 4)])
+    n, rows, cosets, certs = orbit_inputs(g)
+    assert len(cosets) == 4 and len(_full_listing(g)[0]) == 8
+    assert antiauto_mod._orbit_partition(n, rows, cosets, certs) == ([0, 1, 1, 1], [])
+    lost = cosets[1]
+    labels, faults = antiauto_mod._orbit_partition(n, rows, cosets[:1] + cosets[2:],
+                                                   certs[:1] + certs[2:])
+    assert labels == [0, 1, 1]
+    assert faults and all(fault == ("closure", {"alpha": list(lost)}) for fault in faults)
+

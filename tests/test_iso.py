@@ -973,6 +973,45 @@ def test_orbit_tables_stay_under_half_a_mebibyte(n, loops):
 
 
 # ---------------------------------------------------------------------------
+# the CFI pair over K4
+# ---------------------------------------------------------------------------
+
+
+def cfi_over_k4(twisted: bool) -> Graph:
+    """The Cai-Furer-Immerman graph over K4, plain or twisted. Each base
+    vertex v has an end (v, e, i) for each of its three edges e and each bit
+    i, and a middle vertex for each even set S of its edges, adjacent to
+    (v, e, 1) for e in S and to (v, e, 0) otherwise: 10 vertices a base
+    vertex. A base edge uv joins (u, e, i) to (v, e, i), except that the
+    twisted graph crosses the ends of one edge."""
+    base = list(itertools.combinations(range(4), 2))
+    label: dict[tuple, int] = {}
+    edges = []
+    for v in range(4):
+        at = [e for e in base if v in e]
+        for s in (*itertools.combinations(at, 0), *itertools.combinations(at, 2)):
+            middle = label.setdefault(("middle", v, s), len(label))
+            edges.extend((middle, label.setdefault((v, e, int(e in s)), len(label))) for e in at)
+    for e in base:
+        crossed = twisted and e == base[0]
+        edges.extend((label[e[0], e, i], label[e[1], e, i ^ crossed]) for i in (0, 1))
+    return Graph.from_edges(len(label), edges)
+
+
+def test_canonical_form_tells_the_cfi_pair_over_k4_apart():
+    # colour refinement alone cannot tell the two 40-vertex graphs apart, so
+    # the search must; each keeps its form under relabeling
+    plain, twisted = cfi_over_k4(False), cfi_over_k4(True)
+    assert plain.n == twisted.n == 40
+    assert sorted(map(int.bit_count, plain.adj)) == sorted(map(int.bit_count, twisted.adj))
+    assert canonical_form(plain) != canonical_form(twisted)
+    rng = random.Random(40)
+    for g in (plain, twisted):
+        for _ in range(3):
+            assert canonical_form(shuffled(rng, g)) == canonical_form(g)
+
+
+# ---------------------------------------------------------------------------
 # differential test against networkx VF2
 # ---------------------------------------------------------------------------
 
